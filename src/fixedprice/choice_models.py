@@ -111,6 +111,38 @@ class MarkovChainParams:
         return 1 - sum(self.transitions.get(j, {}).values())
 
 
+def solve_transient(
+    params: MarkovChainParams, states: Sequence[Item], rhs_cols: List[List[Fraction]]
+) -> List[List[Fraction]]:
+    """Solve (I - Q) x = b exactly for each column b of ``rhs_cols``, where Q
+    holds the chain's transitions among ``states`` (entries follow ``states``).
+
+    Raises ``NonAbsorbingChainError`` when the system is singular, which
+    means some state never leaves ``states``.
+    """
+    n = len(states)
+    ncols = len(rhs_cols)
+    aug = []
+    for r, s in enumerate(states):
+        row = params.transitions.get(s, {})
+        aug.append([int(r == c) - row.get(t, Fraction(0)) for c, t in enumerate(states)]
+                   + [col[r] for col in rhs_cols])
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            raise NonAbsorbingChainError(
+                "transition system is singular; chain does not absorb"
+            )
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [[aug[i][n + c] for i in range(n)] for c in range(ncols)]
+
+
 @dataclass(frozen=True)
 class NestStructure:
     """A partition of the items into disjoint nests with dissimilarity weights.
@@ -213,31 +245,6 @@ def gen_mnl(items: Sequence[Item], params: MnlParams) -> ListDistribution:
 # ---------------------------------------------------------------------------
 
 
-def _solve_linear(matrix: List[List[Fraction]], rhs_cols: List[List[Fraction]]):
-    """Gaussian elimination over rationals; returns solutions per rhs column.
-
-    Raises ``NonAbsorbingChainError`` when the matrix is singular, which for
-    (I - Q) systems means some states never reach the terminal state.
-    """
-    n = len(matrix)
-    ncols = len(rhs_cols)
-    aug = [list(matrix[i]) + [rhs_cols[c][i] for c in range(ncols)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise NonAbsorbingChainError(
-                "transition system is singular; chain does not absorb"
-            )
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [[aug[i][n + c] for i in range(n)] for c in range(ncols)]
-
-
 def _first_passage_table(
     params: MarkovChainParams, items: Tuple[Item, ...], visited: frozenset
 ) -> Dict[Item, Dict[object, Fraction]]:
@@ -247,15 +254,6 @@ def _first_passage_table(
     vs = sorted(visited, key=str)
     index = {v: i for i, v in enumerate(vs)}
     targets: List[object] = [j for j in items if j not in visited] + [None]
-    n = len(vs)
-    matrix = [
-        [
-            (1 if r == c else 0)
-            - params.transitions.get(vs[r], {}).get(vs[c], Fraction(0))
-            for c in range(n)
-        ]
-        for r in range(n)
-    ]
     rhs_cols = []
     for t in targets:
         if t is None:
@@ -263,7 +261,7 @@ def _first_passage_table(
         else:
             col = [params.transitions.get(v, {}).get(t, Fraction(0)) for v in vs]
         rhs_cols.append(col)
-    sols = _solve_linear([[Fraction(x) for x in row] for row in matrix], rhs_cols)
+    sols = solve_transient(params, vs, rhs_cols)
     return {
         v: {targets[c]: sols[c][index[v]] for c in range(len(targets))} for v in vs
     }
@@ -272,17 +270,8 @@ def _first_passage_table(
 def verify_absorbing(params: MarkovChainParams, items: Sequence[Item]) -> None:
     """Exact check that the chain reaches the terminal state almost surely."""
     items = tuple(items)
-    n = len(items)
-    matrix = [
-        [
-            (1 if r == c else 0)
-            - params.transitions.get(items[r], {}).get(items[c], Fraction(0))
-            for c in range(n)
-        ]
-        for r in range(n)
-    ]
     exits = [[params.exit_probability(j) for j in items]]
-    sols = _solve_linear([[Fraction(x) for x in row] for row in matrix], exits)
+    sols = solve_transient(params, items, exits)
     if any(v != 1 for v in sols[0]):
         raise NonAbsorbingChainError("some state reaches the terminal state w.p. < 1")
 

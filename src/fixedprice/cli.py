@@ -8,9 +8,7 @@ policy), ``check`` (ic, history-monotone, submodular, containment),
 ``multibuyer`` (profile LPs and fixed mechanisms).
 
 Every report is a single JSON object on stdout.  Exit codes: 0 on success,
-2 when a check fails, 1 on usage or data errors.  The environment variable
-``FIXEDPRICE_SEED`` is reserved for randomized subcommands; none of the
-current verbs randomize.
+2 when a check fails, 1 on usage or data errors.
 """
 
 from __future__ import annotations
@@ -38,8 +36,15 @@ def _emit(obj: dict, pretty: bool) -> None:
         print(json.dumps(obj, sort_keys=False))
 
 
+def _decimal(value: Fraction) -> float:
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise FixedPriceError("value is too large for a decimal report") from exc
+
+
 def _value_fields(value: Fraction) -> Dict[str, object]:
-    return {"value": format_rational(value), "value_decimal": float(value)}
+    return {"value": format_rational(value), "value_decimal": _decimal(value)}
 
 
 def _read_text(path: Optional[str]) -> str:
@@ -249,9 +254,9 @@ def _cmd_compare(args) -> int:
         "opt_assortment": format_rational(opt_s),
         "opt_mechanism": format_rational(opt_x),
         "opt_bm": format_rational(opt_bm),
-        "opt_assortment_decimal": float(opt_s),
-        "opt_mechanism_decimal": float(opt_x),
-        "opt_bm_decimal": float(opt_bm),
+        "opt_assortment_decimal": _decimal(opt_s),
+        "opt_mechanism_decimal": _decimal(opt_x),
+        "opt_bm_decimal": _decimal(opt_bm),
         "assortment": sorted(map(str, S)),
     }
     _emit(out, args.pretty)

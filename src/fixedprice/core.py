@@ -312,9 +312,6 @@ class Instance:
             raise InvalidInstanceError(f"assortment contains unknown items {unknown}")
         return S
 
-    def item_index(self) -> Dict[Item, int]:
-        return {j: k for k, j in enumerate(self.items)}
-
 
 def choice_probability(
     inst_or_dist,
@@ -485,6 +482,10 @@ def instance_from_json(obj: dict) -> Instance:
     items = []
     prices = {}
     for entry in obj["items"]:
+        if not isinstance(entry["id"], (str, int)):
+            raise InvalidInstanceError(
+                f"item id {entry['id']!r} must be a string or an integer"
+            )
         items.append(entry["id"])
         try:
             prices[entry["id"]] = parse_rational(entry["price"])

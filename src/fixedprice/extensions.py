@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedShapeError,
 )
 from .lp import LPSolution, RationalLP, solve_lp
-from .mechanism_lp import Mechanism, verify_ic
+from .mechanism_lp import Mechanism, _ic_coefs, _ic_rows, verify_ic
 from .rational import format_rational, parse_rational
 
 PROFILE_CAP = 10**5
@@ -127,51 +127,36 @@ def build_multibuyer_lp(
 
     m = inst.num_buyers
     for i in range(m):
-        support_i = sorted(inst.buyers[i].support.items(),
-                           key=lambda kv: kv[0].entries)
+        lists_i = [lst for lst, _ in sorted(inst.buyers[i].support.items(),
+                                             key=lambda kv: kv[0].entries)]
         others = [
             sorted(inst.buyers[ip].support.items(), key=lambda kv: kv[0].entries)
             for ip in range(m) if ip != i
         ]
-        other_profiles = list(product(*others)) if others else [()]
+        # (lists of the other buyers, their joint probability) per profile
+        other_profiles = []
+        for combo in (product(*others) if others else [()]):
+            prob_others = Fraction(1)
+            for _, p in combo:
+                prob_others *= p
+            other_profiles.append(([l for l, _ in combo], prob_others))
 
-        def rows_for(lst_i, k, other_lst_i):
-            top = set(lst_i.entries[:k])
-            out = []
-            for combo in other_profiles:
-                prob_others = Fraction(1)
-                for _, p in combo:
-                    prob_others *= p
-                full_true = list(l for l, _ in combo)
-                full_true.insert(i, lst_i)
-                full_lie = list(l for l, _ in combo)
-                full_lie.insert(i, other_lst_i)
-                pid_true = profile_id[tuple(full_true)]
-                pid_lie = profile_id[tuple(full_lie)]
-                coefs: Dict[str, Fraction] = {}
-                for j in lst_i.entries[:k]:
-                    name = _xvar(i, j, pid_true)
-                    coefs[name] = coefs.get(name, Fraction(0)) + 1
-                for j in other_lst_i.entries:
-                    if j in top:
-                        name = _xvar(i, j, pid_lie)
-                        coefs[name] = coefs.get(name, Fraction(0)) - 1
-                out.append((coefs, prob_others))
-            return out
-
-        for lst_i, _ in support_i:
-            for k in range(1, len(lst_i) + 1):
-                for other_lst_i, _ in support_i:
-                    rows = rows_for(lst_i, k, other_lst_i)
+        for lst_i in lists_i:
+            for _, top, other_lst_i, inside in _ic_rows(lst_i, lists_i):
+                # DSIC: one row per profile of the others; BIC: their
+                # probability-weighted sum.
+                merged: Dict[str, Fraction] = {}
+                for rest, prob_others in other_profiles:
+                    pid_true = profile_id[tuple(rest[:i] + [lst_i] + rest[i:])]
+                    pid_lie = profile_id[tuple(rest[:i] + [other_lst_i] + rest[i:])]
+                    true_names = [_xvar(i, j, pid_true) for j in top]
+                    lie_names = [_xvar(i, j, pid_lie) for j in inside]
                     if mode == "dsic":
-                        for coefs, _ in rows:
-                            lp.add_row(coefs, ">=", 0)
+                        lp.add_row(_ic_coefs({}, true_names, lie_names), ">=", 0)
                     else:
-                        merged: Dict[str, Fraction] = {}
-                        for coefs, w in rows:
-                            for name, c in coefs.items():
-                                merged[name] = merged.get(name, Fraction(0)) + w * c
-                        lp.add_row(merged, ">=", 0)
+                        _ic_coefs(merged, true_names, lie_names, weight=prob_others)
+                if mode == "bic":
+                    lp.add_row(merged, ">=", 0)
 
     meta = {"profiles": profiles, "var": _xvar}
     return lp, meta

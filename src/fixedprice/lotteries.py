@@ -19,7 +19,7 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from .core import Instance, Item, ListDistribution, assortment_revenue
 from .errors import CapExceededError, GuaranteeViolationError, InvalidInstanceError
-from .mechanism_lp import Mechanism, mechanism_revenue
+from .mechanism_lp import Mechanism, _best_over_reports, mechanism_revenue
 from .rational import coerce_rational
 
 GUARANTEE_SLACK = 1e-9
@@ -200,14 +200,9 @@ def round_bounded_length(
     """
     max_len = max((len(lst) for lst in inst.dist.support), default=0)
     max_len = max(max_len, 1)
-    best: Dict[Item, Fraction] = {}
-    for j in inst.items:
-        best[j] = max(
-            (mech.probability(lst, j) for lst in inst.dist.support),
-            default=Fraction(0),
-        )
     incl = InclusionProbabilities(
-        {j: _bounded_length_curve(float(f), max_len) for j, f in best.items()}
+        {j: _bounded_length_curve(float(_best_over_reports(inst, mech, (j,))), max_len)
+         for j in inst.items}
     )
     source = mechanism_revenue(inst, mech)
     achieved = independent_assortment_revenue(inst, incl)

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import LPInfeasibleError, LPUnboundedError
-from .rational import format_rational, parse_rational
+from .rational import format_rational, lcm_of_denominators, parse_rational
 
 LE, GE, EQ = "<=", ">=", "=="
 
@@ -124,9 +123,7 @@ def _scale_to_int(values: Sequence[Fraction]) -> Tuple[List[int], int]:
 
     Returns the integer vector and the multiplier used.
     """
-    denom = 1
-    for v in values:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
+    denom = lcm_of_denominators(values)
     return [int(v * denom) for v in values], denom
 
 

@@ -11,6 +11,14 @@ for all supported lists l, positions k, and alternative reports l'.  This
 module builds that LP, the monotone-set-function relaxation of its optimum,
 and the weaker assortment LP used for comparisons, plus the conversions
 between assortments, mechanisms, and monotone set functions.
+
+The IC row family is enumerated in one place, ``_ic_rows``; its three
+consumers are ``build_mechanism_lp`` (the rows), ``verify_ic`` (the exact
+check of a given mechanism) and ``extensions.build_multibuyer_lp`` (the
+DSIC and BIC rows per buyer).  Likewise ``_inclusion_rows`` feeds both
+``build_bm_lp`` and ``containment_witness``, and ``_best_over_reports`` is
+the one definition of the best probability any report gives of landing in
+a set.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .core import Instance, Item, RankedList
 from .errors import (
@@ -87,16 +95,38 @@ def mechanism_revenue(inst: Instance, mech: Mechanism) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def build_mechanism_lp(inst: Instance) -> RationalLP:
-    """LP over allocation variables with IC, sum-to-one, and nonnegativity rows.
+def _ic_rows(
+    lst: RankedList, reports: Sequence[RankedList]
+) -> Iterator[Tuple[int, Tuple[Item, ...], RankedList, Tuple[Item, ...]]]:
+    """The IC rows of truthful list ``lst``: ``(k, top, other, inside)`` for
+    each position k and each report ``other`` in ``reports``, where ``top``
+    is the first k entries of ``lst`` and ``inside`` the entries of ``other``
+    among them.  The row reads
 
-    IC rows are instantiated for every ordered (list, position, report)
-    triple; exact-duplicate rows (including the vacuous self-report rows)
-    collapse via hashing.
+        sum_{j in top} x_j(lst)  >=  sum_{j in inside} x_j(other).
     """
+    for k in range(1, len(lst) + 1):
+        top = lst.entries[:k]
+        top_set = set(top)
+        for other in reports:
+            yield k, top, other, tuple(j for j in other.entries if j in top_set)
+
+
+def _ic_coefs(coefs: Dict[str, Fraction], top_names: Iterable[str],
+              inside_names: Iterable[str], weight=1) -> Dict[str, Fraction]:
+    """Add ``weight`` times one IC row, given by its variable names, to ``coefs``."""
+    for name in top_names:
+        coefs[name] = coefs.get(name, Fraction(0)) + weight
+    for name in inside_names:
+        coefs[name] = coefs.get(name, Fraction(0)) - weight
+    return coefs
+
+
+def _revenue_lp(inst: Instance) -> RationalLP:
+    """An LP with one allocation variable per (supported list, listed item)
+    and the expected-revenue objective over them."""
     lp = RationalLP()
-    support = list(inst.dist.support.keys())
-    for lst in support:
+    for lst in inst.dist.support:
         for j in lst.entries:
             lp.add_variable(_var(lst, j), lo=0)
     objective: Dict[str, Fraction] = {}
@@ -105,24 +135,28 @@ def build_mechanism_lp(inst: Instance) -> RationalLP:
             name = _var(lst, j)
             objective[name] = objective.get(name, Fraction(0)) + prob * inst.prices[j]
     lp.set_objective(objective)
+    return lp
 
+
+def build_mechanism_lp(inst: Instance) -> RationalLP:
+    """LP over allocation variables with IC, sum-to-one, and nonnegativity rows.
+
+    IC rows are instantiated for every ordered (list, position, report)
+    triple; exact-duplicate rows (including the vacuous self-report rows)
+    collapse via hashing.
+    """
+    lp = _revenue_lp(inst)
+    support = list(inst.dist.support.keys())
     for lst in support:
         if len(lst) > 0:
             lp.add_row(
                 {_var(lst, j): 1 for j in lst.entries}, "<=", 1,
                 label=f"one[{','.join(map(str, lst.entries))}]",
             )
-        for k in range(1, len(lst) + 1):
-            top = set(lst.entries[:k])
-            for other in support:
-                coefs: Dict[str, Fraction] = {}
-                for j in lst.entries[:k]:
-                    coefs[_var(lst, j)] = coefs.get(_var(lst, j), Fraction(0)) + 1
-                for j in other.entries:
-                    if j in top:
-                        name = _var(other, j)
-                        coefs[name] = coefs.get(name, Fraction(0)) - 1
-                lp.add_row(coefs, ">=", 0)
+        for _, top, other, inside in _ic_rows(lst, support):
+            coefs = _ic_coefs({}, (_var(lst, j) for j in top),
+                              (_var(other, j) for j in inside))
+            lp.add_row(coefs, ">=", 0)
     return lp
 
 
@@ -189,30 +223,25 @@ def verify_ic(inst: Instance, mech: Mechanism) -> ICReport:
                     "sum", lst.entries, f"allocations sum to {format_rational(total)}"
                 )
             )
-    for lst in support:
-        if lst not in mech.alloc:
-            continue
-        for k in range(1, len(lst) + 1):
-            top = set(lst.entries[:k])
-            lhs = sum((mech.probability(lst, j) for j in lst.entries[:k]), Fraction(0))
-            for other in support:
-                if other not in mech.alloc:
-                    continue
-                rhs = sum(
-                    (mech.probability(other, j) for j in other.entries if j in top),
-                    Fraction(0),
-                )
-                if lhs < rhs:
-                    violations.append(
-                        ICViolation(
-                            "ic",
-                            lst.entries,
-                            f"top-{k} probability {format_rational(lhs)} < "
-                            f"{format_rational(rhs)} via report {other.entries}",
-                            k=k,
-                            other=other.entries,
-                        )
+    reports = [lst for lst in support if lst in mech.alloc]
+    for lst in reports:
+        top_mass = [Fraction(0)]
+        for j in lst.entries:
+            top_mass.append(top_mass[-1] + mech.probability(lst, j))
+        for k, _, other, inside in _ic_rows(lst, reports):
+            lhs = top_mass[k]
+            rhs = sum((mech.probability(other, j) for j in inside), Fraction(0))
+            if lhs < rhs:
+                violations.append(
+                    ICViolation(
+                        "ic",
+                        lst.entries,
+                        f"top-{k} probability {format_rational(lhs)} < "
+                        f"{format_rational(rhs)} via report {other.entries}",
+                        k=k,
+                        other=other.entries,
                     )
+                )
     return ICReport(tuple(violations))
 
 
@@ -291,6 +320,19 @@ class SetFunction:
         return None
 
 
+def _best_over_reports(inst: Instance, mech: Mechanism, S) -> Fraction:
+    """The best probability any supported report gives of receiving an item
+    of the set ``S`` (0 when no report does better)."""
+    best = Fraction(0)
+    for lst in inst.dist.support:
+        got = sum(
+            (mech.probability(lst, j) for j in lst.entries if j in S), Fraction(0)
+        )
+        if got > best:
+            best = got
+    return best
+
+
 def mechanism_to_set_function(inst: Instance, mech: Mechanism) -> SetFunction:
     """For each set S, the best probability any report gives of landing in S.
 
@@ -300,19 +342,10 @@ def mechanism_to_set_function(inst: Instance, mech: Mechanism) -> SetFunction:
     """
     universe = tuple(inst.items)
     values: Dict[frozenset, Fraction] = {}
-    n = len(universe)
-    for size in range(n + 1):
+    for size in range(len(universe) + 1):
         for combo in combinations(universe, size):
             S = frozenset(combo)
-            best = Fraction(0)
-            for lst in inst.dist.support:
-                got = sum(
-                    (mech.probability(lst, j) for j in lst.entries if j in S),
-                    Fraction(0),
-                )
-                if got > best:
-                    best = got
-            values[S] = best
+            values[S] = _best_over_reports(inst, mech, S)
     f = SetFunction(values, universe)
     for lst in inst.dist.support:
         for k in range(1, len(lst) + 1):
@@ -434,6 +467,23 @@ def _z_var(j: Item) -> str:
     return f"z[{j}]"
 
 
+def _inclusion_rows(lst: RankedList):
+    """The rows of the inclusion LP on one list, each as ``(x_items, z_item,
+    z_coef, rhs, failure)``: the row reads
+
+        sum_{j in x_items} x_j(lst) + z_coef * z_{z_item}  <=  rhs,
+
+    and ``failure`` says what a violation of it means.
+    """
+    if len(lst) == 0:
+        return
+    yield lst.entries, None, 0, 1, f"allocations on {lst.entries} exceed 1"
+    for k, jk in enumerate(lst.entries, 1):
+        yield (jk,), jk, -1, 0, f"x <= z fails for item {jk!r} on list {lst.entries}"
+        yield (lst.entries[k:], jk, 1, 1,
+               f"exclusion cap fails at position {k} of list {lst.entries}")
+
+
 def build_bm_lp(inst: Instance) -> RationalLP:
     """Weaker relaxation with per-item inclusion variables.
 
@@ -441,30 +491,15 @@ def build_bm_lp(inst: Instance) -> RationalLP:
     sold below position k on a list is capped by that position's exclusion;
     integer solutions are exactly assortments.
     """
-    lp = RationalLP()
-    support = list(inst.dist.support.keys())
-    for lst in support:
-        for j in lst.entries:
-            lp.add_variable(_var(lst, j), lo=0)
+    lp = _revenue_lp(inst)
     for j in inst.items:
         lp.add_variable(_z_var(j), lo=0, hi=1)
-    objective: Dict[str, Fraction] = {}
-    for lst, prob in inst.dist.support.items():
-        for j in lst.entries:
-            name = _var(lst, j)
-            objective[name] = objective.get(name, Fraction(0)) + prob * inst.prices[j]
-    lp.set_objective(objective)
-    for lst in support:
-        if len(lst) == 0:
-            continue
-        lp.add_row({_var(lst, j): 1 for j in lst.entries}, "<=", 1)
-        for k in range(1, len(lst) + 1):
-            jk = lst.entries[k - 1]
-            lp.add_row({_var(lst, jk): 1, _z_var(jk): -1}, "<=", 0)
-            coefs = {_var(lst, lst.entries[kp - 1]): Fraction(1)
-                     for kp in range(k + 1, len(lst) + 1)}
-            coefs[_z_var(jk)] = coefs.get(_z_var(jk), Fraction(0)) + 1
-            lp.add_row(coefs, "<=", 1)
+    for lst in inst.dist.support:
+        for x_items, z_item, z_coef, rhs, _ in _inclusion_rows(lst):
+            coefs: Dict[str, Fraction] = {_var(lst, j): Fraction(1) for j in x_items}
+            if z_item is not None:
+                coefs[_z_var(z_item)] = Fraction(z_coef)
+            lp.add_row(coefs, "<=", rhs)
     return lp
 
 
@@ -481,33 +516,14 @@ def containment_witness(inst: Instance, mech: Mechanism) -> Dict[Item, Fraction]
     every row of the weaker LP exactly; a violation would contradict the LP
     containment and is raised as a bug signal.
     """
-    z: Dict[Item, Fraction] = {}
-    for j in inst.items:
-        best = Fraction(0)
-        for lst in inst.dist.support:
-            got = mech.probability(lst, j)
-            if got > best:
-                best = got
-        z[j] = best
+    z = {j: _best_over_reports(inst, mech, (j,)) for j in inst.items}
     for lst in inst.dist.support:
-        total = sum((mech.probability(lst, j) for j in lst.entries), Fraction(0))
-        if total > 1:
-            raise ContainmentError(f"allocations on {lst.entries} exceed 1")
-        for k in range(1, len(lst) + 1):
-            jk = lst.entries[k - 1]
-            if mech.probability(lst, jk) > z[jk]:
-                raise ContainmentError(
-                    f"x <= z fails for item {jk!r} on list {lst.entries}"
-                )
-            below = sum(
-                (mech.probability(lst, lst.entries[kp - 1])
-                 for kp in range(k + 1, len(lst) + 1)),
-                Fraction(0),
-            )
-            if below > 1 - z[jk]:
-                raise ContainmentError(
-                    f"exclusion cap fails at position {k} of list {lst.entries}"
-                )
+        for x_items, z_item, z_coef, rhs, failure in _inclusion_rows(lst):
+            lhs = sum((mech.probability(lst, j) for j in x_items), Fraction(0))
+            if z_item is not None:
+                lhs += z_coef * z[z_item]
+            if lhs > rhs:
+                raise ContainmentError(failure)
     return z
 
 

@@ -8,9 +8,10 @@ integers.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from numbers import Rational
-from typing import Union
+from typing import Iterable, Union
 
 RationalLike = Union[int, str, Fraction, Rational]
 
@@ -29,7 +30,10 @@ def parse_rational(value: RationalLike) -> Fraction:
         )
     if isinstance(value, str):
         # Fraction() parses both "a/b" and decimal strings exactly.
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError as exc:
+            raise ValueError(f"zero denominator in {value!r}") from exc
     raise ValueError(f"not a rational: {value!r}")
 
 
@@ -39,6 +43,11 @@ def format_rational(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def lcm_of_denominators(values: Iterable[Fraction]) -> int:
+    """The least common multiple of the denominators (1 for no values)."""
+    return math.lcm(*(v.denominator for v in values))
 
 
 def coerce_rational(value) -> Fraction:

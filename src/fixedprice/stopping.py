@@ -15,12 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
 from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .choice_models import MarkovChainParams, _solve_linear
+from .choice_models import MarkovChainParams, solve_transient
 from .core import (
     Instance,
     Item,
@@ -37,7 +36,7 @@ from .errors import (
     PrefixOverlapError,
     UnrealizablePrefixError,
 )
-from .rational import parse_rational
+from .rational import coerce_rational, lcm_of_denominators, parse_rational
 
 POLICY_ITEM_CAP = 4
 
@@ -95,18 +94,6 @@ class MonotoneStoppingPolicy:
                         )
             gens[j] = [H for H, v in rows.items() if v]
         return cls(gens)
-
-    def one_entry_count(self, items: Iterable[Item]) -> int:
-        """Number of (item, history) pairs mapped to "stop" over the full domain."""
-        items = tuple(items)
-        total = 0
-        for j in items:
-            others = [k for k in items if k != j]
-            for size in range(len(others) + 1):
-                for combo in combinations(others, size):
-                    if self.stops(j, combo):
-                        total += 1
-        return total
 
 
 def stopping_rule_revenue(
@@ -189,29 +176,23 @@ def optimal_policy_bruteforce(
     n_masks = len(masks)
 
     # Scale probabilities and prices to integers so revenue sums stay exact.
-    prob_den = 1
-    for p in inst.dist.support.values():
-        prob_den = prob_den * p.denominator // gcd(prob_den, p.denominator)
-    price_den = 1
-    for r in inst.prices.values():
-        price_den = price_den * r.denominator // gcd(price_den, r.denominator)
+    prob_den = lcm_of_denominators(inst.dist.support.values())
+    price_den = lcm_of_denominators(inst.prices.values())
     scale = prob_den * price_den
-
-    # bits[i][m, h] = stop decision of mask m for item i on history bitmap h.
-    bits = {}
-    for j in items:
-        arr = np.zeros((n_masks, 1 << (n - 1)), dtype=np.int64)
-        for mi, mask in enumerate(masks):
-            for h in range(1 << (n - 1)):
-                arr[mi, h] = (mask >> h) & 1
-        bits[j] = arr
-
     bound = sum(
         int(p * prob_den) * max((int(r * price_den) for r in inst.prices.values()),
                                 default=0)
         for p in inst.dist.support.values()
     )
-    use_numpy = bound < 2**60
+    # Revenues below the bound fit machine integers; beyond it numpy works
+    # on Python integers, which is exact but an order of magnitude slower.
+    dtype = np.int64 if bound < 2**60 else object
+
+    # bits[m, h] = stop decision of mask m on history bitmap h.
+    bits = np.zeros((n_masks, 1 << (n - 1)), dtype=dtype)
+    for mi, mask in enumerate(masks):
+        for h in range(1 << (n - 1)):
+            bits[mi, h] = (mask >> h) & 1
 
     def history_bitmap(j: Item, entries: Tuple[Item, ...]) -> int:
         h = 0
@@ -219,59 +200,24 @@ def optimal_policy_bruteforce(
             h |= 1 << other_pos[j][e]
         return h
 
-    if use_numpy:
-        rev = np.zeros((n_masks,) * n, dtype=np.int64)
-        for lst, prob in inst.dist.support.items():
-            if len(lst) == 0:
-                continue
-            p_int = int(prob * prob_den)
-            value = np.zeros((), dtype=np.int64)
-            for k in range(len(lst) - 1, -1, -1):
-                j = lst.entries[k]
-                h = history_bitmap(j, lst.entries[:k])
-                shape = [1] * n
-                shape[index[j]] = n_masks
-                b = bits[j][:, h].reshape(shape)
-                r_int = int(inst.prices[j] * price_den)
-                value = b * r_int + (1 - b) * value
-            rev = rev + p_int * value
-        best_flat = int(rev.max())
-        winners = np.argwhere(rev == best_flat)
-        best_value = Fraction(best_flat, scale)
-    else:  # rare fallback for huge numerators: same search in pure Python
-        queries = []
-        for lst, prob in inst.dist.support.items():
-            seq = [
-                (index[j], history_bitmap(j, lst.entries[:k]),
-                 prob * inst.prices[j])
-                for k, j in enumerate(lst.entries)
-            ]
-            queries.append(seq)
-        best_value = Fraction(-1)
-        winners = []
-
-        def rec(i: int, chosen: List[int]):
-            nonlocal best_value, winners
-            if i == n:
-                total = Fraction(0)
-                for seq in queries:
-                    for vi, h, val in seq:
-                        if (masks[chosen[vi]] >> h) & 1:
-                            total += val
-                            break
-                if total > best_value:
-                    best_value = total
-                    winners = [tuple(chosen)]
-                elif total == best_value:
-                    winners.append(tuple(chosen))
-                return
-            for mi in range(n_masks):
-                chosen.append(mi)
-                rec(i + 1, chosen)
-                chosen.pop()
-
-        rec(0, [])
-        winners = np.array(winners)
+    rev = np.zeros((n_masks,) * n, dtype=dtype)
+    for lst, prob in inst.dist.support.items():
+        if len(lst) == 0:
+            continue
+        p_int = int(prob * prob_den)
+        value = np.zeros((), dtype=dtype)
+        for k in range(len(lst) - 1, -1, -1):
+            j = lst.entries[k]
+            h = history_bitmap(j, lst.entries[:k])
+            shape = [1] * n
+            shape[index[j]] = n_masks
+            b = bits[:, h].reshape(shape)
+            r_int = int(inst.prices[j] * price_den)
+            value = b * r_int + (1 - b) * value
+        rev = rev + p_int * value
+    best_flat = int(rev.max())
+    winners = np.argwhere(rev == best_flat)
+    best_value = Fraction(best_flat, scale)
 
     def tally_ones(choice) -> int:
         return sum(bin(masks[mi]).count("1") for mi in choice)
@@ -326,25 +272,16 @@ def markov_stopping_assortment(
         go = [j for j in items if j not in stop]
         V = {j: prices[j] for j in stop}
         if go:
-            n = len(go)
-            matrix = [
-                [
-                    (1 if r == c else 0)
-                    - params.transitions.get(go[r], {}).get(go[c], Fraction(0))
-                    for c in range(n)
-                ]
-                for r in range(n)
-            ]
             rhs = [
                 sum(
-                    (params.transitions.get(go[r], {}).get(s, Fraction(0)) * prices[s]
+                    (params.transitions.get(g, {}).get(s, Fraction(0)) * prices[s]
                      for s in stop),
                     Fraction(0),
                 )
-                for r in range(n)
+                for g in go
             ]
-            sol = _solve_linear([[Fraction(x) for x in row] for row in matrix], [rhs])[0]
-            V.update({go[r]: sol[r] for r in range(n)})
+            sol = solve_transient(params, go, [rhs])[0]
+            V.update(zip(go, sol))
         return V
 
     stop = frozenset(items)
@@ -489,7 +426,7 @@ def check_domination(
     for p in (prefix, other):
         if dist.prefix_probability(p) == 0:
             raise UnrealizablePrefixError(f"prefix {p.entries} has probability 0")
-    tol = parse_rational(tol) if not isinstance(tol, float) else Fraction(tol)
+    tol = coerce_rational(tol)
     cache: Dict = {}
     banned = prefix.as_set() | other.as_set()
     pool = sorted((j for j in dist.items if j not in banned), key=str)
@@ -518,7 +455,7 @@ def check_history_monotone(dist: ListDistribution, tol=0) -> ConditionReport:
     prefixes = sorted(
         (p.entries for p in dist.realizable_prefixes()), key=_prefix_sort_key
     )
-    tol_f = Fraction(tol) if isinstance(tol, float) else parse_rational(tol)
+    tol_f = coerce_rational(tol)
     cache: Dict = {}
     by_endpoint: Dict[Item, List[Tuple[Item, ...]]] = {}
     for entries in prefixes:
@@ -584,7 +521,7 @@ def tier_decomposition(
         raise InvalidInstanceError(
             "distribution lacks history-monotone futures; no tier structure"
         )
-    tol_f = Fraction(tol) if isinstance(tol, float) else parse_rational(tol)
+    tol_f = coerce_rational(tol)
 
     prefixes = [
         p.entries
@@ -705,7 +642,7 @@ def tier_adjusted_prices(
     the tier and agree within distinct-set tiers up to the tolerance."""
     S = frozenset(S)
     decomposition = tier_decomposition(inst.dist, S, j, tol=tol)
-    tol_f = Fraction(tol) if isinstance(tol, float) else parse_rational(tol)
+    tol_f = coerce_rational(tol)
     rows: List[List[Fraction]] = []
     for tier in decomposition.tiers:
         rows.append([s_adjusted_price(inst, S, p) for p in tier.prefixes])

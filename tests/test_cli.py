@@ -2,6 +2,8 @@ import json
 import os
 from fractions import Fraction
 
+import pytest
+
 from fixedprice import load_instance
 from fixedprice.cli import main
 
@@ -130,6 +132,26 @@ class TestCheck:
         assert code == 0 and out["holds"]
         assert out["z"] == {j: "1/2" for j in "ABCD"}
 
+    def test_failing_containment_exits_two(self, capsys, tmp_path):
+        inst = {
+            "items": [{"id": "A", "price": "1"}, {"id": "B", "price": "1"}],
+            "lists": [{"items": ["A", "B"], "prob": "1/2"},
+                      {"items": ["A"], "prob": "1/2"}],
+        }
+        mech = {"alloc": [
+            {"list": ["A", "B"], "probs": {"B": "1"}},
+            {"list": ["A"], "probs": {"A": "1"}},
+        ]}
+        inst_path, mech_path = tmp_path / "inst.json", tmp_path / "mech.json"
+        inst_path.write_text(json.dumps(inst))
+        mech_path.write_text(json.dumps(mech))
+        code, out = run(
+            capsys, "check", "--what", "containment",
+            "--instance", str(inst_path), "--mechanism", str(mech_path),
+        )
+        assert code == 2 and out["holds"] is False
+        assert "exclusion cap" in out["detail"]
+
 
 class TestCompare:
     def test_chain_order(self, capsys):
@@ -242,17 +264,41 @@ class TestRobustAndMultibuyer:
         assert code == 0 and out["value"] == "5/3"
 
 
+def assert_error_report(capsys, tmp_path, doc) -> str:
+    """Solving ``doc`` exits 1 with only a JSON error object on stderr."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code = main(["solve", "--what", "assortment", "--instance", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    report = json.loads(captured.err)
+    assert list(report) == ["error"]
+    return report["error"]
+
+
+MALFORMED = {
+    "unhashable_id": {"items": [{"id": ["A"], "price": "1"}],
+                      "lists": [{"items": [], "prob": "1"}]},
+    "zero_denominator_price": {"items": [{"id": "A", "price": "1/0"}],
+                               "lists": [{"items": ["A"], "prob": "1"}]},
+    "overflowing_price": {"items": [{"id": "A", "price": "1e400"}],
+                          "lists": [{"items": ["A"], "prob": "1"}]},
+    "missing_price": {"items": [{"id": "A"}],
+                      "lists": [{"items": ["A"], "prob": "1"}]},
+}
+
+
 class TestErrors:
     def test_bad_probability_sum_reported(self, capsys, tmp_path):
         bad = {
             "items": [{"id": "A", "price": 1}],
             "lists": [{"items": ["A"], "prob": "5/6"}],
         }
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(bad))
-        code = main(["solve", "--what", "assortment", "--instance", str(path)])
-        err = capsys.readouterr().err
-        assert code == 1 and "5/6" in err
+        assert "5/6" in assert_error_report(capsys, tmp_path, bad)
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_malformed_instance_reported(self, capsys, tmp_path, name):
+        assert_error_report(capsys, tmp_path, MALFORMED[name])
 
     def test_unknown_verb_usage(self, capsys):
         assert main([]) == 1

@@ -24,9 +24,9 @@ from fixedprice import (
     submodular_to_mechanism,
     verify_ic,
 )
-from fixedprice.errors import IdentityCheckError, SubmodularityError
+from fixedprice.errors import ContainmentError, IdentityCheckError, SubmodularityError
 from fixedprice.lotteries import BudgetAdditiveParams, budget_additive_mechanism
-from fixedprice.mechanism_lp import mechanism_from_json, mechanism_to_json
+from fixedprice.mechanism_lp import _var, mechanism_from_json, mechanism_to_json
 
 from .helpers import four_item_clash, random_instance
 
@@ -71,7 +71,48 @@ class TestMechanismLp:
         assert value == Fraction(21, 16)
 
 
+def lp_holds_at(lp, point) -> bool:
+    """Every variable bound and every row of ``lp`` holds at ``point``."""
+    for var in lp.variables:
+        x = point[var.name]
+        if x < var.lo or (var.hi is not None and x > var.hi):
+            return False
+    for row in lp.rows:
+        lhs = sum((c * point[name] for name, c in row.coefs), Fraction(0))
+        holds = {"<=": lhs <= row.rhs, ">=": lhs >= row.rhs, "==": lhs == row.rhs}
+        if not holds[row.rel]:
+            return False
+    return True
+
+
 class TestVerifyIc:
+    def test_agrees_with_every_row_of_the_lp(self):
+        # verify_ic and build_mechanism_lp state the same constraints, so a
+        # mechanism passes the check exactly when its point is LP-feasible.
+        rng = random.Random(31)
+        outcomes = []
+        for _ in range(40):
+            inst = random_instance(rng)
+            lp = build_mechanism_lp(inst)
+            S = rng.sample(list(inst.items), rng.randint(0, len(inst.items)))
+            for base in (solve_mechanism_lp(inst)[1], assortment_to_mechanism(inst, S)):
+                for perturb in (False, True):
+                    alloc = {lst: dict(row) for lst, row in base.alloc.items()}
+                    if perturb:
+                        lst = rng.choice([l for l in alloc if len(l) > 0])
+                        j = rng.choice(lst.entries)
+                        step = Fraction(rng.choice([-3, -1, 1, 3]), rng.choice([4, 60]))
+                        alloc[lst][j] = alloc[lst].get(j, Fraction(0)) + step
+                    mech = Mechanism(alloc, validate=False)
+                    point = {
+                        _var(lst, j): mech.probability(lst, j)
+                        for lst in inst.dist.support for j in lst.entries
+                    }
+                    ok = verify_ic(inst, mech).ok
+                    assert ok == lp_holds_at(lp, point)
+                    outcomes.append(ok)
+        assert outcomes.count(True) >= 40 and outcomes.count(False) >= 40
+
     def test_top2_lottery_passes(self):
         inst = four_item_clash()
         mech = budget_additive_mechanism(
@@ -298,6 +339,15 @@ class TestInclusionLp:
         )
         z = containment_witness(inst, mech)
         assert all(z[j] == Fraction(1, 2) for j in "ABCD")
+
+    def test_containment_fails_for_a_non_ic_mechanism(self):
+        inst = Instance(
+            "AB", {"A": 1, "B": 1},
+            ListDistribution({("A", "B"): Fraction(1, 2), ("A",): Fraction(1, 2)}),
+        )
+        mech = Mechanism({("A", "B"): {"B": 1}, ("A",): {"A": 1}})
+        with pytest.raises(ContainmentError, match="exclusion cap fails at position 1"):
+            containment_witness(inst, mech)
 
     def test_containment_certificate_for_zero_mechanism(self):
         inst = four_item_clash()

@@ -91,6 +91,17 @@ class TestBruteForce:
         _, value = optimal_policy_bruteforce(inst)
         assert value == Fraction(2, 3)
 
+    def test_huge_prices_give_the_same_policy(self):
+        # Prices past 2^60 leave machine integers; the search must still be
+        # exact and break ties the same way.
+        inst = four_item_clash()
+        policy, value = optimal_policy_bruteforce(inst)
+        big = Instance(inst.items, {j: p * 2**62 for j, p in inst.prices.items()},
+                       inst.dist)
+        big_policy, big_value = optimal_policy_bruteforce(big)
+        assert big_policy == policy
+        assert big_value == value * 2**62
+
     def test_cap_mentions_growth(self):
         rng = random.Random(6)
         inst = random_instance(rng, n_min=5, n_max=5, max_lists=4)
