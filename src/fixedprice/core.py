@@ -475,27 +475,48 @@ def instance_to_json(inst: Instance) -> dict:
     return {"items": items, "lists": lists}
 
 
-def instance_from_json(obj: dict) -> Instance:
-    """Parse the instance interchange format, validating as it goes."""
+def _is_item_id(value) -> bool:
+    return isinstance(value, (str, int)) and not isinstance(value, bool)
+
+
+def _check_instance_shape(obj) -> None:
+    """Raise ``InvalidInstanceError`` naming the path of the first part of
+    ``obj`` that does not have the shape of the instance format."""
     if not isinstance(obj, dict) or "items" not in obj or "lists" not in obj:
         raise InvalidInstanceError('instance JSON needs "items" and "lists" keys')
+    for key, fields in (("items", ("id", "price")), ("lists", ("items", "prob"))):
+        if not isinstance(obj[key], list):
+            raise InvalidInstanceError(f"{key}: expected a list")
+        for k, entry in enumerate(obj[key]):
+            if not isinstance(entry, dict):
+                raise InvalidInstanceError(f"{key}[{k}]: expected an object")
+            for field in fields:
+                if field not in entry:
+                    raise InvalidInstanceError(f'{key}[{k}]: missing "{field}"')
+    for k, entry in enumerate(obj["items"]):
+        if not _is_item_id(entry["id"]):
+            raise InvalidInstanceError(
+                f"items[{k}].id: {entry['id']!r} is not a string or an integer"
+            )
+    for k, entry in enumerate(obj["lists"]):
+        if not isinstance(entry["items"], list) or not all(
+            _is_item_id(j) for j in entry["items"]
+        ):
+            raise InvalidInstanceError(f"lists[{k}].items: expected a list of item ids")
+
+
+def instance_from_json(obj: dict) -> Instance:
+    """Parse the instance interchange format, validating as it goes."""
+    _check_instance_shape(obj)
     items = []
     prices = {}
-    for entry in obj["items"]:
-        if not isinstance(entry["id"], (str, int)):
-            raise InvalidInstanceError(
-                f"item id {entry['id']!r} must be a string or an integer"
-            )
+    for k, entry in enumerate(obj["items"]):
         items.append(entry["id"])
         try:
             prices[entry["id"]] = parse_rational(entry["price"])
         except ValueError as exc:
-            raise InvalidInstanceError(
-                f"bad price for item {entry['id']!r}: {exc}"
-            ) from exc
-    pairs = []
-    for entry in obj["lists"]:
-        pairs.append((tuple(entry["items"]), entry["prob"]))
+            raise InvalidInstanceError(f"items[{k}].price: {exc}") from exc
+    pairs = [(tuple(entry["items"]), entry["prob"]) for entry in obj["lists"]]
     report = validate_distribution(pairs, items=items)
     if not report.ok:
         raise InvalidInstanceError("; ".join(report.messages()))
@@ -507,8 +528,10 @@ def dump_instance(inst: Instance) -> str:
 
 
 def load_instance(text: str) -> Instance:
+    # ValueError covers syntax errors and over-long integers; RecursionError
+    # covers nesting past the interpreter's recursion limit.
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InvalidInstanceError(f"malformed JSON: {exc}") from exc
     return instance_from_json(obj)

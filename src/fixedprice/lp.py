@@ -1,20 +1,22 @@
-"""Exact rational linear programming via a dense two-phase simplex.
+"""Exact rational linear programming via a sparse two-phase simplex.
 
 The solver keeps an integer tableau with a shared denominator (fraction-free
 "integer pivoting"), uses Bland's anti-cycling rule, and returns a basic
-(vertex) optimal solution with exact rational values.  Problems at the scale
-of this package are a few hundred rows, for which a dense tableau is the
-simplest reliable choice.
+(vertex) optimal solution with exact rational values.  The LPs of this
+package have a few nonzeros per row, so each tableau row is a map of its
+nonzero entries and a pivot touches only the rows with a nonzero in the
+pivot column.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .errors import LPInfeasibleError, LPUnboundedError
-from .rational import format_rational, lcm_of_denominators, parse_rational
+from .rational import format_rational, parse_rational
 
 LE, GE, EQ = "<=", ">=", "=="
 
@@ -118,141 +120,138 @@ class RationalLP:
         return "\n".join(parts) + "\n"
 
 
-def _scale_to_int(values: Sequence[Fraction]) -> Tuple[List[int], int]:
-    """Multiply a rational vector by the lcm of its denominators.
-
-    Returns the integer vector and the multiplier used.
-    """
-    denom = lcm_of_denominators(values)
-    return [int(v * denom) for v in values], denom
-
-
 class _Tableau:
-    """Integer-pivoting simplex state.
+    """Integer-pivoting simplex state on sparse rows.
 
-    Stored row ``i`` equals ``denom * scale[i]`` times the true tableau row,
-    where ``scale[i]`` is the row's initial integer multiplier until the row
-    first serves as pivot row (then 1), with its sign flipped by explicit row
-    negations.  ``denom`` is the previous pivot element and stays positive.
+    Row ``i`` is a ``{column: int}`` map of its nonzero entries plus
+    ``rhs[i]``; rows ``0 .. m-1`` are the constraints, row ``m`` the
+    objective and row ``m + 1`` (present during phase 1 only) the phase-1
+    objective.  Stored constraint row ``i`` equals ``denom * scale[i]`` times
+    the true tableau row, where ``scale[i]`` is the row's initial positive
+    integer multiplier until the row first serves as pivot row (then 1).
+    ``denom`` is the previous pivot element and stays positive.
     """
 
     def __init__(self, lp: RationalLP):
         self.lp = lp
         n = len(lp.variables)
-        self.n_struct = n
         self.lo = [v.lo for v in lp.variables]
 
         # Shift every variable to start at 0; upper bounds become rows.
-        raw: List[Tuple[List[Fraction], str, Fraction]] = []
+        raw: List[Tuple[List[Tuple[int, Fraction]], str, Fraction]] = []
         for row in lp.rows:
-            dense = [Fraction(0)] * n
-            shift = Fraction(0)
-            for name, c in row.coefs:
-                idx = lp._var_index[name]
-                dense[idx] = c
-                shift += c * self.lo[idx]
-            raw.append((dense, row.rel, row.rhs - shift))
+            coefs = [(lp._var_index[name], c) for name, c in row.coefs]
+            shift = sum((c * self.lo[idx] for idx, c in coefs), Fraction(0))
+            raw.append((coefs, row.rel, row.rhs - shift))
         for idx, v in enumerate(lp.variables):
             if v.hi is not None:
-                dense = [Fraction(0)] * n
-                dense[idx] = Fraction(1)
-                raw.append((dense, LE, v.hi - v.lo))
+                raw.append(([(idx, Fraction(1))], LE, v.hi - v.lo))
 
         # Canonical orientation: "<=" with rhs >= 0 takes a slack basis;
         # ">=" with rhs > 0 takes surplus + artificial; "==" an artificial.
-        canon: List[Tuple[List[Fraction], str, Fraction]] = []
-        for dense, rel, rhs in raw:
+        canon: List[Tuple[List[Tuple[int, Fraction]], str, Fraction]] = []
+        for coefs, rel, rhs in raw:
+            sign = 1
             if rel == GE:
-                dense, rhs, rel = [-c for c in dense], -rhs, LE
+                sign, rhs, rel = -1, -rhs, LE
             if rhs < 0:
-                dense, rhs = [-c for c in dense], -rhs
+                sign, rhs = -sign, -rhs
                 rel = GE if rel == LE else EQ
-            canon.append((dense, rel, rhs))
+            if sign < 0:
+                coefs = [(idx, -c) for idx, c in coefs]
+            canon.append((coefs, rel, rhs))
 
         m = len(canon)
         self.m = m
         n_slack = sum(1 for _, rel, _ in canon if rel in (LE, GE))
         n_art = sum(1 for _, rel, _ in canon if rel in (GE, EQ))
-        self.n_cols = n + n_slack + n_art
         self.art_cols = set(range(n + n_slack, n + n_slack + n_art))
 
-        self.rows_int: List[List[int]] = []
+        # Each row is scaled by the lcm of its own denominators; slack and
+        # artificial entries are +-1, so they become +-mult.
+        self.rows: List[Dict[int, int]] = []
+        self.rhs: List[int] = []
         self.scale: List[int] = []
         self.basis: List[int] = [0] * m
         slack_at, art_at = n, n + n_slack
-        for i, (dense, rel, rhs) in enumerate(canon):
-            full = list(dense) + [Fraction(0)] * (self.n_cols - n)
+        for i, (coefs, rel, rhs) in enumerate(canon):
+            mult = math.lcm(rhs.denominator, *(c.denominator for _, c in coefs))
+            ints = {idx: c.numerator * (mult // c.denominator) for idx, c in coefs}
             if rel in (LE, GE):
-                full[slack_at] = Fraction(1) if rel == LE else Fraction(-1)
+                ints[slack_at] = mult if rel == LE else -mult
                 if rel == LE:
                     self.basis[i] = slack_at
                 slack_at += 1
             if rel in (GE, EQ):
-                full[art_at] = Fraction(1)
+                ints[art_at] = mult
                 self.basis[i] = art_at
                 art_at += 1
-            ints, mult = _scale_to_int(full + [rhs])
-            self.rows_int.append(ints)
+            self.rows.append(ints)
+            self.rhs.append(rhs.numerator * (mult // rhs.denominator))
             self.scale.append(mult)
 
-        obj = [Fraction(0)] * (self.n_cols + 1)
-        for name, c in lp.objective.items():
-            obj[lp._var_index[name]] = c
-        self.obj2, _ = _scale_to_int(obj)
-
+        self._add_objective(
+            {lp._var_index[name]: c for name, c in lp.objective.items()}, Fraction(0)
+        )
         if self.art_cols:
             # Phase-1 objective: maximize -sum(artificials), priced out over
             # the artificial-basic rows so every basic column has zero cost.
-            obj1 = [Fraction(0)] * (self.n_cols + 1)
-            for col in self.art_cols:
-                obj1[col] = Fraction(-1)
+            obj1 = {col: Fraction(-1) for col in self.art_cols}
+            value = Fraction(0)
             for i in range(m):
                 if self.basis[i] in self.art_cols:
                     s = self.scale[i]
-                    for j in range(self.n_cols + 1):
-                        if self.rows_int[i][j]:
-                            obj1[j] += Fraction(self.rows_int[i][j], s)
-            self.obj1, _ = _scale_to_int(obj1)
-        else:
-            self.obj1 = None
+                    for j, x in self.rows[i].items():
+                        obj1[j] = obj1.get(j, 0) + Fraction(x, s)
+                    value += Fraction(self.rhs[i], s)
+            self._add_objective(obj1, value)
 
         self.denom = 1
         self.banned: set = set()
 
+    def _add_objective(self, coefs: Dict[int, Fraction], value: Fraction) -> None:
+        """Append an objective row, scaled by the lcm of its denominators."""
+        mult = math.lcm(value.denominator, *(c.denominator for c in coefs.values()))
+        self.rows.append(
+            {j: c.numerator * (mult // c.denominator) for j, c in coefs.items() if c}
+        )
+        self.rhs.append(value.numerator * (mult // value.denominator))
+
     # -- pivoting ----------------------------------------------------------
 
     def _pivot(self, r: int, c: int) -> None:
+        rows, rhs = self.rows, self.rhs
+        prow = rows[r]
         # The stored pivot entry must be positive so the shared denominator
-        # stays positive; negating a stored row (and its scale) leaves the
-        # true tableau unchanged.
-        if self.rows_int[r][c] < 0:
-            self.rows_int[r] = [-x for x in self.rows_int[r]]
-            self.scale[r] = -self.scale[r]
-        prow = self.rows_int[r]
-        p = prow[c]
+        # stays positive; negating the pivot row leaves its equation as is.
+        if prow.get(c, 0) < 0:
+            prow = rows[r] = {j: -x for j, x in prow.items()}
+            rhs[r] = -rhs[r]
+        p = prow.get(c, 0)
         if p <= 0:
             raise AssertionError("pivot entry must be nonzero")
+        pb = rhs[r]
         d = self.denom
-        for i in range(self.m):
+        # Only the rows with a nonzero in column c change, unless p != d, when
+        # every other row is rescaled by p / d.  Entries that become zero are
+        # dropped.
+        hit = [i for i, row in enumerate(rows) if c in row]
+        if p != d:
+            hit_set = set(hit)
+            for i, row in enumerate(rows):
+                if i not in hit_set:
+                    rows[i] = {j: q for j, x in row.items() if (q := x * p // d)}
+                    rhs[i] = rhs[i] * p // d
+        for i in hit:
             if i == r:
                 continue
-            row = self.rows_int[i]
+            row = rows[i]
             f = row[c]
-            if f == 0:
-                if p != d:
-                    self.rows_int[i] = [(x * p) // d for x in row]
-            else:
-                self.rows_int[i] = [(x * p - f * y) // d for x, y in zip(row, prow)]
-        for name in ("obj1", "obj2"):
-            obj = getattr(self, name)
-            if obj is None:
-                continue
-            f = obj[c]
-            if f == 0:
-                if p != d:
-                    setattr(self, name, [(x * p) // d for x in obj])
-            else:
-                setattr(self, name, [(x * p - f * y) // d for x, y in zip(obj, prow)])
+            new = {j: x * p for j, x in row.items()}
+            for j, y in prow.items():
+                new[j] = new.get(j, 0) - f * y
+            rows[i] = {j: q for j, v in new.items() if (q := v // d)}
+            rhs[i] = (rhs[i] * p - f * pb) // d
         self.scale[r] = 1
         self.basis[r] = c
         self.denom = p
@@ -261,12 +260,13 @@ class _Tableau:
         """Bland leaving row for entering column ``c``; None if unbounded."""
         best = None
         best_b = best_a = 0
-        for i in range(self.m):
-            sgn = 1 if self.scale[i] > 0 else -1
-            a = self.rows_int[i][c] * sgn
+        m, rhs = self.m, self.rhs
+        for i, row in enumerate(self.rows):
+            if c not in row or i >= m:
+                continue
+            a, b = row[c], rhs[i]
             if a <= 0:
                 continue
-            b = self.rows_int[i][-1] * sgn
             if (
                 best is None
                 or b * best_a < best_b * a
@@ -275,14 +275,13 @@ class _Tableau:
                 best, best_b, best_a = i, b, a
         return best
 
-    def _run(self, obj_name: str, phase_one: bool) -> None:
+    def _run(self, obj: int, phase_one: bool) -> None:
+        """Pivot on objective row ``obj`` until no column improves it."""
         while True:
-            obj = getattr(self, obj_name)
-            enter = None
-            for j in range(self.n_cols):
-                if obj[j] > 0 and j not in self.banned:
-                    enter = j
-                    break
+            enter = min(
+                (j for j, x in self.rows[obj].items() if x > 0 and j not in self.banned),
+                default=None,
+            )
             if enter is None:
                 return
             leave = self._ratio_leave(enter)
@@ -296,13 +295,9 @@ class _Tableau:
         for i in range(self.m):
             if self.basis[i] not in self.art_cols:
                 continue
-            pivot_col = None
-            for j in range(self.n_cols):
-                if j in self.art_cols:
-                    continue
-                if self.rows_int[i][j] != 0:
-                    pivot_col = j
-                    break
+            pivot_col = min(
+                (j for j in self.rows[i] if j not in self.art_cols), default=None
+            )
             if pivot_col is None:
                 continue  # redundant row; its artificial stays basic at 0
             # The row's basic value is 0 here, so this degenerate pivot
@@ -310,19 +305,20 @@ class _Tableau:
             self._pivot(i, pivot_col)
 
     def solve(self) -> LPSolution:
-        if self.obj1 is not None:
-            self._run("obj1", phase_one=True)
-            if self.obj1[-1] != 0:
+        m = self.m
+        if self.art_cols:
+            self._run(m + 1, phase_one=True)
+            if self.rhs[m + 1] != 0:
                 raise LPInfeasibleError("no feasible point exists")
             self._drive_out_artificials()
             self.banned |= self.art_cols
-        self._run("obj2", phase_one=False)
+            del self.rows[m + 1], self.rhs[m + 1]
+        self._run(m, phase_one=False)
 
-        values = [Fraction(0)] * self.n_cols
-        for i in range(self.m):
-            values[self.basis[i]] = Fraction(
-                self.rows_int[i][-1], self.denom * self.scale[i]
-            )
+        values = [Fraction(0)] * len(self.lo)
+        for i in range(m):
+            if self.basis[i] < len(values):
+                values[self.basis[i]] = Fraction(self.rhs[i], self.denom * self.scale[i])
         assignment = {
             var.name: values[idx] + var.lo
             for idx, var in enumerate(self.lp.variables)

@@ -285,6 +285,25 @@ MALFORMED = {
                           "lists": [{"items": ["A"], "prob": "1"}]},
     "missing_price": {"items": [{"id": "A"}],
                       "lists": [{"items": ["A"], "prob": "1"}]},
+    "item_not_an_object": {"items": [1], "lists": [{"items": [], "prob": "1"}]},
+    "items_not_a_list": {"items": {"A": 1}, "lists": [{"items": [], "prob": "1"}]},
+    "lists_not_a_list": {"items": [{"id": "A", "price": "1"}], "lists": 5},
+    "nested_list_entry": {"items": [{"id": "A", "price": "1"}],
+                          "lists": [{"items": [["A"]], "prob": "1"}]},
+    "string_as_list": {"items": [{"id": "A", "price": "1"}, {"id": "B", "price": "2"}],
+                       "lists": [{"items": "BA", "prob": "1"}]},
+}
+
+# The path each shape error must name.
+MALFORMED_PATH = {
+    "unhashable_id": "items[0].id",
+    "zero_denominator_price": "items[0].price",
+    "missing_price": 'items[0]: missing "price"',
+    "item_not_an_object": "items[0]: expected an object",
+    "items_not_a_list": "items: expected a list",
+    "lists_not_a_list": "lists: expected a list",
+    "nested_list_entry": "lists[0].items",
+    "string_as_list": "lists[0].items",
 }
 
 
@@ -298,7 +317,8 @@ class TestErrors:
 
     @pytest.mark.parametrize("name", sorted(MALFORMED))
     def test_malformed_instance_reported(self, capsys, tmp_path, name):
-        assert_error_report(capsys, tmp_path, MALFORMED[name])
+        message = assert_error_report(capsys, tmp_path, MALFORMED[name])
+        assert MALFORMED_PATH.get(name, "") in message
 
     def test_unknown_verb_usage(self, capsys):
         assert main([]) == 1

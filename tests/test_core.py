@@ -212,8 +212,10 @@ class TestInstanceJson:
             load_instance(json.dumps(obj))
 
     def test_malformed_json_rejected(self):
-        with pytest.raises(InvalidInstanceError, match="malformed"):
-            load_instance("{not json")
+        # a syntax error, nesting past the recursion limit, an over-long integer
+        for text in ("{not json", "[" * 100000, "1" * 5000):
+            with pytest.raises(InvalidInstanceError, match="malformed"):
+                load_instance(text)
 
     def test_unknown_item_rejected(self):
         obj = {

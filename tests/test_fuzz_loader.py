@@ -1,0 +1,47 @@
+"""Fuzz the instance loader: malformed documents end in a FixedPriceError."""
+
+import json
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from fixedprice import load_instance
+from fixedprice.errors import FixedPriceError
+
+KEYS = ("items", "lists", "id", "price", "prob")
+
+# Leaves mix arbitrary JSON scalars with item ids and rational spellings,
+# so that many documents get past the shape check to the value checks.
+leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=8)
+    | st.sampled_from(["A", "B", "1", "0", "-1", "1/2", "1/0", "0.5", "1e400", "x/y"])
+)
+json_values = st.recursive(
+    leaves,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=4), children, max_size=4),
+    max_leaves=20,
+)
+instance_like = st.fixed_dictionaries({
+    "items": st.lists(
+        st.fixed_dictionaries({"id": json_values, "price": json_values}), max_size=3
+    ) | json_values,
+    "lists": st.lists(
+        st.fixed_dictionaries({"items": json_values, "prob": json_values}), max_size=3
+    ) | json_values,
+})
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(json_values | instance_like)
+def test_only_fixedprice_errors_escape_the_loader(doc):
+    try:
+        load_instance(json.dumps(doc))
+    except FixedPriceError:
+        pass

@@ -5,6 +5,7 @@ import pytest
 
 from fixedprice import RationalLP, solve_lp
 from fixedprice.errors import LPInfeasibleError, LPUnboundedError
+from fixedprice.lp import EQ, GE, LE, _Tableau
 from fixedprice.rational import format_rational, parse_rational, round_to_rational
 
 
@@ -27,6 +28,81 @@ class TestRationalParsing:
     def test_round_to_rational_negative(self):
         x = Fraction(-2, 7) - Fraction(1, 10**35)
         assert round_to_rational(x, Fraction(1, 10**30)) == Fraction(-2, 7)
+
+
+def _assert_exactly_feasible(lp, sol):
+    for var in lp.variables:
+        x = sol[var.name]
+        assert var.lo <= x and (var.hi is None or x <= var.hi), var.name
+    for row in lp.rows:
+        lhs = sum((c * sol[name] for name, c in row.coefs), Fraction(0))
+        assert {LE: lhs <= row.rhs, GE: lhs >= row.rhs, EQ: lhs == row.rhs}[row.rel], row
+    assert sol.value == sum(
+        (c * sol[name] for name, c in lp.objective.items()), Fraction(0)
+    )
+
+
+def _mixed_problem(rng, planted: bool):
+    """A box-bounded LP with "<=", ">=" and "==" rows, rational data and
+    nonzero lower bounds.  With ``planted`` the rows are made to hold at a
+    random point of the box and a redundant equality row may be appended."""
+    n = rng.randint(1, 5)
+    names = [f"x{i}" for i in range(n)]
+
+    def rational(lo, hi):
+        return Fraction(rng.randint(lo, hi), rng.choice((1, 1, 2, 3)))
+
+    lp = RationalLP()
+    point = {}
+    for name in names:
+        lo = rational(-4, 2)
+        hi = lo + rng.randint(0, 4)
+        lp.add_variable(name, lo=lo, hi=hi)
+        point[name] = lo + (hi - lo) * Fraction(rng.randint(0, 4), 4)
+    rows = []
+    for _ in range(rng.randint(1, 5)):
+        coefs = {name: rational(-4, 4) for name in names if rng.random() < 0.8}
+        rel = rng.choice((LE, GE, EQ))
+        if planted:
+            at_point = sum((c * point[name] for name, c in coefs.items()), Fraction(0))
+            gap = Fraction(rng.randint(0, 3), 2)
+            rhs = {LE: at_point + gap, GE: at_point - gap, EQ: at_point}[rel]
+        else:
+            rhs = rational(-6, 6)
+        rows.append((coefs, rel, rhs))
+    equalities = [(coefs, rhs) for coefs, rel, rhs in rows if rel == EQ]
+    if planted and equalities and rng.random() < 0.7:
+        combo, total = {}, Fraction(0)
+        for coefs, rhs in equalities:
+            w = rational(-2, 2) or Fraction(1)
+            for name, c in coefs.items():
+                combo[name] = combo.get(name, Fraction(0)) + w * c
+            total += w * rhs
+        rows.append((combo, EQ, total))
+    for coefs, rel, rhs in rows:
+        lp.add_row(coefs, rel, rhs, dedupe=False)
+    lp.set_objective({name: rational(-3, 3) for name in names})
+    return lp
+
+
+def _highs(opt, lp):
+    """Solve ``lp`` in floating point with HiGHS; returns the linprog result."""
+    names = [v.name for v in lp.variables]
+    ub, b_ub, eq, b_eq = [], [], [], []
+    for row in lp.rows:
+        dense = [float(dict(row.coefs).get(name, 0)) for name in names]
+        if row.rel == EQ:
+            eq.append(dense)
+            b_eq.append(float(row.rhs))
+        else:
+            sign = 1 if row.rel == LE else -1
+            ub.append([sign * a for a in dense])
+            b_ub.append(sign * float(row.rhs))
+    return opt.linprog(
+        [-float(lp.objective.get(name, 0)) for name in names],
+        A_ub=ub or None, b_ub=b_ub or None, A_eq=eq or None, b_eq=b_eq or None,
+        bounds=[(float(v.lo), float(v.hi)) for v in lp.variables], method="highs",
+    )
 
 
 class TestSimplex:
@@ -100,24 +176,43 @@ class TestSimplex:
             lp = RationalLP()
             for i in range(n):
                 lp.add_variable(f"x{i}", lo=0, hi=rng.randint(1, 4))
-            rows = []
             for _ in range(m):
                 coefs = {
                     f"x{i}": Fraction(rng.randint(-3, 3)) for i in range(n)
                 }
                 rhs = Fraction(rng.randint(0, 6))
                 lp.add_row(coefs, "<=", rhs)
-                rows.append((coefs, rhs))
             obj = {f"x{i}": Fraction(rng.randint(-3, 3)) for i in range(n)}
             lp.set_objective(obj)
             sol = solve_lp(lp)  # bounded by boxes, feasible at 0
-            c = [-float(obj[f"x{i}"]) for i in range(n)]
-            A = [[float(coefs.get(f"x{i}", 0)) for i in range(n)] for coefs, _ in rows]
-            b = [float(rhs) for _, rhs in rows]
-            bounds = [(0, float(lp.variables[i].hi)) for i in range(n)]
-            ref = opt.linprog(c, A_ub=A, b_ub=b, bounds=bounds, method="highs")
+            ref = _highs(opt, lp)
             assert ref.success
             assert abs(float(sol.value) - (-ref.fun)) < 1e-7
+            _assert_exactly_feasible(lp, sol)
+
+    def test_phase_one_problems_match_float_solver(self):
+        # ">=" and "==" rows and negative right-hand sides need artificials
+        # (phase 1, row negation, driving artificials out); redundant
+        # equalities leave an artificial basic at zero; unplanted rows are
+        # often infeasible, which HiGHS must report too.
+        opt = pytest.importorskip("scipy.optimize")
+        rng = random.Random(202)
+        outcomes = {"optimal": 0, "infeasible": 0, "phase_one": 0}
+        for k in range(120):
+            lp = _mixed_problem(rng, planted=k % 2 == 0)
+            outcomes["phase_one"] += bool(_Tableau(lp).art_cols)
+            ref = _highs(opt, lp)
+            try:
+                sol = solve_lp(lp)
+            except LPInfeasibleError:
+                assert ref.status == 2, (k, lp.to_text(), ref.message)
+                outcomes["infeasible"] += 1
+                continue
+            assert ref.status == 0, (k, lp.to_text(), ref.message)
+            _assert_exactly_feasible(lp, sol)
+            assert abs(float(sol.value) - (-ref.fun)) < 1e-7, (k, lp.to_text())
+            outcomes["optimal"] += 1
+        assert min(outcomes.values()) >= 20, outcomes
 
     def test_vertex_solution_is_basic(self):
         # a vertex of this square must be a corner, not the face midpoint
