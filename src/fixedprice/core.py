@@ -5,6 +5,10 @@ best first; everything below the no-purchase option is omitted.  A finite
 distribution over such lists, together with fixed item prices, is the whole
 input to every solver in this package.  All probabilities and prices are
 exact rationals.
+
+The first-hit walk ``_first_hits_revenue`` serves assortment revenue and the
+top-k lottery value; the subset search ``_best_subset`` serves
+``optimal_assortment`` and ``lotteries.best_topk_lottery``.
 """
 
 from __future__ import annotations
@@ -51,15 +55,6 @@ class RankedList:
 
     def as_set(self) -> frozenset:
         return frozenset(self.entries)
-
-    def prefix(self, k: int) -> "Prefix":
-        """The first ``k`` entries as a prefix (k >= 1)."""
-        return Prefix(self.entries[:k])
-
-    def prefixes(self) -> Iterable["Prefix"]:
-        """All nonempty prefixes, shortest first."""
-        for k in range(1, len(self.entries) + 1):
-            yield Prefix(self.entries[:k])
 
 
 @dataclass(frozen=True)
@@ -128,6 +123,14 @@ class ValidationReport:
         return [issue.message for issue in self.issues]
 
 
+def _as_pairs(pairs) -> list:
+    """``(list, probability)`` pairs of a distribution, a mapping or an
+    iterable of pairs."""
+    if isinstance(pairs, ListDistribution):
+        return list(pairs.support.items())
+    return list(pairs.items() if isinstance(pairs, Mapping) else pairs)
+
+
 def validate_distribution(
     pairs, items: Optional[Sequence[Item]] = None
 ) -> ValidationReport:
@@ -139,17 +142,10 @@ def validate_distribution(
     violation found.
     """
     issues: List[ValidationIssue] = []
-    if isinstance(pairs, ListDistribution):
-        pairs = list(pairs.support.items())
-    elif isinstance(pairs, Mapping):
-        pairs = list(pairs.items())
-    else:
-        pairs = list(pairs)
-
     seen = {}
     total = Fraction(0)
     universe = set(items) if items is not None else None
-    for raw_list, raw_prob in pairs:
+    for raw_list, raw_prob in _as_pairs(pairs):
         try:
             lst = _as_ranked_list(raw_list)
         except InvalidDistributionError as exc:
@@ -201,12 +197,7 @@ class ListDistribution:
     __slots__ = ("_support", "_prefix_probs", "_items")
 
     def __init__(self, pairs):
-        if isinstance(pairs, ListDistribution):
-            pairs = list(pairs.support.items())
-        elif isinstance(pairs, Mapping):
-            pairs = list(pairs.items())
-        else:
-            pairs = list(pairs)
+        pairs = _as_pairs(pairs)
         report = validate_distribution(pairs)
         if not report.ok:
             raise InvalidDistributionError("; ".join(report.messages()))
@@ -302,9 +293,6 @@ class Instance:
         object.__setattr__(self, "prices", prices)
         object.__setattr__(self, "dist", dist)
 
-    def price(self, j: Item) -> Fraction:
-        return self.prices[j]
-
     def assortment(self, items: Iterable[Item]) -> Assortment:
         S = frozenset(items)
         unknown = S - set(self.items)
@@ -331,23 +319,18 @@ def choice_probability(
     if j not in S:
         raise InvalidInstanceError(f"item {j!r} is not in the assortment")
     if given is None:
-        total = Fraction(0)
-        for lst, prob in dist.support.items():
-            for entry in lst.entries:
-                if entry in S:
-                    if entry == j:
-                        total += prob
-                    break
-        return total
-    prefix = Prefix(given)
-    overlap = S & prefix.as_set()
-    if overlap:
-        raise PrefixOverlapError(
-            f"assortment intersects the conditioning prefix on {sorted(overlap, key=str)}"
-        )
+        pairs = ((lst.entries, prob) for lst, prob in dist.support.items())
+    else:
+        prefix = Prefix(given)
+        overlap = S & prefix.as_set()
+        if overlap:
+            raise PrefixOverlapError(
+                f"assortment intersects the conditioning prefix on {sorted(overlap, key=str)}"
+            )
+        pairs = dist.suffixes(prefix).items()
     total = Fraction(0)
-    for suffix, prob in dist.suffixes(prefix).items():
-        for entry in suffix:
+    for entries, prob in pairs:
+        for entry in entries:
             if entry in S:
                 if entry == j:
                     total += prob
@@ -355,17 +338,58 @@ def choice_probability(
     return total
 
 
+def _first_hits_revenue(inst: Instance, S: Iterable[Item], k: int) -> Fraction:
+    """Expected price of the first (up to) ``k`` members of ``S`` on the
+    buyer's list, each counted with weight 1/k."""
+    S = inst.assortment(S)
+    prices = inst.prices
+    total = Fraction(0)
+    for lst, prob in inst.dist.support.items():
+        hits = 0
+        for entry in lst.entries:
+            if entry in S:
+                total += prob * prices[entry]
+                hits += 1
+                if hits == k:
+                    break
+    return total / k
+
+
 def assortment_revenue(inst: Instance, S: Iterable[Item]) -> Fraction:
     """Expected revenue of offering ``S``: each buyer purchases their
     most-preferred member of ``S`` on their list, if any."""
-    S = inst.assortment(S)
-    total = Fraction(0)
-    for lst, prob in inst.dist.support.items():
-        for entry in lst.entries:
-            if entry in S:
-                total += prob * inst.prices[entry]
-                break
-    return total
+    return _first_hits_revenue(inst, S, 1)
+
+
+def _subsets(items: Sequence[Item]) -> Iterable[Tuple[Item, ...]]:
+    """Every subset of ``items`` as a tuple: by size, then in
+    ``itertools.combinations`` order."""
+    for size in range(len(items) + 1):
+        yield from combinations(items, size)
+
+
+def _best_subset(
+    items: Iterable[Item], value, cap: int, what: str, detail: str
+) -> Tuple[Assortment, Fraction]:
+    """Exhaustive maximum of ``value(subset)`` over every subset of ``items``,
+    ties broken toward the lexicographically smallest sorted ``str`` tuple.
+
+    ``value`` is called once per subset, the empty one included.  Raises
+    ``CapExceededError(what, n, cap, detail)`` beyond ``cap`` items.
+    """
+    ordered = sorted(items, key=str)
+    if len(ordered) > cap:
+        raise CapExceededError(what, len(ordered), cap, detail)
+    best_set: Tuple[Item, ...] = ()
+    best_value = None
+    for combo in _subsets(ordered):
+        v = value(combo)
+        if best_value is None or v > best_value or (
+            v == best_value and tuple(map(str, combo)) < tuple(map(str, best_set))
+        ):
+            best_value = v
+            best_set = combo
+    return frozenset(best_set), best_value
 
 
 def optimal_assortment(
@@ -375,21 +399,10 @@ def optimal_assortment(
 
     Ties are broken toward the lexicographically smallest sorted item tuple.
     """
-    n = len(inst.items)
-    if n > cap:
-        raise CapExceededError("optimal_assortment", n, cap, "2^n enumeration")
-    best_value = Fraction(0)
-    best_set: Tuple[Item, ...] = ()
-    ordered = sorted(inst.items, key=str)
-    for size in range(0, n + 1):
-        for combo in combinations(ordered, size):
-            value = assortment_revenue(inst, combo)
-            if value > best_value or (
-                value == best_value and tuple(map(str, combo)) < tuple(map(str, best_set))
-            ):
-                best_value = value
-                best_set = combo
-    return frozenset(best_set), best_value
+    return _best_subset(
+        inst.items, lambda S: assortment_revenue(inst, S), cap,
+        "optimal_assortment", "2^n enumeration",
+    )
 
 
 @dataclass(frozen=True)
@@ -459,64 +472,92 @@ def build_tree_diagram(dist: ListDistribution) -> TreeDiagram:
 # Rationals may be integers, decimal strings (parsed exactly), or "a/b".
 
 
+def _list_key(entries: Sequence[Item]) -> Tuple[int, Tuple[str, ...]]:
+    """The canonical order of ranked lists and prefixes: shorter first, then
+    by the ``str`` tuple of their entries."""
+    return (len(entries), tuple(map(str, entries)))
+
+
+def _lists_to_json(dist: ListDistribution) -> List[dict]:
+    return [
+        {"items": list(lst.entries), "prob": format_rational(p)}
+        for lst, p in sorted(dist.support.items(), key=lambda kv: _list_key(kv[0].entries))
+    ]
+
+
+def _items_to_json(items: Iterable[Item], prices: Mapping[Item, Fraction]) -> List[dict]:
+    return [{"id": j, "price": format_rational(prices[j])} for j in sorted(items, key=str)]
+
+
 def instance_to_json(inst: Instance) -> dict:
     """Canonical JSON object for an instance (sorted items and lists)."""
-    items = [
-        {"id": j, "price": format_rational(inst.prices[j])}
-        for j in sorted(inst.items, key=str)
-    ]
-    lists = [
-        {"items": list(lst.entries), "prob": format_rational(p)}
-        for lst, p in sorted(
-            inst.dist.support.items(),
-            key=lambda kv: (len(kv[0].entries), tuple(map(str, kv[0].entries))),
-        )
-    ]
-    return {"items": items, "lists": lists}
+    return {"items": _items_to_json(inst.items, inst.prices),
+            "lists": _lists_to_json(inst.dist)}
 
 
 def _is_item_id(value) -> bool:
     return isinstance(value, (str, int)) and not isinstance(value, bool)
 
 
-def _check_instance_shape(obj) -> None:
-    """Raise ``InvalidInstanceError`` naming the path of the first part of
-    ``obj`` that does not have the shape of the instance format."""
-    if not isinstance(obj, dict) or "items" not in obj or "lists" not in obj:
-        raise InvalidInstanceError('instance JSON needs "items" and "lists" keys')
-    for key, fields in (("items", ("id", "price")), ("lists", ("items", "prob"))):
-        if not isinstance(obj[key], list):
-            raise InvalidInstanceError(f"{key}: expected a list")
-        for k, entry in enumerate(obj[key]):
-            if not isinstance(entry, dict):
-                raise InvalidInstanceError(f"{key}[{k}]: expected an object")
-            for field in fields:
-                if field not in entry:
-                    raise InvalidInstanceError(f'{key}[{k}]: missing "{field}"')
-    for k, entry in enumerate(obj["items"]):
+# The loaders of all four JSON formats check their input with these helpers,
+# so an error names the path of the first malformed part.
+def _check_objects(value, path: str, fields: Sequence[str],
+                   error=InvalidInstanceError) -> None:
+    """Raise ``error`` naming ``path`` unless ``value`` is a list of objects
+    that each have every key in ``fields``."""
+    if not isinstance(value, list):
+        raise error(f"{path}: expected a list")
+    for k, entry in enumerate(value):
+        if not isinstance(entry, dict):
+            raise error(f"{path}[{k}]: expected an object")
+        for field in fields:
+            if field not in entry:
+                raise error(f'{path}[{k}]: missing "{field}"')
+
+
+def _check_item_ids(value, path: str, error=InvalidInstanceError) -> None:
+    if not isinstance(value, list) or not all(_is_item_id(j) for j in value):
+        raise error(f"{path}: expected a list of item ids")
+
+
+def _parse_at(path: str, value, error=InvalidInstanceError) -> Fraction:
+    """``parse_rational(value)``, failing with ``error`` naming ``path``."""
+    try:
+        return parse_rational(value)
+    except ValueError as exc:
+        raise error(f"{path}: {exc}") from exc
+
+
+def _parse_items(entries) -> Tuple[List[Item], Dict[Item, Fraction]]:
+    """Ids and prices of an ``"items"`` array of ``{"id", "price"}`` objects."""
+    _check_objects(entries, "items", ("id", "price"))
+    items: List[Item] = []
+    prices: Dict[Item, Fraction] = {}
+    for k, entry in enumerate(entries):
         if not _is_item_id(entry["id"]):
             raise InvalidInstanceError(
                 f"items[{k}].id: {entry['id']!r} is not a string or an integer"
             )
-    for k, entry in enumerate(obj["lists"]):
-        if not isinstance(entry["items"], list) or not all(
-            _is_item_id(j) for j in entry["items"]
-        ):
-            raise InvalidInstanceError(f"lists[{k}].items: expected a list of item ids")
+        items.append(entry["id"])
+        prices[entry["id"]] = _parse_at(f"items[{k}].price", entry["price"])
+    return items, prices
+
+
+def _parse_lists(entries, path: str) -> List[Tuple[Tuple[Item, ...], object]]:
+    """``(list, probability)`` pairs of an array of ``{"items", "prob"}``
+    objects; the probabilities are validated with the distribution."""
+    _check_objects(entries, path, ("items", "prob"))
+    for k, entry in enumerate(entries):
+        _check_item_ids(entry["items"], f"{path}[{k}].items")
+    return [(tuple(entry["items"]), entry["prob"]) for entry in entries]
 
 
 def instance_from_json(obj: dict) -> Instance:
     """Parse the instance interchange format, validating as it goes."""
-    _check_instance_shape(obj)
-    items = []
-    prices = {}
-    for k, entry in enumerate(obj["items"]):
-        items.append(entry["id"])
-        try:
-            prices[entry["id"]] = parse_rational(entry["price"])
-        except ValueError as exc:
-            raise InvalidInstanceError(f"items[{k}].price: {exc}") from exc
-    pairs = [(tuple(entry["items"]), entry["prob"]) for entry in obj["lists"]]
+    if not isinstance(obj, dict) or "items" not in obj or "lists" not in obj:
+        raise InvalidInstanceError('instance JSON needs "items" and "lists" keys')
+    items, prices = _parse_items(obj["items"])
+    pairs = _parse_lists(obj["lists"], "lists")
     report = validate_distribution(pairs, items=items)
     if not report.ok:
         raise InvalidInstanceError("; ".join(report.messages()))

@@ -19,7 +19,18 @@ from fractions import Fraction
 from itertools import product
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .core import Instance, Item, ListDistribution, RankedList
+from .core import (
+    Instance,
+    Item,
+    ListDistribution,
+    RankedList,
+    _check_objects,
+    _items_to_json,
+    _lists_to_json,
+    _parse_at,
+    _parse_items,
+    _parse_lists,
+)
 from .errors import (
     CapExceededError,
     InvalidInstanceError,
@@ -66,13 +77,22 @@ class MultiBuyerInstance:
 
     def profiles(self):
         """All list profiles with their product probabilities."""
-        supports = [sorted(b.support.items(), key=lambda kv: kv[0].entries)
-                    for b in self.buyers]
-        for combo in product(*supports):
-            prob = Fraction(1)
-            for _, p in combo:
-                prob *= p
-            yield tuple(lst for lst, _ in combo), prob
+        return _joint(self.buyers)
+
+
+def _support_by_entries(dist: ListDistribution):
+    return sorted(dist.support.items(), key=lambda kv: kv[0].entries)
+
+
+def _joint(buyers: Iterable[ListDistribution]):
+    """``(lists, product probability)`` for every choice of one supported
+    list per buyer, in the order of ``itertools.product`` over the supports
+    sorted by raw entries."""
+    for combo in product(*map(_support_by_entries, buyers)):
+        prob = Fraction(1)
+        for _, p in combo:
+            prob *= p
+        yield tuple(lst for lst, _ in combo), prob
 
 
 def _xvar(i: int, j: Item, profile_id: int) -> str:
@@ -99,17 +119,11 @@ def build_multibuyer_lp(
     profiles = list(inst.profiles())
     profile_id = {tuple(lsts): k for k, (lsts, _) in enumerate(profiles)}
     lp = RationalLP()
-    for pid, (lsts, _) in enumerate(profiles):
-        for i, lst in enumerate(lsts):
-            for j in lst.entries:
-                lp.add_variable(_xvar(i, j, pid), lo=0)
-
     objective: Dict[str, Fraction] = {}
     for pid, (lsts, prob) in enumerate(profiles):
         for i, lst in enumerate(lsts):
             for j in lst.entries:
-                name = _xvar(i, j, pid)
-                objective[name] = objective.get(name, Fraction(0)) + prob * inst.prices[j]
+                objective[lp.add_variable(_xvar(i, j, pid), lo=0)] = prob * inst.prices[j]
     lp.set_objective(objective)
 
     for pid, (lsts, _) in enumerate(profiles):
@@ -127,28 +141,17 @@ def build_multibuyer_lp(
 
     m = inst.num_buyers
     for i in range(m):
-        lists_i = [lst for lst, _ in sorted(inst.buyers[i].support.items(),
-                                             key=lambda kv: kv[0].entries)]
-        others = [
-            sorted(inst.buyers[ip].support.items(), key=lambda kv: kv[0].entries)
-            for ip in range(m) if ip != i
-        ]
+        lists_i = [lst for lst, _ in _support_by_entries(inst.buyers[i])]
         # (lists of the other buyers, their joint probability) per profile
-        other_profiles = []
-        for combo in (product(*others) if others else [()]):
-            prob_others = Fraction(1)
-            for _, p in combo:
-                prob_others *= p
-            other_profiles.append(([l for l, _ in combo], prob_others))
-
+        other_profiles = list(_joint(inst.buyers[:i] + inst.buyers[i + 1:]))
         for lst_i in lists_i:
             for _, top, other_lst_i, inside in _ic_rows(lst_i, lists_i):
                 # DSIC: one row per profile of the others; BIC: their
                 # probability-weighted sum.
                 merged: Dict[str, Fraction] = {}
                 for rest, prob_others in other_profiles:
-                    pid_true = profile_id[tuple(rest[:i] + [lst_i] + rest[i:])]
-                    pid_lie = profile_id[tuple(rest[:i] + [other_lst_i] + rest[i:])]
+                    pid_true = profile_id[rest[:i] + (lst_i,) + rest[i:]]
+                    pid_lie = profile_id[rest[:i] + (other_lst_i,) + rest[i:]]
                     true_names = [_xvar(i, j, pid_true) for j in top]
                     lie_names = [_xvar(i, j, pid_lie) for j in inside]
                     if mode == "dsic":
@@ -416,15 +419,18 @@ def menu_to_json(menu: Menu) -> dict:
 
 
 def menu_from_json(obj: dict, items: Optional[Iterable[Item]] = None) -> Menu:
-    if "entries" not in obj:
+    if not isinstance(obj, dict) or "entries" not in obj:
         raise InvalidMechanismError('menu JSON needs an "entries" key')
+    _check_objects(obj["entries"], "entries", ("alloc",), InvalidMechanismError)
     key_map = {str(j): j for j in items} if items is not None else {}
     entries = []
-    for raw in obj["entries"]:
+    for k, raw in enumerate(obj["entries"]):
+        if not isinstance(raw["alloc"], dict):
+            raise InvalidMechanismError(f"entries[{k}].alloc: expected an object")
         alloc = {}
         total = Fraction(0)
         for name, p in raw["alloc"].items():
-            p = parse_rational(p)
+            p = _parse_at(f"entries[{k}].alloc.{name}", p, InvalidMechanismError)
             total += p
             if name == "0":
                 continue
@@ -436,31 +442,16 @@ def menu_from_json(obj: dict, items: Optional[Iterable[Item]] = None) -> Menu:
 
 
 def multibuyer_from_json(obj: dict) -> MultiBuyerInstance:
-    if "items" not in obj or "buyers" not in obj:
+    if not isinstance(obj, dict) or "items" not in obj or "buyers" not in obj:
         raise InvalidInstanceError('multi-buyer JSON needs "items" and "buyers"')
-    items = [entry["id"] for entry in obj["items"]]
-    prices = {entry["id"]: parse_rational(entry["price"]) for entry in obj["items"]}
-    buyers = []
-    for raw in obj["buyers"]:
-        pairs = [(tuple(e["items"]), e["prob"]) for e in raw]
-        buyers.append(ListDistribution(pairs))
+    items, prices = _parse_items(obj["items"])
+    if not isinstance(obj["buyers"], list):
+        raise InvalidInstanceError("buyers: expected a list")
+    buyers = [ListDistribution(_parse_lists(raw, f"buyers[{i}]"))
+              for i, raw in enumerate(obj["buyers"])]
     return MultiBuyerInstance(items, prices, buyers)
 
 
 def multibuyer_to_json(inst: MultiBuyerInstance) -> dict:
-    return {
-        "items": [
-            {"id": j, "price": format_rational(inst.prices[j])}
-            for j in sorted(inst.items, key=str)
-        ],
-        "buyers": [
-            [
-                {"items": list(lst.entries), "prob": format_rational(p)}
-                for lst, p in sorted(
-                    b.support.items(),
-                    key=lambda kv: (len(kv[0].entries), tuple(map(str, kv[0].entries))),
-                )
-            ]
-            for b in inst.buyers
-        ],
-    }
+    return {"items": _items_to_json(inst.items, inst.prices),
+            "buyers": [_lists_to_json(b) for b in inst.buyers]}

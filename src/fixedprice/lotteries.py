@@ -4,9 +4,10 @@ price-ladder family separating lotteries from assortments.
 A budget-additive mechanism is induced by f(S) = min(sum of weights in S, B):
 the buyer's k-th item is granted with probability equal to f's increment
 along their list.  Top-k lotteries are the uniform-weight case w = 1/k,
-B = 1.  The rounding constructions replace a mechanism by a random
-assortment with independent inclusions and carry multiplicative revenue
-guarantees, checked numerically here.
+B = 1; their value is core's first-hit walk with k hits, and the best one is
+found by core's subset search, run once per k.  The rounding constructions
+replace a mechanism by a random assortment with independent inclusions and
+carry multiplicative revenue guarantees, checked numerically here.
 """
 
 from __future__ import annotations
@@ -14,12 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
-from .core import Instance, Item, ListDistribution, assortment_revenue
+from .core import Instance, Item, ListDistribution, _best_subset, _first_hits_revenue
 from .errors import CapExceededError, GuaranteeViolationError, InvalidInstanceError
-from .mechanism_lp import Mechanism, _best_over_reports, mechanism_revenue
+from .mechanism_lp import Mechanism, _best_over_reports, _increments, mechanism_revenue
 from .rational import coerce_rational
 
 GUARANTEE_SLACK = 1e-9
@@ -87,32 +87,18 @@ class RoundingReport:
 def budget_additive_mechanism(inst: Instance, params: BudgetAdditiveParams) -> Mechanism:
     """The mechanism granting each list position the increment of
     min(cumulative weight, budget); IC by submodularity."""
-    alloc = {}
-    for lst in inst.dist.support:
-        row: Dict[Item, Fraction] = {}
-        prev = Fraction(0)
-        for k in range(1, len(lst) + 1):
-            cur = params.f(lst.entries[:k])
-            if cur > prev:
-                row[lst.entries[k - 1]] = cur - prev
-            prev = cur
-        alloc[lst] = row
-    return Mechanism(alloc)
+    return Mechanism({
+        lst: {j: inc for j, inc in _increments(params.f, lst) if inc > 0}
+        for lst in inst.dist.support
+    })
 
 
 def topk_lottery_value(inst: Instance, k: int, S: Iterable[Item]) -> Fraction:
     """Revenue of the lottery granting each of the buyer's first (up to) k
     reported items from S with probability 1/k."""
-    S = inst.assortment(S)
-    w = Fraction(1, k)
-    total = Fraction(0)
-    for lst, prob in inst.dist.support.items():
-        hits = 0
-        for j in lst.entries:
-            if j in S and hits < k:
-                total += prob * inst.prices[j] * w
-                hits += 1
-    return total
+    if k < 1:
+        raise InvalidInstanceError(f"k must be at least 1, got {k}")
+    return _first_hits_revenue(inst, S, k)
 
 
 def best_topk_lottery(
@@ -123,27 +109,15 @@ def best_topk_lottery(
     Ties prefer smaller k, then the lexicographically smallest item tuple.
     The k = 1 case is exactly assortment optimization.
     """
-    n = len(inst.items)
-    if n > cap:
-        raise CapExceededError("best_topk_lottery", n, cap, "2^n enumeration per k")
-    ks = range(1, n + 1) if k is None else [k]
-    ordered = sorted(inst.items, key=str)
-    best: Optional[Tuple[int, Tuple[Item, ...], Fraction]] = None
-    for kk in ks:
-        for size in range(0, n + 1):
-            for combo in combinations(ordered, size):
-                value = topk_lottery_value(inst, kk, combo)
-                if (
-                    best is None
-                    or value > best[2]
-                    or (
-                        value == best[2]
-                        and (kk, tuple(map(str, combo))) < (best[0], tuple(map(str, best[1])))
-                    )
-                ):
-                    best = (kk, combo, value)
-    assert best is not None
-    return best[0], frozenset(best[1]), best[2]
+    best: Optional[Tuple[int, frozenset, Fraction]] = None
+    for kk in range(1, max(len(inst.items), 1) + 1) if k is None else [k]:
+        S, value = _best_subset(
+            inst.items, lambda S: topk_lottery_value(inst, kk, S), cap,
+            "best_topk_lottery", "2^n enumeration per k",
+        )
+        if best is None or value > best[2]:
+            best = (kk, S, value)
+    return best
 
 
 def independent_assortment_revenue(

@@ -28,7 +28,16 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .core import Instance, Item, RankedList
+from .core import (
+    Instance,
+    Item,
+    RankedList,
+    _check_item_ids,
+    _check_objects,
+    _list_key,
+    _parse_at,
+    _subsets,
+)
 from .errors import (
     CapExceededError,
     ContainmentError,
@@ -77,9 +86,6 @@ class Mechanism:
         lst = lst if isinstance(lst, RankedList) else RankedList(tuple(lst))
         return self.alloc.get(lst, {}).get(j, Fraction(0))
 
-    def lists(self) -> Iterable[RankedList]:
-        return self.alloc.keys()
-
 
 def mechanism_revenue(inst: Instance, mech: Mechanism) -> Fraction:
     total = Fraction(0)
@@ -126,14 +132,10 @@ def _revenue_lp(inst: Instance) -> RationalLP:
     """An LP with one allocation variable per (supported list, listed item)
     and the expected-revenue objective over them."""
     lp = RationalLP()
-    for lst in inst.dist.support:
-        for j in lst.entries:
-            lp.add_variable(_var(lst, j), lo=0)
     objective: Dict[str, Fraction] = {}
     for lst, prob in inst.dist.support.items():
         for j in lst.entries:
-            name = _var(lst, j)
-            objective[name] = objective.get(name, Fraction(0)) + prob * inst.prices[j]
+            objective[lp.add_variable(_var(lst, j), lo=0)] = prob * inst.prices[j]
     lp.set_objective(objective)
     return lp
 
@@ -291,9 +293,6 @@ class SetFunction:
             raise KeyError(f"set function not defined on {set(S)}")
         return self.values[S]
 
-    def is_complete(self) -> bool:
-        return len(self.values) == 2 ** len(self.universe)
-
     def monotone_witness(self) -> Optional[Tuple[frozenset, Item]]:
         """A pair (S, j) with f(S) > f(S + j), or None if monotone."""
         for S, v in self.values.items():
@@ -333,6 +332,16 @@ def _best_over_reports(inst: Instance, mech: Mechanism, S) -> Fraction:
     return best
 
 
+def _increments(f, lst: RankedList) -> Iterator[Tuple[Item, Fraction]]:
+    """``(j, f(first k) - f(first k-1))`` for the k-th entry j of ``lst``,
+    k = 1, 2, ...; ``f`` maps item tuples to values."""
+    prev = f(())
+    for k, j in enumerate(lst.entries, 1):
+        cur = f(lst.entries[:k])
+        yield j, cur - prev
+        prev = cur
+
+
 def mechanism_to_set_function(inst: Instance, mech: Mechanism) -> SetFunction:
     """For each set S, the best probability any report gives of landing in S.
 
@@ -340,17 +349,12 @@ def mechanism_to_set_function(inst: Instance, mech: Mechanism) -> SetFunction:
     item equals the increment of f along that list) and revenue equality;
     both fail only on non-IC input.
     """
-    universe = tuple(inst.items)
-    values: Dict[frozenset, Fraction] = {}
-    for size in range(len(universe) + 1):
-        for combo in combinations(universe, size):
-            S = frozenset(combo)
-            values[S] = _best_over_reports(inst, mech, S)
-    f = SetFunction(values, universe)
+    values = {S: _best_over_reports(inst, mech, S)
+              for S in map(frozenset, _subsets(inst.items))}
+    f = SetFunction(values, inst.items)
     for lst in inst.dist.support:
-        for k in range(1, len(lst) + 1):
-            inc = f(lst.entries[:k]) - f(lst.entries[: k - 1])
-            if inc != mech.probability(lst, lst.entries[k - 1]):
+        for k, (j, inc) in enumerate(_increments(f, lst), 1):
+            if inc != mech.probability(lst, j):
                 raise IdentityCheckError(
                     f"allocation increment mismatch on {lst.entries} at position {k};"
                     " the mechanism is not IC"
@@ -365,9 +369,8 @@ def mechanism_to_set_function(inst: Instance, mech: Mechanism) -> SetFunction:
 def set_function_revenue(inst: Instance, f: SetFunction) -> Fraction:
     total = Fraction(0)
     for lst, prob in inst.dist.support.items():
-        for k in range(1, len(lst) + 1):
-            inc = f(lst.entries[:k]) - f(lst.entries[: k - 1])
-            total += prob * inst.prices[lst.entries[k - 1]] * inc
+        for j, inc in _increments(f, lst):
+            total += prob * inst.prices[j] * inc
     return total
 
 
@@ -379,15 +382,10 @@ def submodular_to_mechanism(inst: Instance, f: SetFunction) -> Mechanism:
     witness = f.submodular_witness()
     if witness is not None:
         raise SubmodularityError(witness)
-    alloc: Dict[RankedList, Dict[Item, Fraction]] = {}
-    for lst in inst.dist.support:
-        row: Dict[Item, Fraction] = {}
-        for k in range(1, len(lst) + 1):
-            inc = f(lst.entries[:k]) - f(lst.entries[: k - 1])
-            if inc != 0:
-                row[lst.entries[k - 1]] = inc
-        alloc[lst] = row
-    mech = Mechanism(alloc)
+    mech = Mechanism({
+        lst: {j: inc for j, inc in _increments(f, lst) if inc != 0}
+        for lst in inst.dist.support
+    })
     report = verify_ic(inst, mech)
     if not report.ok:
         raise IdentityCheckError(
@@ -420,21 +418,13 @@ def build_set_function_lp(inst: Instance, cap: int = SET_FUNCTION_LP_CAP) -> Rat
         raise CapExceededError("build_set_function_lp", n, cap, "2^n variables")
     lp = RationalLP()
     universe = tuple(sorted(inst.items, key=str))
-    for size in range(n + 1):
-        for combo in combinations(universe, size):
-            if size == 0:
-                lp.add_variable(_set_var(combo), lo=0, hi=0)
-            else:
-                lp.add_variable(_set_var(combo), lo=0, hi=1)
-    for size in range(n):
-        for combo in combinations(universe, size):
-            S = frozenset(combo)
-            for j in universe:
-                if j in S:
-                    continue
-                lp.add_row(
-                    {_set_var(S): 1, _set_var(S | {j}): -1}, "<=", 0,
-                )
+    for combo in _subsets(universe):
+        lp.add_variable(_set_var(combo), lo=0, hi=1 if combo else 0)
+    for combo in _subsets(universe):
+        S = frozenset(combo)
+        for j in universe:
+            if j not in S:
+                lp.add_row({_set_var(S): 1, _set_var(S | {j}): -1}, "<=", 0)
     objective: Dict[str, Fraction] = {}
     for prefix, prob in inst.dist.realizable_prefixes().items():
         price = inst.prices[prefix.endpoint]
@@ -451,10 +441,8 @@ def solve_set_function_lp(inst: Instance, cap: int = SET_FUNCTION_LP_CAP):
     lp = build_set_function_lp(inst, cap=cap)
     sol = solve_lp(lp)
     universe = tuple(sorted(inst.items, key=str))
-    values = {}
-    for size in range(len(universe) + 1):
-        for combo in combinations(universe, size):
-            values[frozenset(combo)] = sol.assignment[_set_var(combo)]
+    values = {frozenset(combo): sol.assignment[_set_var(combo)]
+              for combo in _subsets(universe)}
     return sol.value, SetFunction(values, universe)
 
 
@@ -534,7 +522,7 @@ def containment_witness(inst: Instance, mech: Mechanism) -> Dict[Item, Fraction]
 
 def mechanism_to_json(mech: Mechanism) -> dict:
     entries = []
-    for lst in sorted(mech.alloc, key=lambda l: (len(l.entries), tuple(map(str, l.entries)))):
+    for lst in sorted(mech.alloc, key=lambda l: _list_key(l.entries)):
         entries.append(
             {
                 "list": list(lst.entries),
@@ -550,15 +538,19 @@ def mechanism_to_json(mech: Mechanism) -> dict:
 
 def mechanism_from_json(obj: dict, items: Optional[Iterable[Item]] = None,
                         validate: bool = True) -> Mechanism:
-    if "alloc" not in obj:
+    if not isinstance(obj, dict) or "alloc" not in obj:
         raise InvalidMechanismError('mechanism JSON needs an "alloc" key')
+    _check_objects(obj["alloc"], "alloc", ("list",), InvalidMechanismError)
     key_map = {str(j): j for j in items} if items is not None else {}
     alloc = {}
-    for entry in obj["alloc"]:
-        lst = tuple(entry["list"])
-        probs = {
-            key_map.get(name, name): parse_rational(p)
-            for name, p in entry.get("probs", {}).items()
+    for k, entry in enumerate(obj["alloc"]):
+        _check_item_ids(entry["list"], f"alloc[{k}].list", InvalidMechanismError)
+        probs = entry.get("probs", {})
+        if not isinstance(probs, dict):
+            raise InvalidMechanismError(f"alloc[{k}].probs: expected an object")
+        alloc[tuple(entry["list"])] = {
+            key_map.get(name, name):
+                _parse_at(f"alloc[{k}].probs.{name}", p, InvalidMechanismError)
+            for name, p in probs.items()
         }
-        alloc[lst] = probs
     return Mechanism(alloc, validate=validate)

@@ -15,6 +15,12 @@ from typing import Iterable, Union
 
 RationalLike = Union[int, str, Fraction, Rational]
 
+# Largest decimal exponent accepted in a string: Fraction builds 10**exponent
+# exactly, which takes seconds for exponents in the millions.  The value is
+# the interpreter's default int_max_str_digits, the bound that already
+# applies to the digits of an integer.
+MAX_DECIMAL_EXPONENT = 4300
+
 
 def parse_rational(value: RationalLike) -> Fraction:
     """Parse a JSON-style rational (int, "a/b", or exact decimal string)."""
@@ -29,6 +35,15 @@ def parse_rational(value: RationalLike) -> Fraction:
             f"refusing to parse float {value!r}; pass an int, Fraction, or string"
         )
     if isinstance(value, str):
+        _, e, exponent = value.strip().lower().partition("e")
+        try:
+            too_big = bool(e) and abs(int(exponent)) > MAX_DECIMAL_EXPONENT
+        except ValueError:
+            too_big = False  # not an integer exponent; Fraction() reports it
+        if too_big:
+            raise ValueError(
+                f"decimal exponent of {value[:40]!r} exceeds {MAX_DECIMAL_EXPONENT}"
+            )
         # Fraction() parses both "a/b" and decimal strings exactly.
         try:
             return Fraction(value.strip())

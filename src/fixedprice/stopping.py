@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -25,6 +24,8 @@ from .core import (
     Item,
     ListDistribution,
     Prefix,
+    _list_key,
+    _subsets,
     assortment_revenue,
     choice_probability,
 )
@@ -96,6 +97,17 @@ class MonotoneStoppingPolicy:
         return cls(gens)
 
 
+def _first_stops(inst: Instance, rule: Callable[[Item, FrozenSet[Item]], bool]):
+    """Each realizable prefix, with its probability, where ``rule`` stops at
+    the endpoint and at no earlier entry."""
+    for prefix, prob in inst.dist.realizable_prefixes().items():
+        entries = prefix.entries
+        if rule(entries[-1], frozenset(entries[:-1])) and not any(
+            rule(entries[k], frozenset(entries[:k])) for k in range(len(entries) - 1)
+        ):
+            yield prefix, prob
+
+
 def stopping_rule_revenue(
     inst: Instance, rule: Callable[[Item, FrozenSet[Item]], bool]
 ) -> Fraction:
@@ -105,15 +117,10 @@ def stopping_rule_revenue(
     price when the rule stops there and nowhere earlier.  No monotonicity is
     assumed; use this to evaluate hand-built non-monotone rules.
     """
-    total = Fraction(0)
-    for prefix, prob in inst.dist.realizable_prefixes().items():
-        entries = prefix.entries
-        if not rule(entries[-1], frozenset(entries[:-1])):
-            continue
-        if any(rule(entries[k], frozenset(entries[:k])) for k in range(len(entries) - 1)):
-            continue
-        total += prob * inst.prices[entries[-1]]
-    return total
+    return sum(
+        (prob * inst.prices[prefix.endpoint] for prefix, prob in _first_stops(inst, rule)),
+        Fraction(0),
+    )
 
 
 def policy_revenue(inst: Instance, policy: MonotoneStoppingPolicy) -> Fraction:
@@ -341,19 +348,12 @@ def adjusted_revenue_identity(
                 f"policy must stop unconditionally on assortment item {j!r}"
             )
     lhs = policy_revenue(inst, policy) - assortment_revenue(inst, S)
-    rhs = Fraction(0)
-    for prefix, prob in inst.dist.realizable_prefixes().items():
-        entries = prefix.entries
-        if S & set(entries):
-            continue
-        if not policy.stops(entries[-1], frozenset(entries[:-1])):
-            continue
-        if any(
-            policy.stops(entries[k], frozenset(entries[:k]))
-            for k in range(len(entries) - 1)
-        ):
-            continue
-        rhs += s_adjusted_price(inst, S, prefix) * prob
+    rhs = sum(
+        (s_adjusted_price(inst, S, prefix) * prob
+         for prefix, prob in _first_stops(inst, policy.stops)
+         if not S & prefix.as_set()),
+        Fraction(0),
+    )
     if lhs != rhs:
         raise IdentityCheckError(
             f"adjusted-revenue identity failed: {lhs} != {rhs} (bug signal)"
@@ -407,10 +407,20 @@ def _conditional_choice(dist, cache, prefix: Prefix, S: frozenset, j: Item) -> F
     return cache[key]
 
 
-def _subsets_sorted(pool: List[Item]):
-    for size in range(1, len(pool) + 1):
-        for combo in combinations(pool, size):
-            yield frozenset(combo)
+def _reversal(dist, cache, prefix: Prefix, other: Prefix, tol: Fraction):
+    """The first ``(S, j)``, by the size and order of S and then by j, where
+    selling j from S is less likely after ``prefix`` than after ``other`` by
+    more than ``tol``; S ranges over the sets avoiding both prefixes.  None
+    when there is no such pair."""
+    banned = prefix.as_set() | other.as_set()
+    pool = sorted((j for j in dist.items if j not in banned), key=str)
+    for S in map(frozenset, _subsets(pool)):
+        for j in sorted(S, key=str):
+            lhs = _conditional_choice(dist, cache, prefix, S, j)
+            rhs = _conditional_choice(dist, cache, other, S, j)
+            if lhs < rhs - tol:
+                return S, j
+    return None
 
 
 def check_domination(
@@ -426,21 +436,8 @@ def check_domination(
     for p in (prefix, other):
         if dist.prefix_probability(p) == 0:
             raise UnrealizablePrefixError(f"prefix {p.entries} has probability 0")
-    tol = coerce_rational(tol)
-    cache: Dict = {}
-    banned = prefix.as_set() | other.as_set()
-    pool = sorted((j for j in dist.items if j not in banned), key=str)
-    for S in _subsets_sorted(pool):
-        for j in sorted(S, key=str):
-            lhs = _conditional_choice(dist, cache, prefix, S, j)
-            rhs = _conditional_choice(dist, cache, other, S, j)
-            if lhs < rhs - tol:
-                return DominationResult(False, (S, j))
-    return DominationResult(True)
-
-
-def _prefix_sort_key(entries: Tuple[Item, ...]):
-    return (len(entries), tuple(map(str, entries)))
+    witness = _reversal(dist, {}, prefix, other, coerce_rational(tol))
+    return DominationResult(witness is None, witness)
 
 
 def check_history_monotone(dist: ListDistribution, tol=0) -> ConditionReport:
@@ -452,33 +449,26 @@ def check_history_monotone(dist: ListDistribution, tol=0) -> ConditionReport:
     float-born distributions.  The witness is the first violation in the
     deterministic (prefix, prefix, assortment, item) order.
     """
-    prefixes = sorted(
-        (p.entries for p in dist.realizable_prefixes()), key=_prefix_sort_key
-    )
+    prefixes = sorted(dist.realizable_prefixes(), key=lambda p: _list_key(p.entries))
     tol_f = coerce_rational(tol)
     cache: Dict = {}
-    by_endpoint: Dict[Item, List[Tuple[Item, ...]]] = {}
-    for entries in prefixes:
-        by_endpoint.setdefault(entries[-1], []).append(entries)
+    by_endpoint: Dict[Item, List[Prefix]] = {}
+    for prefix in prefixes:
+        by_endpoint.setdefault(prefix.endpoint, []).append(prefix)
     for endpoint in sorted(by_endpoint, key=str):
         group = by_endpoint[endpoint]
         for rho in group:
-            body_rho = frozenset(rho[:-1])
+            body_rho = frozenset(rho.entries[:-1])
             for rho_p in group:
                 if rho == rho_p:
                     continue
-                if body_rho <= frozenset(rho_p[:-1]):
+                if body_rho <= frozenset(rho_p.entries[:-1]):
                     continue  # only non-contained bodies must dominate
-                banned = frozenset(rho) | frozenset(rho_p)
-                pool = sorted((j for j in dist.items if j not in banned), key=str)
-                for S in _subsets_sorted(pool):
-                    for j in sorted(S, key=str):
-                        lhs = _conditional_choice(dist, cache, Prefix(rho), S, j)
-                        rhs = _conditional_choice(dist, cache, Prefix(rho_p), S, j)
-                        if lhs < rhs - tol_f:
-                            return ConditionReport(
-                                False, ConditionWitness(rho, rho_p, S, j)
-                            )
+                witness = _reversal(dist, cache, rho, rho_p, tol_f)
+                if witness is not None:
+                    return ConditionReport(
+                        False, ConditionWitness(rho.entries, rho_p.entries, *witness)
+                    )
     return ConditionReport(True)
 
 
@@ -509,9 +499,9 @@ def tier_decomposition(
     Requires the distribution to have history-monotone futures.  Builds the
     incomparability graph on prefix bodies, merges connected components that
     contain one another into tiers, orders tiers by set containment, and
-    verifies: equal conditional choice probabilities within a tier,
-    containment plus dominating probabilities across tiers, and adjusted
-    prices non-increasing from lower to higher tiers.
+    verifies: equal conditional choice probabilities within a tier, and
+    containment plus dominating probabilities across tiers.  The adjusted
+    prices, which need item prices, are checked by ``tier_adjusted_prices``.
     """
     S = frozenset(S)
     if j in S:
@@ -528,7 +518,7 @@ def tier_decomposition(
         for p in dist.realizable_prefixes()
         if p.endpoint == j and not (S & p.as_set())
     ]
-    prefixes.sort(key=_prefix_sort_key)
+    prefixes.sort(key=_list_key)
     if not prefixes:
         return TierDecomposition(())
 
@@ -581,7 +571,7 @@ def tier_decomposition(
     for cls in classes:
         idxs = sorted(
             (i for c in cls for i in members[c]),
-            key=lambda i: _prefix_sort_key(prefixes[i]),
+            key=lambda i: _list_key(prefixes[i]),
         )
         tier_prefixes = tuple(prefixes[i] for i in idxs)
         tier_sets = {sets[p] | {j} for p in tier_prefixes}
@@ -598,25 +588,23 @@ def tier_decomposition(
     # distinct-set equality below is the property downstream arguments rely
     # on, so containment inside a tier is tolerated.)
     cache: Dict = {}
+
+    def choices(p: Tuple[Item, ...]) -> List[Fraction]:
+        return [_conditional_choice(dist, cache, Prefix(p), S, jp) for jp in sorted(S, key=str)]
+
     for tier in tiers:
         for a_i in range(len(tier.prefixes)):
             for b_i in range(a_i + 1, len(tier.prefixes)):
                 pa, pb = tier.prefixes[a_i], tier.prefixes[b_i]
                 if frozenset(pa) == frozenset(pb):
                     continue
-                for jp in sorted(S, key=str):
-                    a = _conditional_choice(dist, cache, Prefix(pa), frozenset(S), jp)
-                    b = _conditional_choice(dist, cache, Prefix(pb), frozenset(S), jp)
-                    if abs(a - b) > tol_f:
-                        raise IdentityCheckError(
-                            f"unequal choice probabilities for distinct-set "
-                            f"prefixes {pa} and {pb} in one tier (bug signal)"
-                        )
+                if any(abs(a - b) > tol_f for a, b in zip(choices(pa), choices(pb))):
+                    raise IdentityCheckError(
+                        f"unequal choice probabilities for distinct-set "
+                        f"prefixes {pa} and {pb} in one tier (bug signal)"
+                    )
 
-    # Across tiers: strict containment, dominating probabilities, and
-    # non-increasing adjusted prices.
-    adjusted: Dict[Tuple[Item, ...], Fraction] = {}
-    have_prices = False
+    # Across tiers: strict containment and dominating probabilities.
     for t in range(len(tiers)):
         for tp in range(t + 1, len(tiers)):
             for lo in tiers[t].prefixes:
@@ -625,13 +613,8 @@ def tier_decomposition(
                         raise IdentityCheckError(
                             f"tier order broken: {hi} does not contain {lo} (bug signal)"
                         )
-                    for jp in sorted(S, key=str):
-                        a = _conditional_choice(dist, cache, Prefix(hi), frozenset(S), jp)
-                        b = _conditional_choice(dist, cache, Prefix(lo), frozenset(S), jp)
-                        if a < b - tol_f:
-                            raise IdentityCheckError(
-                                "higher tier fails to dominate (bug signal)"
-                            )
+                    if any(a < b - tol_f for a, b in zip(choices(hi), choices(lo))):
+                        raise IdentityCheckError("higher tier fails to dominate (bug signal)")
     return TierDecomposition(tuple(tiers))
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 from fractions import Fraction
 
 import pytest
@@ -307,6 +308,27 @@ MALFORMED_PATH = {
 }
 
 
+# Malformed mechanism, menu and multi-buyer documents: (verb arguments before
+# the file, option naming the file, document, path the error must name).
+MALFORMED_OTHER = {
+    "alloc_not_a_list": (["check", "--what", "ic", "--instance",
+                          fixture("four_item_clash.json")], "--mechanism",
+                         {"alloc": 5}, "alloc: expected a list"),
+    "alloc_entry_not_an_object": (["check", "--what", "ic", "--instance",
+                                   fixture("four_item_clash.json")], "--mechanism",
+                                  {"alloc": [1]}, "alloc[0]: expected an object"),
+    "menu_entries_not_a_list": (["robust", "--instance",
+                                 fixture("robust_menu_instance.json")], "--menu",
+                                {"entries": 5}, "entries: expected a list"),
+    "buyers_not_a_list": (["multibuyer", "--what", "dsic"], "--instance",
+                          {"items": [{"id": "A", "price": "1"}], "buyers": 5},
+                          "buyers: expected a list"),
+    "buyer_list_not_an_object": (["multibuyer", "--what", "dsic"], "--instance",
+                                 {"items": [{"id": "A", "price": "1"}], "buyers": [[1]]},
+                                 "buyers[0][0]: expected an object"),
+}
+
+
 class TestErrors:
     def test_bad_probability_sum_reported(self, capsys, tmp_path):
         bad = {
@@ -319,6 +341,25 @@ class TestErrors:
     def test_malformed_instance_reported(self, capsys, tmp_path, name):
         message = assert_error_report(capsys, tmp_path, MALFORMED[name])
         assert MALFORMED_PATH.get(name, "") in message
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_OTHER))
+    def test_malformed_other_formats_reported(self, capsys, tmp_path, name):
+        argv, option, doc, where = MALFORMED_OTHER[name]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code = main(argv + [option, str(path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        report = json.loads(captured.err)
+        assert list(report) == ["error"] and where in report["error"]
+
+    def test_huge_decimal_exponent_rejected_quickly(self, capsys, tmp_path):
+        doc = {"items": [{"id": "A", "price": "1e16000000"}],
+               "lists": [{"items": ["A"], "prob": "1"}]}
+        start = time.perf_counter()
+        message = assert_error_report(capsys, tmp_path, doc)
+        assert time.perf_counter() - start < 1.0
+        assert "items[0].price" in message and "exponent" in message
 
     def test_unknown_verb_usage(self, capsys):
         assert main([]) == 1

@@ -1,4 +1,4 @@
-"""Fuzz the instance loader: malformed documents end in a FixedPriceError."""
+"""Fuzz the JSON loaders: malformed documents end in a FixedPriceError."""
 
 import json
 
@@ -9,8 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from fixedprice import load_instance
 from fixedprice.errors import FixedPriceError
+from fixedprice.extensions import menu_from_json, multibuyer_from_json
+from fixedprice.mechanism_lp import mechanism_from_json
 
-KEYS = ("items", "lists", "id", "price", "prob")
+KEYS = ("items", "lists", "id", "price", "prob", "alloc", "list", "probs", "entries",
+        "buyers")
 
 # Leaves mix arbitrary JSON scalars with item ids and rational spellings,
 # so that many documents get past the shape check to the value checks.
@@ -45,3 +48,38 @@ def test_only_fixedprice_errors_escape_the_loader(doc):
         load_instance(json.dumps(doc))
     except FixedPriceError:
         pass
+
+
+def _objects(fields):
+    return st.lists(st.fixed_dictionaries({f: json_values for f in fields}), max_size=3)
+
+
+mechanism_like = st.fixed_dictionaries(
+    {"alloc": _objects(("list",)) | _objects(("list", "probs")) | json_values}
+)
+menu_like = st.fixed_dictionaries({"entries": _objects(("alloc",)) | json_values})
+multibuyer_like = st.fixed_dictionaries({
+    "items": _objects(("id", "price")) | json_values,
+    "buyers": st.lists(_objects(("items", "prob")) | json_values, max_size=3) | json_values,
+})
+
+LOADERS = {
+    "mechanism": (lambda doc: mechanism_from_json(doc, items=("A", "B")), mechanism_like),
+    "menu": (lambda doc: menu_from_json(doc, items=("A", "B")), menu_like),
+    "multibuyer": (multibuyer_from_json, multibuyer_like),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+def test_only_fixedprice_errors_escape_the_other_loaders(name):
+    load, shaped = LOADERS[name]
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(json_values | shaped)
+    def check(doc):
+        try:
+            load(json.loads(json.dumps(doc)))
+        except FixedPriceError:
+            pass
+
+    check()

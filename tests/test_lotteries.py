@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -102,6 +103,61 @@ class TestTopK:
             _, _, value = best_topk_lottery(inst)
             _, best = optimal_assortment(inst)
             assert value >= best
+
+    def test_no_items_gives_the_empty_top_1_lottery(self):
+        inst = Instance([], {}, ListDistribution({(): Fraction(1)}))
+        assert best_topk_lottery(inst) == (1, frozenset(), Fraction(0))
+
+    def test_k_below_one_rejected(self):
+        with pytest.raises(InvalidInstanceError, match="k must be at least 1"):
+            best_topk_lottery(four_item_clash(), k=0)
+
+
+def _brute_force_best(inst, value):
+    """Best (value, key) over every subset by inclusion bits, independent of
+    the library's enumeration; the key is the sorted ``str`` tuple, and the
+    smallest key wins among equal values."""
+    items = list(inst.items)
+    best = None
+    for bits in itertools.product((False, True), repeat=len(items)):
+        S = [j for j, b in zip(items, bits) if b]
+        cand = (value(S), tuple(sorted(map(str, S))))
+        if best is None or cand[0] > best[0] or (cand[0] == best[0] and cand[1] < best[1]):
+            best = cand
+    return best
+
+
+class TestSubsetSearchTies:
+    """The subset searches against a brute force with the documented
+    tie-breaks, on small integer prices where ties are common."""
+
+    INSTANCES = [random_instance(random.Random(seed), n_min=2, n_max=5, max_lists=6,
+                                 max_price=2) for seed in range(40)]
+
+    def test_optimal_assortment_breaks_ties_to_the_smallest_set(self):
+        tied = 0
+        for inst in self.INSTANCES:
+            S, value = optimal_assortment(inst)
+            ref_value, ref_key = _brute_force_best(inst, lambda S: assortment_revenue(inst, S))
+            assert (value, tuple(sorted(map(str, S)))) == (ref_value, ref_key)
+            tied += sum(
+                assortment_revenue(inst, T) == value
+                for n in range(len(inst.items) + 1)
+                for T in itertools.combinations(inst.items, n)
+            ) > 1
+        assert tied >= 10  # the instances do exercise the tie-break
+
+    def test_best_topk_lottery_prefers_small_k_then_the_smallest_set(self):
+        for inst in self.INSTANCES:
+            per_k = {}
+            for k in range(1, len(inst.items) + 1):
+                per_k[k] = _brute_force_best(inst, lambda S: topk_lottery_value(inst, k, S))
+                kk, S, value = best_topk_lottery(inst, k=k)
+                assert (kk, value, tuple(sorted(map(str, S)))) == (k,) + per_k[k]
+            top = max(v for v, _ in per_k.values())
+            k_ref = min(k for k, (v, _) in per_k.items() if v == top)
+            kk, S, value = best_topk_lottery(inst)
+            assert (kk, value, tuple(sorted(map(str, S)))) == (k_ref,) + per_k[k_ref]
 
 
 class TestGapFamily:
