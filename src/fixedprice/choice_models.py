@@ -226,18 +226,7 @@ def gen_mnl(items: Sequence[Item], params: MnlParams) -> ListDistribution:
     """
     items = _check_cap("gen_mnl", items)
     params.validate(items)
-    w = {j: coerce_rational(params.weights[j]) for j in items}
-    w0 = coerce_rational(params.w0)
-    pairs: Dict[Tuple[Item, ...], Fraction] = {}
-
-    def draw(prefix: Tuple[Item, ...], remaining: frozenset, prob: Fraction):
-        total = w0 + sum((w[j] for j in remaining), Fraction(0))
-        pairs[prefix] = prob * w0 / total
-        for j in remaining:
-            draw(prefix + (j,), remaining - {j}, prob * w[j] / total)
-
-    draw((), frozenset(items), Fraction(1))
-    return ListDistribution(pairs)
+    return _urn(items, params, {j: frozenset((j,)) for j in items})
 
 
 # ---------------------------------------------------------------------------
@@ -345,27 +334,32 @@ def gen_elimination_by_aspects(
     params.validate(items)
     if not nests.covers(items):
         raise InvalidInstanceError("nests must cover exactly the item universe")
+    return _urn(items, params, {j: nests.nests[nests.nest_of(j)] for j in items})
+
+
+def _urn(
+    items: Tuple[Item, ...], params: MnlParams, nest: Mapping[Item, frozenset]
+) -> ListDistribution:
+    """The nest-locked weighted urn of ``gen_elimination_by_aspects``;
+    ``nest[j]`` is the nest of item j.  With every nest a singleton the lock
+    is vacuous and this is the plain urn of ``gen_mnl``."""
     w = {j: coerce_rational(params.weights[j]) for j in items}
     w0 = coerce_rational(params.w0)
     pairs: Dict[Tuple[Item, ...], Fraction] = {}
 
-    def draw(prefix: Tuple[Item, ...], remaining: frozenset, lock: Optional[int],
+    def draw(prefix: Tuple[Item, ...], remaining: frozenset, lock: frozenset,
              prob: Fraction):
-        if lock is not None and not (nests.nests[lock] & remaining):
-            lock = None
-        if lock is None:
-            total = w0 + sum((w[j] for j in remaining), Fraction(0))
-            pairs[prefix] = pairs.get(prefix, Fraction(0)) + prob * w0 / total
-            for j in remaining:
-                draw(prefix + (j,), remaining - {j}, nests.nest_of(j),
-                     prob * w[j] / total)
-        else:
-            candidates = nests.nests[lock] & remaining
-            total = sum((w[j] for j in candidates), Fraction(0))
-            for j in candidates:
-                draw(prefix + (j,), remaining - {j}, lock, prob * w[j] / total)
+        # Inside an unfinished nest only its items compete; between nests the
+        # terminating ball competes with every remaining item.
+        locked = lock & remaining
+        total = sum((w[j] for j in locked or remaining), Fraction(0))
+        if not locked:
+            total += w0
+            pairs[prefix] = prob * w0 / total
+        for j in locked or remaining:
+            draw(prefix + (j,), remaining - {j}, nest[j], prob * w[j] / total)
 
-    draw((), frozenset(items), None, Fraction(1))
+    draw((), frozenset(items), frozenset(), Fraction(1))
     return ListDistribution(pairs)
 
 

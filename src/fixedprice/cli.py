@@ -22,7 +22,7 @@ from typing import Dict, Optional
 from . import choice_models as cm
 from . import core, extensions, lotteries, mechanism_lp, stopping
 from .errors import ContainmentError, FixedPriceError
-from .rational import format_rational, parse_rational
+from .rational import format_rational
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -69,55 +69,73 @@ def _load_mechanism(path: str, inst: core.Instance) -> mechanism_lp.Mechanism:
 # ---------------------------------------------------------------------------
 
 
-def _instance_from_descriptor(desc: dict) -> core.Instance:
+def _rationals(value, path: str) -> Dict[str, Fraction]:
+    """An object of rationals, parsed; errors name ``path``."""
+    core._check_object(value, path)
+    return {key: core._parse_at(f"{path}.{key}", v) for key, v in value.items()}
+
+
+def _number(desc: dict, key: str, where: str, kind=float):
+    try:
+        return kind(desc[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FixedPriceError(f"{where}{key}: expected a number") from exc
+
+
+def _mnl_params(desc: dict, where: str) -> cm.MnlParams:
+    return cm.MnlParams(_rationals(desc["weights"], where + "weights"),
+                        core._parse_at(where + "w0", desc.get("w0", 1)))
+
+
+def _instance_from_descriptor(desc: dict, where: str = "") -> core.Instance:
+    """The instance a model descriptor (a JSON object) describes; ``where``
+    prefixes the paths that errors name."""
     model = desc.get("model")
     if model == "explicit":
         return core.instance_from_json(desc["instance"])
     if model == "topk-gap":
-        return lotteries.gen_topk_gap_instance(int(desc["n"]), desc["M"])
+        return lotteries.gen_topk_gap_instance(_number(desc, "n", where, int), desc["M"])
+    if "items" in desc:
+        core._check_item_ids(desc["items"], where + "items")
     if model == "mixture":
-        base = _instance_from_descriptor(desc["base"])
-        alpha = {j: parse_rational(a) for j, a in desc["alpha"].items()}
-        dist = cm.mix_with_singletons(base.dist, alpha)
+        core._check_object(desc["base"], where + "base")
+        base = _instance_from_descriptor(desc["base"], where + "base.")
+        dist = cm.mix_with_singletons(base.dist, _rationals(desc["alpha"], where + "alpha"))
         items = list(desc.get("items", base.items))
         if "prices" in desc:
-            prices = {j: parse_rational(p) for j, p in desc["prices"].items()}
+            prices = _rationals(desc["prices"], where + "prices")
         else:
             prices = base.prices
         return core.Instance(items, prices, dist)
 
     items = list(desc["items"])
-    prices = {j: parse_rational(p) for j, p in desc["prices"].items()}
+    prices = _rationals(desc["prices"], where + "prices")
     if model == "mnl":
-        params = cm.MnlParams(
-            {j: parse_rational(w) for j, w in desc["weights"].items()},
-            parse_rational(desc.get("w0", 1)),
-        )
-        dist = cm.gen_mnl(items, params)
+        dist = cm.gen_mnl(items, _mnl_params(desc, where))
     elif model == "markov":
-        arrivals = {
-            j: parse_rational(p) for j, p in desc["arrivals"].items() if j != "0"
-        }
+        arrivals = {j: p for j, p in _rationals(desc["arrivals"], where + "arrivals").items()
+                    if j != "0"}
+        core._check_object(desc["transitions"], where + "transitions")
         transitions = {
-            j: {k: parse_rational(p) for k, p in row.items() if k != "0"}
+            j: {k: p for k, p in _rationals(row, f"{where}transitions.{j}").items()
+                if k != "0"}
             for j, row in desc["transitions"].items()
         }
         dist = cm.gen_markov_chain(items, cm.MarkovChainParams(arrivals, transitions))
     elif model == "eba":
-        params = cm.MnlParams(
-            {j: parse_rational(w) for j, w in desc["weights"].items()},
-            parse_rational(desc.get("w0", 1)),
-        )
-        nests = cm.NestStructure([frozenset(nest) for nest in desc["nests"]])
-        dist = cm.gen_elimination_by_aspects(items, params, nests)
+        nests = desc["nests"]
+        if not isinstance(nests, list):
+            raise FixedPriceError(f"{where}nests: expected a list")
+        for k, nest in enumerate(nests):
+            core._check_item_ids(nest, f"{where}nests[{k}]")
+        nests = cm.NestStructure([frozenset(nest) for nest in nests])
+        dist = cm.gen_elimination_by_aspects(items, _mnl_params(desc, where), nests)
     elif model == "nl3":
-        params = cm.MnlParams(
-            {j: parse_rational(w) for j, w in desc["weights"].items()},
-            parse_rational(desc.get("w0", 1)),
-        )
-        dist = cm.gen_nested_logit_3item(items, params, float(desc["gamma"]))
+        dist = cm.gen_nested_logit_3item(items, _mnl_params(desc, where),
+                                         _number(desc, "gamma", where))
     elif model == "nl4sym":
-        params = cm.SymmetricNlParams(float(desc["w"]), float(desc["gamma"]), 4)
+        params = cm.SymmetricNlParams(_number(desc, "w", where),
+                                      _number(desc, "gamma", where), 4)
         dist = cm.gen_nested_logit_4item_symmetric(items, params)
     else:
         raise FixedPriceError(f"unknown model {model!r}")
@@ -126,6 +144,7 @@ def _instance_from_descriptor(desc: dict) -> core.Instance:
 
 def _cmd_gen(args) -> int:
     desc = json.loads(args.params) if args.params else json.loads(_read_text(None))
+    core._check_object(desc, "descriptor")
     if args.model:
         desc.setdefault("model", args.model)
     inst = _instance_from_descriptor(desc)
@@ -297,11 +316,18 @@ def _cmd_multibuyer(args) -> int:
         out = _value_fields(value)
         out["mode"] = what
     elif what == "ttc":
-        endow = {int(k): v for k, v in json.loads(args.endowments).items()}
-        value = extensions.eval_endowment_ttc(inst, endow)
+        if args.endowments is None:
+            raise FixedPriceError("--endowments: required for --what ttc")
+        endow = json.loads(args.endowments)
+        core._check_object(endow, "--endowments")
+        if not all(key.isdecimal() and core._is_item_id(j) for key, j in endow.items()):
+            raise FixedPriceError("--endowments: expected buyer indices mapped to item ids")
+        value = extensions.eval_endowment_ttc(inst, {int(k): j for k, j in endow.items()})
         out = _value_fields(value)
     elif what == "sd":
         order = json.loads(args.order) if args.order else list(range(inst.num_buyers))
+        if not isinstance(order, list) or not all(type(i) is int for i in order):
+            raise FixedPriceError("--order: expected a list of buyer indices")
         value = extensions.eval_serial_dictatorship(inst, order)
         out = _value_fields(value)
     else:

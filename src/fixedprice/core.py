@@ -6,15 +6,17 @@ distribution over such lists, together with fixed item prices, is the whole
 input to every solver in this package.  All probabilities and prices are
 exact rationals.
 
-The first-hit walk ``_first_hits_revenue`` serves assortment revenue and the
-top-k lottery value; the subset search ``_best_subset`` serves
-``optimal_assortment`` and ``lotteries.best_topk_lottery``.
+A distribution's prefix trie (``PrefixNode``) is its one prefix
+representation: every prefix walk here and in ``stopping`` reads it.  The
+first-hit walk ``_first_hits`` serves choice probabilities, assortment
+revenue and the top-k lottery value; the subset search ``_best_subset``
+serves ``optimal_assortment`` and ``lotteries.best_topk_lottery``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
@@ -94,9 +96,6 @@ class Prefix:
 
     def as_set(self) -> frozenset:
         return frozenset(self.entries)
-
-    def extend(self, item: Item) -> "Prefix":
-        return Prefix(self.entries + (item,))
 
 
 def _as_ranked_list(value) -> RankedList:
@@ -186,15 +185,27 @@ def validate_distribution(
     return ValidationReport(tuple(issues))
 
 
+@dataclass(slots=True)
+class PrefixNode:
+    """A realizable prefix: ``mass`` is the chance the list begins with it,
+    ``stop`` the chance it ends there, and ``children`` maps each next item
+    to the node one item longer, in the order the lists first reach it."""
+
+    mass: Fraction
+    stop: Fraction = Fraction(0)
+    children: Dict[Item, "PrefixNode"] = field(default_factory=dict)
+
+
 class ListDistribution:
     """A finite-support distribution over ranked lists with exact probabilities.
 
     Construction validates the data and raises ``InvalidDistributionError``
     on any violation; use :func:`validate_distribution` for a non-raising
-    report.  Instances are immutable; treat ``support`` as read-only.
+    report.  Instances are immutable; treat ``support`` and the trie as
+    read-only.
     """
 
-    __slots__ = ("_support", "_prefix_probs", "_items")
+    __slots__ = ("_support", "_root", "_items")
 
     def __init__(self, pairs):
         pairs = _as_pairs(pairs)
@@ -207,12 +218,17 @@ class ListDistribution:
         self._support = support
         items = sorted({j for lst in support for j in lst.entries}, key=str)
         self._items = tuple(items)
-        prefix_probs: Dict[Tuple[Item, ...], Fraction] = {}
+        root = self._root = PrefixNode(Fraction(1))
         for lst, prob in support.items():
-            for k in range(1, len(lst) + 1):
-                key = lst.entries[:k]
-                prefix_probs[key] = prefix_probs.get(key, Fraction(0)) + prob
-        self._prefix_probs = prefix_probs
+            node = root
+            for j in lst.entries:
+                child = node.children.get(j)
+                if child is None:
+                    child = node.children[j] = PrefixNode(prob)
+                else:
+                    child.mass += prob
+                node = child
+            node.stop += prob
 
     @property
     def support(self) -> Dict[RankedList, Fraction]:
@@ -226,29 +242,33 @@ class ListDistribution:
     def probability(self, lst) -> Fraction:
         return self._support.get(_as_ranked_list(lst), Fraction(0))
 
+    def node(self, prefix) -> PrefixNode:
+        """The trie node of ``prefix``, the root for the empty prefix; raises
+        ``UnrealizablePrefixError`` when the prefix has probability 0."""
+        prefix = Prefix(prefix)
+        node = self._root
+        for j in prefix.entries:
+            node = node.children.get(j)
+            if node is None:
+                raise UnrealizablePrefixError(f"prefix {prefix.entries} has probability 0")
+        return node
+
     def prefix_probability(self, prefix) -> Fraction:
         """Probability that the random list begins with ``prefix``."""
-        prefix = Prefix(prefix)
-        if not prefix.entries:
-            return Fraction(1)
-        return self._prefix_probs.get(prefix.entries, Fraction(0))
+        try:
+            return self.node(prefix).mass
+        except UnrealizablePrefixError:
+            return Fraction(0)
 
     def realizable_prefixes(self) -> Dict[Prefix, Fraction]:
         """All nonempty prefixes with positive probability."""
-        return {Prefix(key): p for key, p in self._prefix_probs.items()}
-
-    def suffixes(self, prefix) -> Dict[Tuple[Item, ...], Fraction]:
-        """Conditional distribution of list suffixes given a realizable prefix."""
-        prefix = Prefix(prefix)
-        total = self.prefix_probability(prefix)
-        if total == 0:
-            raise UnrealizablePrefixError(f"prefix {prefix.entries} has probability 0")
-        k = len(prefix)
-        out: Dict[Tuple[Item, ...], Fraction] = {}
-        for lst, prob in self._support.items():
-            if lst.entries[:k] == prefix.entries:
-                suffix = lst.entries[k:]
-                out[suffix] = out.get(suffix, Fraction(0)) + prob / total
+        out: Dict[Prefix, Fraction] = {}
+        stack = [((), self._root)]
+        while stack:
+            entries, node = stack.pop()
+            for j, child in node.children.items():
+                out[Prefix(entries + (j,))] = child.mass
+                stack.append((entries + (j,), child))
         return out
 
     def __eq__(self, other):
@@ -318,41 +338,39 @@ def choice_probability(
     S = frozenset(S)
     if j not in S:
         raise InvalidInstanceError(f"item {j!r} is not in the assortment")
-    if given is None:
-        pairs = ((lst.entries, prob) for lst, prob in dist.support.items())
-    else:
-        prefix = Prefix(given)
-        overlap = S & prefix.as_set()
-        if overlap:
-            raise PrefixOverlapError(
-                f"assortment intersects the conditioning prefix on {sorted(overlap, key=str)}"
-            )
-        pairs = dist.suffixes(prefix).items()
-    total = Fraction(0)
-    for entries, prob in pairs:
-        for entry in entries:
-            if entry in S:
-                if entry == j:
-                    total += prob
-                break
-    return total
+    prefix = Prefix(() if given is None else given)
+    overlap = S & prefix.as_set()
+    if overlap:
+        raise PrefixOverlapError(
+            f"assortment intersects the conditioning prefix on {sorted(overlap, key=str)}"
+        )
+    return _first_hits(dist.node(prefix), S).get(j, Fraction(0))
 
 
-def _first_hits_revenue(inst: Instance, S: Iterable[Item], k: int) -> Fraction:
+def _first_hits(node: PrefixNode, S: frozenset, k: int = 1) -> Dict[Item, Fraction]:
+    """For each member of ``S`` reached, the chance that it is among the
+    first (up to) ``k`` members of ``S`` on a list that begins with ``node``'s
+    prefix: one walk of the subtree, descending no further than the k-th."""
+    mass: Dict[Item, Fraction] = {}
+    stack = [(node, 0)]
+    while stack:
+        parent, hits = stack.pop()
+        for item, child in parent.children.items():
+            hit = item in S
+            if hit:
+                mass[item] = mass.get(item, 0) + child.mass
+            if hits + hit < k:
+                stack.append((child, hits + hit))
+    return {item: m / node.mass for item, m in mass.items()}
+
+
+def _first_hits_revenue(inst: Instance, S: Iterable[Item], k: int, prefix=()) -> Fraction:
     """Expected price of the first (up to) ``k`` members of ``S`` on the
-    buyer's list, each counted with weight 1/k."""
+    buyer's list, each counted with weight 1/k, given that the list begins
+    with ``prefix``."""
     S = inst.assortment(S)
-    prices = inst.prices
-    total = Fraction(0)
-    for lst, prob in inst.dist.support.items():
-        hits = 0
-        for entry in lst.entries:
-            if entry in S:
-                total += prob * prices[entry]
-                hits += 1
-                if hits == k:
-                    break
-    return total / k
+    hits = _first_hits(inst.dist.node(prefix), S, k)
+    return sum((inst.prices[j] * p for j, p in hits.items()), Fraction(0)) / k
 
 
 def assortment_revenue(inst: Instance, S: Iterable[Item]) -> Fraction:
@@ -406,60 +424,47 @@ def optimal_assortment(
 
 
 @dataclass(frozen=True)
-class TreeNode:
-    probability: Fraction  # chance the random list begins with this prefix
-    transition: Fraction  # chance of this step given the parent prefix
-
-
-@dataclass(frozen=True)
 class TreeDiagram:
-    """The realizable-prefix tree of a distribution with transition probabilities.
+    """The realizable-prefix tree of a distribution with transition
+    probabilities: a view of the distribution's prefix trie.
 
     Each node is a realizable prefix; its transition probability is the
     conditional chance of its endpoint being the next item given its body.
     Outgoing transitions from a node sum to at most 1, with the slack being
-    the chance the list stops there.
+    the chance the list stops there.  The empty prefix is the root; a prefix
+    that is not a node raises ``UnrealizablePrefixError``.
     """
 
-    nodes: Mapping[Prefix, TreeNode]
+    dist: ListDistribution
+
+    @property
+    def nodes(self) -> Dict[Prefix, Fraction]:
+        """Every nonempty node with its probability."""
+        return self.dist.realizable_prefixes()
 
     def q(self, prefix) -> Fraction:
-        return self.nodes[Prefix(prefix)].transition
+        prefix = Prefix(prefix)
+        return self.dist.node(prefix).mass / self.dist.node(prefix.body).mass
 
     def probability(self, prefix) -> Fraction:
-        prefix = Prefix(prefix)
-        if not prefix.entries:
-            return Fraction(1)
-        return self.nodes[prefix].probability
+        return self.dist.node(prefix).mass
 
     def children(self, prefix) -> List[Prefix]:
         prefix = Prefix(prefix)
-        k = len(prefix)
         return sorted(
-            (
-                node
-                for node in self.nodes
-                if len(node) == k + 1 and node.entries[:k] == prefix.entries
-            ),
+            (Prefix(prefix.entries + (j,)) for j in self.dist.node(prefix).children),
             key=lambda node: tuple(map(str, node.entries)),
         )
 
     def stop_mass(self, prefix) -> Fraction:
         """Conditional probability that the list terminates at this node."""
-        prefix = Prefix(prefix)
-        total = sum(
-            (self.nodes[c].transition for c in self.children(prefix)), Fraction(0)
-        )
-        return 1 - total
+        node = self.dist.node(prefix)
+        return node.stop / node.mass
 
 
 def build_tree_diagram(dist: ListDistribution) -> TreeDiagram:
-    """Build the prefix tree with exact node and transition probabilities."""
-    nodes: Dict[Prefix, TreeNode] = {}
-    for prefix, prob in dist.realizable_prefixes().items():
-        parent = dist.prefix_probability(prefix.body)
-        nodes[prefix] = TreeNode(probability=prob, transition=prob / parent)
-    return TreeDiagram(nodes)
+    """The prefix tree of ``dist`` with exact node and transition probabilities."""
+    return TreeDiagram(dist)
 
 
 # ---------------------------------------------------------------------------
@@ -499,8 +504,14 @@ def _is_item_id(value) -> bool:
     return isinstance(value, (str, int)) and not isinstance(value, bool)
 
 
-# The loaders of all four JSON formats check their input with these helpers,
-# so an error names the path of the first malformed part.
+# The loaders of all four JSON formats and the CLI's model descriptors and
+# arguments check their input with these helpers, so an error names the path
+# of the first malformed part.
+def _check_object(value, path: str, error=InvalidInstanceError) -> None:
+    if not isinstance(value, dict):
+        raise error(f"{path}: expected an object")
+
+
 def _check_objects(value, path: str, fields: Sequence[str],
                    error=InvalidInstanceError) -> None:
     """Raise ``error`` naming ``path`` unless ``value`` is a list of objects
@@ -508,8 +519,7 @@ def _check_objects(value, path: str, fields: Sequence[str],
     if not isinstance(value, list):
         raise error(f"{path}: expected a list")
     for k, entry in enumerate(value):
-        if not isinstance(entry, dict):
-            raise error(f"{path}[{k}]: expected an object")
+        _check_object(entry, f"{path}[{k}]", error)
         for field in fields:
             if field not in entry:
                 raise error(f'{path}[{k}]: missing "{field}"')

@@ -24,6 +24,7 @@ from .core import (
     Item,
     ListDistribution,
     RankedList,
+    _check_object,
     _check_objects,
     _items_to_json,
     _lists_to_json,
@@ -331,7 +332,8 @@ class Menu:
                 clean.append(e)
         if ZERO_ENTRY.alloc not in seen:
             clean.append(ZERO_ENTRY)
-        clean.sort(key=lambda e: e.alloc)
+        # The type flag makes mixed str/int ids comparable; one id type keeps the raw order.
+        clean.sort(key=lambda e: [(isinstance(j, str), j, p) for j, p in e.alloc])
         object.__setattr__(self, "entries", tuple(clean))
 
     def __len__(self):
@@ -425,8 +427,7 @@ def menu_from_json(obj: dict, items: Optional[Iterable[Item]] = None) -> Menu:
     key_map = {str(j): j for j in items} if items is not None else {}
     entries = []
     for k, raw in enumerate(obj["entries"]):
-        if not isinstance(raw["alloc"], dict):
-            raise InvalidMechanismError(f"entries[{k}].alloc: expected an object")
+        _check_object(raw["alloc"], f"entries[{k}].alloc", InvalidMechanismError)
         alloc = {}
         total = Fraction(0)
         for name, p in raw["alloc"].items():

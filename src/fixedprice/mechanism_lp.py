@@ -33,6 +33,7 @@ from .core import (
     Item,
     RankedList,
     _check_item_ids,
+    _check_object,
     _check_objects,
     _list_key,
     _parse_at,
@@ -546,8 +547,7 @@ def mechanism_from_json(obj: dict, items: Optional[Iterable[Item]] = None,
     for k, entry in enumerate(obj["alloc"]):
         _check_item_ids(entry["list"], f"alloc[{k}].list", InvalidMechanismError)
         probs = entry.get("probs", {})
-        if not isinstance(probs, dict):
-            raise InvalidMechanismError(f"alloc[{k}].probs: expected an object")
+        _check_object(probs, f"alloc[{k}].probs", InvalidMechanismError)
         alloc[tuple(entry["list"])] = {
             key_map.get(name, name):
                 _parse_at(f"alloc[{k}].probs.{name}", p, InvalidMechanismError)

@@ -13,6 +13,7 @@ here exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
@@ -24,10 +25,11 @@ from .core import (
     Item,
     ListDistribution,
     Prefix,
+    _first_hits,
+    _first_hits_revenue,
     _list_key,
     _subsets,
     assortment_revenue,
-    choice_probability,
 )
 from .errors import (
     CapExceededError,
@@ -35,7 +37,6 @@ from .errors import (
     InvalidInstanceError,
     MonotonicityViolationError,
     PrefixOverlapError,
-    UnrealizablePrefixError,
 )
 from .rational import coerce_rational, lcm_of_denominators, parse_rational
 
@@ -98,14 +99,16 @@ class MonotoneStoppingPolicy:
 
 
 def _first_stops(inst: Instance, rule: Callable[[Item, FrozenSet[Item]], bool]):
-    """Each realizable prefix, with its probability, where ``rule`` stops at
-    the endpoint and at no earlier entry."""
-    for prefix, prob in inst.dist.realizable_prefixes().items():
-        entries = prefix.entries
-        if rule(entries[-1], frozenset(entries[:-1])) and not any(
-            rule(entries[k], frozenset(entries[:k])) for k in range(len(entries) - 1)
-        ):
-            yield prefix, prob
+    """Each realizable prefix (entries, probability) where ``rule`` stops at
+    the endpoint and at no earlier entry: a trie walk that ends at stops."""
+    stack = [((), inst.dist.node(()))]
+    while stack:
+        entries, node = stack.pop()
+        for item, child in node.children.items():
+            if rule(item, frozenset(entries)):
+                yield entries + (item,), child.mass
+            else:
+                stack.append((entries + (item,), child))
 
 
 def stopping_rule_revenue(
@@ -118,7 +121,7 @@ def stopping_rule_revenue(
     assumed; use this to evaluate hand-built non-monotone rules.
     """
     return sum(
-        (prob * inst.prices[prefix.endpoint] for prefix, prob in _first_stops(inst, rule)),
+        (prob * inst.prices[entries[-1]] for entries, prob in _first_stops(inst, rule)),
         Fraction(0),
     )
 
@@ -176,6 +179,8 @@ def optimal_policy_bruteforce(
             "optimal_policy_bruteforce", n, cap,
             "Dedekind growth of monotone stop rules (168^n tuples beyond n=4)",
         )
+    if not items:
+        return MonotoneStoppingPolicy({}), Fraction(0)
     index = {j: i for i, j in enumerate(items)}
     others = {j: [k for k in items if k != j] for j in items}
     other_pos = {j: {k: p for p, k in enumerate(others[j])} for j in items}
@@ -319,15 +324,10 @@ def s_adjusted_price(inst: Instance, S: Iterable[Item], prefix) -> Fraction:
     conditional on the buyer's list starting with this prefix."""
     S = inst.assortment(S)
     prefix = Prefix(prefix)
-    if inst.dist.prefix_probability(prefix) == 0:
-        raise UnrealizablePrefixError(f"prefix {prefix.entries} has probability 0")
+    inst.dist.node(prefix)  # an unrealizable prefix fails before an overlapping one
     if S & prefix.as_set():
         raise PrefixOverlapError("the assortment intersects the prefix")
-    adjust = sum(
-        (inst.prices[j] * choice_probability(inst, S, j, given=prefix) for j in S),
-        Fraction(0),
-    )
-    return inst.prices[prefix.endpoint] - adjust
+    return inst.prices[prefix.endpoint] - _first_hits_revenue(inst, S, 1, prefix)
 
 
 def adjusted_revenue_identity(
@@ -349,9 +349,9 @@ def adjusted_revenue_identity(
             )
     lhs = policy_revenue(inst, policy) - assortment_revenue(inst, S)
     rhs = sum(
-        (s_adjusted_price(inst, S, prefix) * prob
-         for prefix, prob in _first_stops(inst, policy.stops)
-         if not S & prefix.as_set()),
+        (s_adjusted_price(inst, S, entries) * prob
+         for entries, prob in _first_stops(inst, policy.stops)
+         if S.isdisjoint(entries)),
         Fraction(0),
     )
     if lhs != rhs:
@@ -400,10 +400,13 @@ class ConditionReport:
         }
 
 
-def _conditional_choice(dist, cache, prefix: Prefix, S: frozenset, j: Item) -> Fraction:
-    key = (prefix.entries, S, j)
+def _choices(dist, cache, S: frozenset, entries: Tuple[Item, ...]) -> List[Fraction]:
+    """Chance of selling each member of ``S``, in ``str`` order, after the
+    prefix ``entries``: one trie walk per (prefix, S), kept in ``cache``."""
+    key = (entries, S)
     if key not in cache:
-        cache[key] = choice_probability(dist, S, j, given=prefix)
+        hits = _first_hits(dist.node(entries), S)
+        cache[key] = [hits.get(j, Fraction(0)) for j in sorted(S, key=str)]
     return cache[key]
 
 
@@ -415,10 +418,10 @@ def _reversal(dist, cache, prefix: Prefix, other: Prefix, tol: Fraction):
     banned = prefix.as_set() | other.as_set()
     pool = sorted((j for j in dist.items if j not in banned), key=str)
     for S in map(frozenset, _subsets(pool)):
-        for j in sorted(S, key=str):
-            lhs = _conditional_choice(dist, cache, prefix, S, j)
-            rhs = _conditional_choice(dist, cache, other, S, j)
-            if lhs < rhs - tol:
+        lhs = _choices(dist, cache, S, prefix.entries)
+        rhs = _choices(dist, cache, S, other.entries)
+        for j, a, b in zip(sorted(S, key=str), lhs, rhs):
+            if a < b - tol:
                 return S, j
     return None
 
@@ -430,12 +433,10 @@ def check_domination(
 
     Domination: for every assortment S avoiding both prefixes and every j in
     S, the conditional probability of selling j is at least as high from
-    ``prefix``.  Returns the first reversal (smallest S, then item) found.
+    ``prefix``.  Returns the first reversal (smallest S, then item) found;
+    an unrealizable prefix raises ``UnrealizablePrefixError`` at S = {}.
     """
     prefix, other = Prefix(prefix), Prefix(other)
-    for p in (prefix, other):
-        if dist.prefix_probability(p) == 0:
-            raise UnrealizablePrefixError(f"prefix {p.entries} has probability 0")
     witness = _reversal(dist, {}, prefix, other, coerce_rational(tol))
     return DominationResult(witness is None, witness)
 
@@ -587,11 +588,7 @@ def tier_decomposition(
     # and contained bodies when a chain of equal futures links them; the
     # distinct-set equality below is the property downstream arguments rely
     # on, so containment inside a tier is tolerated.)
-    cache: Dict = {}
-
-    def choices(p: Tuple[Item, ...]) -> List[Fraction]:
-        return [_conditional_choice(dist, cache, Prefix(p), S, jp) for jp in sorted(S, key=str)]
-
+    choices = partial(_choices, dist, {}, S)
     for tier in tiers:
         for a_i in range(len(tier.prefixes)):
             for b_i in range(a_i + 1, len(tier.prefixes)):

@@ -278,3 +278,18 @@ def random_monotone_generators(
             out.append(frozenset(rng.sample(others, size)))
         gens[j] = out
     return gens
+
+
+def list_scan_choice_probability(dist: ListDistribution, S, j, given=()) -> Fraction:
+    """Reference conditional choice probability by a scan of every list: the
+    chance that ``j`` is the first member of ``S`` after ``given`` among the
+    lists that begin with ``given``."""
+    given, k = tuple(given), len(given)
+    total = hit = Fraction(0)
+    for lst, prob in dist.support.items():
+        if lst.entries[:k] != given:
+            continue
+        total += prob
+        if next((e for e in lst.entries[k:] if e in S), None) == j:
+            hit += prob
+    return hit / total

@@ -117,9 +117,10 @@ class TestEliminationByAspects:
         # with every nest a singleton the lock is vacuous
         params = MnlParams({j: Fraction(k + 1) for k, j in enumerate("ABC")}, 2)
         nests = NestStructure([frozenset(j) for j in "ABC"])
-        assert gen_elimination_by_aspects("ABC", params, nests) == gen_mnl(
-            "ABC", params
-        )
+        eba = gen_elimination_by_aspects("ABC", params, nests)
+        mnl = gen_mnl("ABC", params)
+        assert eba == mnl
+        assert list(eba.support) == list(mnl.support)
 
     def test_two_singleton_nests_unit_weights(self):
         params = MnlParams({"1": 1, "2": 1}, 1)

@@ -52,6 +52,12 @@ class TestSolve:
         )
         assert code == 0 and out["value"] == "1"
 
+    def test_policy_with_no_items(self, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"items": [], "lists": [{"items": [], "prob": "1"}]}))
+        code, out = run(capsys, "solve", "--what", "policy", "--instance", str(path))
+        assert code == 0 and out["value"] == "0" and out["policy"] == {}
+
     def test_set_function_relaxation(self, capsys):
         code, out = run(
             capsys, "solve", "--what", "f",
@@ -241,6 +247,19 @@ class TestRobustAndMultibuyer:
         assert out["value"] == "11/8"
         assert out["exposable_counts"]["2,5,1"] == 2
 
+    def test_robust_menu_with_mixed_item_ids(self, capsys, tmp_path):
+        inst = {"items": [{"id": "A", "price": "1"}, {"id": 1, "price": "2"}],
+                "lists": [{"items": ["A", 1], "prob": "1/2"},
+                          {"items": [1], "prob": "1/2"}]}
+        menu = {"entries": [{"alloc": {"A": "1"}}, {"alloc": {"1": "1"}}]}
+        (tmp_path / "inst.json").write_text(json.dumps(inst))
+        (tmp_path / "menu.json").write_text(json.dumps(menu))
+        code, out = run(
+            capsys, "robust", "--instance", str(tmp_path / "inst.json"),
+            "--menu", str(tmp_path / "menu.json"),
+        )
+        assert code == 0 and out["value"] == "3/2" and out["menu_size"] == 3
+
     def test_robust_from_optimal_mechanism(self, capsys):
         code, out = run(
             capsys, "robust", "--instance", fixture("robust_menu_instance.json"),
@@ -329,6 +348,36 @@ MALFORMED_OTHER = {
 }
 
 
+def gen_argv(desc) -> list:
+    return ["gen", "--params", json.dumps(desc)]
+
+
+MNL_DESC = {"model": "mnl", "items": ["A"], "weights": {"A": 1}, "prices": {"A": "1"}}
+MB_FIXTURE = fixture("two_buyer_two_item.json")
+
+# Malformed gen descriptors and multibuyer arguments: (argv, path the error
+# must name).
+MALFORMED_ARGS = {
+    "descriptor_not_an_object": (gen_argv(5), "descriptor: expected an object"),
+    "descriptor_list_with_model": (["gen", "--model", "mnl", "--params", "[1]"],
+                                   "descriptor: expected an object"),
+    "weights_not_an_object": (gen_argv({**MNL_DESC, "weights": 5}),
+                              "weights: expected an object"),
+    "items_not_a_list": (gen_argv({**MNL_DESC, "items": 5}), "items"),
+    "nests_not_a_list": (gen_argv({**MNL_DESC, "model": "eba", "nests": 5}),
+                         "nests: expected a list"),
+    "n_not_a_number": (gen_argv({"model": "topk-gap", "n": [1], "M": "100"}),
+                       "n: expected a number"),
+    "endowments_not_an_object": (["multibuyer", "--what", "ttc", "--instance", MB_FIXTURE,
+                                  "--endowments", "[1]"],
+                                 "--endowments: expected an object"),
+    "endowments_missing": (["multibuyer", "--what", "ttc", "--instance", MB_FIXTURE],
+                           "--endowments"),
+    "order_not_a_list": (["multibuyer", "--what", "sd", "--instance", MB_FIXTURE,
+                          "--order", "5"], "--order"),
+}
+
+
 class TestErrors:
     def test_bad_probability_sum_reported(self, capsys, tmp_path):
         bad = {
@@ -348,6 +397,15 @@ class TestErrors:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         code = main(argv + [option, str(path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        report = json.loads(captured.err)
+        assert list(report) == ["error"] and where in report["error"]
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_ARGS))
+    def test_malformed_arguments_reported(self, capsys, name):
+        argv, where = MALFORMED_ARGS[name]
+        code = main(argv)
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         report = json.loads(captured.err)

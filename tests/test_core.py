@@ -23,7 +23,12 @@ from fixedprice.errors import (
     UnrealizablePrefixError,
 )
 
-from .helpers import four_item_clash, history_monotone_tree, random_instance
+from .helpers import (
+    four_item_clash,
+    history_monotone_tree,
+    list_scan_choice_probability,
+    random_instance,
+)
 
 
 class TestValidation:
@@ -105,6 +110,23 @@ class TestChoiceProbability:
             total = sum(choice_probability(inst, S, j) for j in S)
             assert 0 <= total <= 1
 
+    def test_trie_walk_matches_list_scan(self):
+        rng = random.Random(29)
+        checked = 0
+        for _ in range(40):
+            inst = random_instance(rng, n_max=5, max_lists=8)
+            givens = [()] + [p.entries for p in inst.dist.realizable_prefixes()]
+            for given in givens:
+                pool = [j for j in inst.items if j not in given]
+                for _ in range(3 if pool else 0):
+                    S = frozenset(rng.sample(pool, rng.randint(1, len(pool))))
+                    for j in S:
+                        want = list_scan_choice_probability(inst.dist, S, j, given)
+                        got = choice_probability(inst, S, j, given=given or None)
+                        assert got == want
+                        checked += 1
+        assert checked > 1000
+
 
 class TestAssortmentRevenue:
     def test_known_best_value(self):
@@ -178,6 +200,22 @@ class TestTreeDiagram:
                 for k in range(1, len(prefix) + 1):
                     product *= tree.q(prefix.entries[:k])
                 assert product == prob
+
+    def test_children_match_a_scan_of_the_nodes(self):
+        rng = random.Random(37)
+        for _ in range(20):
+            inst = random_instance(rng, n_max=5, max_lists=8)
+            tree = build_tree_diagram(inst.dist)
+            nodes = list(tree.nodes)
+            for prefix in nodes + [Prefix(())]:
+                k = len(prefix)
+                scan = sorted(
+                    (node for node in nodes
+                     if len(node) == k + 1 and node.entries[:k] == prefix.entries),
+                    key=lambda node: tuple(map(str, node.entries)),
+                )
+                assert tree.children(prefix) == scan
+                assert tree.stop_mass(prefix) == 1 - sum(tree.q(c) for c in scan)
 
     def test_children_transitions_below_one(self):
         rng = random.Random(23)

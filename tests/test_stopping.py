@@ -76,6 +76,29 @@ class TestPolicies:
         rule = lambda j, H: (j == "B" and not H) or j == "C"
         assert stopping_rule_revenue(inst, rule) == Fraction(3, 2)
 
+    def test_random_rules_match_per_list_evaluation(self):
+        # Rules drawn at random per (item, history) are mostly not monotone.
+        rng = random.Random(41)
+        non_monotone = 0
+        for trial in range(40):
+            inst = random_instance(rng, n_max=5, max_lists=8)
+
+            def rule(j, H, trial=trial):
+                return random.Random(f"{trial}/{j}/{sorted(H)}").random() < 0.5
+
+            want = Fraction(0)
+            for lst, prob in inst.dist.support.items():
+                for k, j in enumerate(lst.entries):
+                    if rule(j, frozenset(lst.entries[:k])):
+                        want += prob * inst.prices[j]
+                        break
+            assert stopping_rule_revenue(inst, rule) == want
+            non_monotone += any(
+                rule(j, frozenset()) and not rule(j, frozenset([h]))
+                for j in inst.items for h in inst.items if h != j
+            )
+        assert non_monotone >= 20
+
 
 class TestBruteForce:
     def test_mixture_instance_monotone_optimum_is_one(self):
@@ -90,6 +113,11 @@ class TestBruteForce:
         )
         _, value = optimal_policy_bruteforce(inst)
         assert value == Fraction(2, 3)
+
+    def test_no_items_gives_the_empty_policy(self):
+        inst = Instance([], {}, ListDistribution({(): Fraction(1)}))
+        policy, value = optimal_policy_bruteforce(inst)
+        assert value == 0 and policy.generators == {}
 
     def test_huge_prices_give_the_same_policy(self):
         # Prices past 2^60 leave machine integers; the search must still be
