@@ -75,15 +75,23 @@ def _rationals(value, path: str) -> Dict[str, Fraction]:
     return {key: core._parse_at(f"{path}.{key}", v) for key, v in value.items()}
 
 
+def _field(desc: dict, key: str, where: str):
+    """``desc[key]``; a missing field is an error naming its path."""
+    if key not in desc:
+        raise FixedPriceError(f'descriptor: missing "{where}{key}"')
+    return desc[key]
+
+
 def _number(desc: dict, key: str, where: str, kind=float):
+    value = _field(desc, key, where)
     try:
-        return kind(desc[key])
+        return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise FixedPriceError(f"{where}{key}: expected a number") from exc
 
 
 def _mnl_params(desc: dict, where: str) -> cm.MnlParams:
-    return cm.MnlParams(_rationals(desc["weights"], where + "weights"),
+    return cm.MnlParams(_rationals(_field(desc, "weights", where), where + "weights"),
                         core._parse_at(where + "w0", desc.get("w0", 1)))
 
 
@@ -92,15 +100,17 @@ def _instance_from_descriptor(desc: dict, where: str = "") -> core.Instance:
     prefixes the paths that errors name."""
     model = desc.get("model")
     if model == "explicit":
-        return core.instance_from_json(desc["instance"])
+        return core.instance_from_json(_field(desc, "instance", where), where + "instance.")
     if model == "topk-gap":
-        return lotteries.gen_topk_gap_instance(_number(desc, "n", where, int), desc["M"])
+        return lotteries.gen_topk_gap_instance(_number(desc, "n", where, int),
+                                               _field(desc, "M", where))
     if "items" in desc:
         core._check_item_ids(desc["items"], where + "items")
     if model == "mixture":
-        core._check_object(desc["base"], where + "base")
+        core._check_object(_field(desc, "base", where), where + "base")
         base = _instance_from_descriptor(desc["base"], where + "base.")
-        dist = cm.mix_with_singletons(base.dist, _rationals(desc["alpha"], where + "alpha"))
+        alpha = _rationals(_field(desc, "alpha", where), where + "alpha")
+        dist = cm.mix_with_singletons(base.dist, alpha)
         items = list(desc.get("items", base.items))
         if "prices" in desc:
             prices = _rationals(desc["prices"], where + "prices")
@@ -108,22 +118,23 @@ def _instance_from_descriptor(desc: dict, where: str = "") -> core.Instance:
             prices = base.prices
         return core.Instance(items, prices, dist)
 
-    items = list(desc["items"])
-    prices = _rationals(desc["prices"], where + "prices")
+    items = list(_field(desc, "items", where))
+    prices = _rationals(_field(desc, "prices", where), where + "prices")
     if model == "mnl":
         dist = cm.gen_mnl(items, _mnl_params(desc, where))
     elif model == "markov":
-        arrivals = {j: p for j, p in _rationals(desc["arrivals"], where + "arrivals").items()
-                    if j != "0"}
-        core._check_object(desc["transitions"], where + "transitions")
+        arrivals = _rationals(_field(desc, "arrivals", where), where + "arrivals")
+        arrivals = {j: p for j, p in arrivals.items() if j != "0"}
+        rows = _field(desc, "transitions", where)
+        core._check_object(rows, where + "transitions")
         transitions = {
             j: {k: p for k, p in _rationals(row, f"{where}transitions.{j}").items()
                 if k != "0"}
-            for j, row in desc["transitions"].items()
+            for j, row in rows.items()
         }
         dist = cm.gen_markov_chain(items, cm.MarkovChainParams(arrivals, transitions))
     elif model == "eba":
-        nests = desc["nests"]
+        nests = _field(desc, "nests", where)
         if not isinstance(nests, list):
             raise FixedPriceError(f"{where}nests: expected a list")
         for k, nest in enumerate(nests):
@@ -294,16 +305,12 @@ def _cmd_robust(args) -> int:
     else:
         _, mech = mechanism_lp.solve_mechanism_lp(inst)
         menu = extensions.mechanism_to_menu(inst, mech)
-    value = extensions.robust_revenue(inst, menu)
-    counts = {
-        ",".join(map(str, lst.entries)): len(
-            extensions.exposable_entries(inst, menu, lst)
-        )
-        for lst in inst.dist.support
-    }
+    value, exposable = extensions._robust(inst, menu)
     out = _value_fields(value)
     out["menu_size"] = len(menu)
-    out["exposable_counts"] = counts
+    out["exposable_counts"] = {
+        ",".join(map(str, lst.entries)): len(entries) for lst, entries in exposable.items()
+    }
     _emit(out, args.pretty)
     return EXIT_OK
 

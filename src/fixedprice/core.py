@@ -253,13 +253,6 @@ class ListDistribution:
                 raise UnrealizablePrefixError(f"prefix {prefix.entries} has probability 0")
         return node
 
-    def prefix_probability(self, prefix) -> Fraction:
-        """Probability that the random list begins with ``prefix``."""
-        try:
-            return self.node(prefix).mass
-        except UnrealizablePrefixError:
-            return Fraction(0)
-
     def realizable_prefixes(self) -> Dict[Prefix, Fraction]:
         """All nonempty prefixes with positive probability."""
         out: Dict[Prefix, Fraction] = {}
@@ -538,18 +531,18 @@ def _parse_at(path: str, value, error=InvalidInstanceError) -> Fraction:
         raise error(f"{path}: {exc}") from exc
 
 
-def _parse_items(entries) -> Tuple[List[Item], Dict[Item, Fraction]]:
+def _parse_items(entries, path: str) -> Tuple[List[Item], Dict[Item, Fraction]]:
     """Ids and prices of an ``"items"`` array of ``{"id", "price"}`` objects."""
-    _check_objects(entries, "items", ("id", "price"))
+    _check_objects(entries, path, ("id", "price"))
     items: List[Item] = []
     prices: Dict[Item, Fraction] = {}
     for k, entry in enumerate(entries):
         if not _is_item_id(entry["id"]):
             raise InvalidInstanceError(
-                f"items[{k}].id: {entry['id']!r} is not a string or an integer"
+                f"{path}[{k}].id: {entry['id']!r} is not a string or an integer"
             )
         items.append(entry["id"])
-        prices[entry["id"]] = _parse_at(f"items[{k}].price", entry["price"])
+        prices[entry["id"]] = _parse_at(f"{path}[{k}].price", entry["price"])
     return items, prices
 
 
@@ -562,12 +555,15 @@ def _parse_lists(entries, path: str) -> List[Tuple[Tuple[Item, ...], object]]:
     return [(tuple(entry["items"]), entry["prob"]) for entry in entries]
 
 
-def instance_from_json(obj: dict) -> Instance:
-    """Parse the instance interchange format, validating as it goes."""
+def instance_from_json(obj: dict, where: str = "") -> Instance:
+    """Parse the instance interchange format, validating as it goes; errors
+    name their paths with the prefix ``where``."""
     if not isinstance(obj, dict) or "items" not in obj or "lists" not in obj:
-        raise InvalidInstanceError('instance JSON needs "items" and "lists" keys')
-    items, prices = _parse_items(obj["items"])
-    pairs = _parse_lists(obj["lists"], "lists")
+        raise InvalidInstanceError(
+            f'instance JSON needs "{where}items" and "{where}lists" keys'
+        )
+    items, prices = _parse_items(obj["items"], where + "items")
+    pairs = _parse_lists(obj["lists"], where + "lists")
     report = validate_distribution(pairs, items=items)
     if not report.ok:
         raise InvalidInstanceError("; ".join(report.messages()))

@@ -396,14 +396,21 @@ def exposable_entries(inst: Instance, menu: Menu, lst) -> List[MenuEntry]:
     return out
 
 
+def _robust(inst: Instance, menu: Menu) -> Tuple[Fraction, Dict[RankedList, List[MenuEntry]]]:
+    """The worst-case expected revenue and each list's exposable entries,
+    with one exposability LP per (list, entry)."""
+    exposable = {lst: exposable_entries(inst, menu, lst) for lst in inst.dist.support}
+    value = sum(
+        (prob * min(entry.revenue(inst.prices) for entry in exposable[lst])
+         for lst, prob in inst.dist.support.items()),
+        Fraction(0),
+    )
+    return value, exposable
+
+
 def robust_revenue(inst: Instance, menu: Menu) -> Fraction:
     """Worst-case expected revenue: per list, the cheapest exposable entry."""
-    total = Fraction(0)
-    for lst, prob in inst.dist.support.items():
-        entries = exposable_entries(inst, menu, lst)
-        worst = min(entry.revenue(inst.prices) for entry in entries)
-        total += prob * worst
-    return total
+    return _robust(inst, menu)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +452,7 @@ def menu_from_json(obj: dict, items: Optional[Iterable[Item]] = None) -> Menu:
 def multibuyer_from_json(obj: dict) -> MultiBuyerInstance:
     if not isinstance(obj, dict) or "items" not in obj or "buyers" not in obj:
         raise InvalidInstanceError('multi-buyer JSON needs "items" and "buyers"')
-    items, prices = _parse_items(obj["items"])
+    items, prices = _parse_items(obj["items"], "items")
     if not isinstance(obj["buyers"], list):
         raise InvalidInstanceError("buyers: expected a list")
     buyers = [ListDistribution(_parse_lists(raw, f"buyers[{i}]"))

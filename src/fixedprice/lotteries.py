@@ -20,7 +20,7 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple
 from .core import Instance, Item, ListDistribution, _best_subset, _first_hits_revenue
 from .errors import CapExceededError, GuaranteeViolationError, InvalidInstanceError
 from .mechanism_lp import Mechanism, _best_over_reports, _increments, mechanism_revenue
-from .rational import coerce_rational
+from .rational import coerce_rational, format_rational, parse_rational
 
 GUARANTEE_SLACK = 1e-9
 
@@ -191,8 +191,6 @@ def round_bounded_length(
 
 
 def budget_additive_to_json(params: BudgetAdditiveParams) -> dict:
-    from .rational import format_rational
-
     return {
         "weights": {
             str(j): format_rational(w)
@@ -204,8 +202,6 @@ def budget_additive_to_json(params: BudgetAdditiveParams) -> dict:
 
 def budget_additive_from_json(obj: dict, items: Optional[Iterable[Item]] = None
                               ) -> BudgetAdditiveParams:
-    from .rational import parse_rational
-
     key_map = {str(j): j for j in items} if items is not None else {}
     weights = {
         key_map.get(name, name): parse_rational(w)

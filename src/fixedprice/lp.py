@@ -10,6 +10,7 @@ pivot column.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -126,31 +127,41 @@ class _Tableau:
     Row ``i`` is a ``{column: int}`` map of its nonzero entries plus
     ``rhs[i]``; rows ``0 .. m-1`` are the constraints, row ``m`` the
     objective and row ``m + 1`` (present during phase 1 only) the phase-1
-    objective.  Stored constraint row ``i`` equals ``denom * scale[i]`` times
-    the true tableau row, where ``scale[i]`` is the row's initial positive
-    integer multiplier until the row first serves as pivot row (then 1).
-    ``denom`` is the previous pivot element and stays positive.
+    objective.  Constraint row ``i`` is ``denom`` times the true tableau
+    row, times the lcm of its canonical row's denominators until the row
+    first serves as pivot row; ``denom`` is the previous pivot element and
+    stays positive.  Only a pivoted row can hold a structural basic
+    variable, so its value is ``rhs / denom``.  Columns are the structural
+    variables, one slack per inequality, then one artificial per ``>=`` or
+    ``==`` row; after phase 1 the artificial columns are deleted from every
+    row.
     """
 
     def __init__(self, lp: RationalLP):
         self.lp = lp
         n = len(lp.variables)
         self.lo = [v.lo for v in lp.variables]
+        index = lp._var_index
+        n_slack = (sum(row.rel != EQ for row in lp.rows)
+                   + sum(v.hi is not None for v in lp.variables))
+        slack_at, art_at = n, n + n_slack
+        self.rows: List[Dict[int, int]] = []
+        self.rhs: List[int] = []
+        self.basis: List[int] = []
+        obj1: Dict[int, Fraction] = {}
+        value1 = Fraction(0)
 
         # Shift every variable to start at 0; upper bounds become rows.
-        raw: List[Tuple[List[Tuple[int, Fraction]], str, Fraction]] = []
-        for row in lp.rows:
-            coefs = [(lp._var_index[name], c) for name, c in row.coefs]
-            shift = sum((c * self.lo[idx] for idx, c in coefs), Fraction(0))
-            raw.append((coefs, row.rel, row.rhs - shift))
-        for idx, v in enumerate(lp.variables):
-            if v.hi is not None:
-                raw.append(([(idx, Fraction(1))], LE, v.hi - v.lo))
-
         # Canonical orientation: "<=" with rhs >= 0 takes a slack basis;
         # ">=" with rhs > 0 takes surplus + artificial; "==" an artificial.
-        canon: List[Tuple[List[Tuple[int, Fraction]], str, Fraction]] = []
-        for coefs, rel, rhs in raw:
+        constraints = itertools.chain(
+            (([(index[name], c) for name, c in row.coefs], row.rel, row.rhs)
+             for row in lp.rows),
+            (([(idx, Fraction(1))], LE, v.hi)
+             for idx, v in enumerate(lp.variables) if v.hi is not None),
+        )
+        for coefs, rel, rhs in constraints:
+            rhs -= sum((c * self.lo[idx] for idx, c in coefs), Fraction(0))
             sign = 1
             if rel == GE:
                 sign, rhs, rel = -1, -rhs, LE
@@ -159,55 +170,38 @@ class _Tableau:
                 rel = GE if rel == LE else EQ
             if sign < 0:
                 coefs = [(idx, -c) for idx, c in coefs]
-            canon.append((coefs, rel, rhs))
-
-        m = len(canon)
-        self.m = m
-        n_slack = sum(1 for _, rel, _ in canon if rel in (LE, GE))
-        n_art = sum(1 for _, rel, _ in canon if rel in (GE, EQ))
-        self.art_cols = set(range(n + n_slack, n + n_slack + n_art))
-
-        # Each row is scaled by the lcm of its own denominators; slack and
-        # artificial entries are +-1, so they become +-mult.
-        self.rows: List[Dict[int, int]] = []
-        self.rhs: List[int] = []
-        self.scale: List[int] = []
-        self.basis: List[int] = [0] * m
-        slack_at, art_at = n, n + n_slack
-        for i, (coefs, rel, rhs) in enumerate(canon):
+            # Scale the row by the lcm of its own denominators; slack and
+            # artificial entries are +-1, so they become +-mult.
             mult = math.lcm(rhs.denominator, *(c.denominator for _, c in coefs))
             ints = {idx: c.numerator * (mult // c.denominator) for idx, c in coefs}
-            if rel in (LE, GE):
-                ints[slack_at] = mult if rel == LE else -mult
-                if rel == LE:
-                    self.basis[i] = slack_at
+            if rel == LE:
+                ints[slack_at] = mult
+                self.basis.append(slack_at)
                 slack_at += 1
-            if rel in (GE, EQ):
+            else:
+                # Phase-1 objective: maximize -sum(artificials), priced out
+                # over this row so its basic artificial has zero cost.
+                for idx, c in coefs:
+                    obj1[idx] = obj1.get(idx, 0) + c
+                if rel == GE:
+                    ints[slack_at] = -mult
+                    obj1[slack_at] = Fraction(-1)
+                    slack_at += 1
                 ints[art_at] = mult
-                self.basis[i] = art_at
+                self.basis.append(art_at)
                 art_at += 1
+                value1 += rhs
             self.rows.append(ints)
             self.rhs.append(rhs.numerator * (mult // rhs.denominator))
-            self.scale.append(mult)
 
+        self.m = len(self.rows)
+        self.art_cols = set(range(n + n_slack, art_at))
         self._add_objective(
-            {lp._var_index[name]: c for name, c in lp.objective.items()}, Fraction(0)
+            {index[name]: c for name, c in lp.objective.items()}, Fraction(0)
         )
         if self.art_cols:
-            # Phase-1 objective: maximize -sum(artificials), priced out over
-            # the artificial-basic rows so every basic column has zero cost.
-            obj1 = {col: Fraction(-1) for col in self.art_cols}
-            value = Fraction(0)
-            for i in range(m):
-                if self.basis[i] in self.art_cols:
-                    s = self.scale[i]
-                    for j, x in self.rows[i].items():
-                        obj1[j] = obj1.get(j, 0) + Fraction(x, s)
-                    value += Fraction(self.rhs[i], s)
-            self._add_objective(obj1, value)
-
+            self._add_objective(obj1, value1)
         self.denom = 1
-        self.banned: set = set()
 
     def _add_objective(self, coefs: Dict[int, Fraction], value: Fraction) -> None:
         """Append an objective row, scaled by the lcm of its denominators."""
@@ -252,7 +246,6 @@ class _Tableau:
                 new[j] = new.get(j, 0) - f * y
             rows[i] = {j: q for j, v in new.items() if (q := v // d)}
             rhs[i] = (rhs[i] * p - f * pb) // d
-        self.scale[r] = 1
         self.basis[r] = c
         self.denom = p
 
@@ -279,8 +272,7 @@ class _Tableau:
         """Pivot on objective row ``obj`` until no column improves it."""
         while True:
             enter = min(
-                (j for j, x in self.rows[obj].items() if x > 0 and j not in self.banned),
-                default=None,
+                (j for j, x in self.rows[obj].items() if x > 0), default=None
             )
             if enter is None:
                 return
@@ -311,14 +303,19 @@ class _Tableau:
             if self.rhs[m + 1] != 0:
                 raise LPInfeasibleError("no feasible point exists")
             self._drive_out_artificials()
-            self.banned |= self.art_cols
             del self.rows[m + 1], self.rhs[m + 1]
+            # The artificials are the highest-numbered columns, so deleting
+            # them leaves Bland's choices and the pivot path as they were.
+            # A redundant row keeps its artificial basic and becomes empty.
+            first_art = min(self.art_cols)
+            self.rows = [{j: x for j, x in row.items() if j < first_art}
+                         for row in self.rows]
         self._run(m, phase_one=False)
 
         values = [Fraction(0)] * len(self.lo)
         for i in range(m):
             if self.basis[i] < len(values):
-                values[self.basis[i]] = Fraction(self.rhs[i], self.denom * self.scale[i])
+                values[self.basis[i]] = Fraction(self.rhs[i], self.denom)
         assignment = {
             var.name: values[idx] + var.lo
             for idx, var in enumerate(self.lp.variables)

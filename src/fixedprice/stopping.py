@@ -138,28 +138,15 @@ def policy_revenue(inst: Instance, policy: MonotoneStoppingPolicy) -> Fraction:
 
 def _monotone_masks(k: int) -> List[int]:
     """All monotone boolean functions on k ground elements, as bitmaps over
-    the 2^k subsets (bit h = value on subset-with-bitmask h), ascending."""
-    subsets = 1 << k
-    masks = []
-    for mask in range(1 << subsets):
-        ok = True
-        for h in range(subsets):
-            if not (mask >> h) & 1:
-                continue
-            # every superset of h must also be 1
-            rest = (~h) & (subsets - 1)
-            sup = rest
-            while ok:
-                if not (mask >> (h | sup)) & 1:
-                    ok = False
-                if sup == 0:
-                    break
-                sup = (sup - 1) & rest
-            if not ok:
-                break
-        if ok:
-            masks.append(mask)
-    return masks
+    the 2^k subsets (bit h = value on subset-with-bitmask h), ascending.  A
+    mask is monotone iff adding any one element e to a 1-subset gives a
+    1-subset: shifted by 2^e, its 1-bits on the subsets without e stay
+    1-bits."""
+    masks = range(1 << (1 << k))
+    for e in range(k):
+        without = sum(1 << h for h in range(1 << k) if not h >> e & 1)
+        masks = [m for m in masks if not (m & without) << (1 << e) & ~m]
+    return list(masks)
 
 
 def optimal_policy_bruteforce(
@@ -497,10 +484,13 @@ def tier_decomposition(
 ) -> TierDecomposition:
     """Containment-ordered grouping of the S-avoiding prefixes ending at j.
 
-    Requires the distribution to have history-monotone futures.  Builds the
-    incomparability graph on prefix bodies, merges connected components that
-    contain one another into tiers, orders tiers by set containment, and
-    verifies: equal conditional choice probabilities within a tier, and
+    Requires the distribution to have history-monotone futures.  Groups the
+    prefixes by body set and joins body sets that are incomparable (a
+    connected component of the incomparability graph on body sets is one
+    tier).  Tiers are ordered by the size of the first prefix's body, then
+    by its sorted ``str`` tuple, then by the first prefix.  A tier with one
+    body set is "setwise-identical", any other "incomparable-equal".
+    Verifies equal conditional choice probabilities within a tier, and
     containment plus dominating probabilities across tiers.  The adjusted
     prices, which need item prices, are checked by ``tier_adjusted_prices``.
     """
@@ -520,67 +510,28 @@ def tier_decomposition(
         if p.endpoint == j and not (S & p.as_set())
     ]
     prefixes.sort(key=_list_key)
-    if not prefixes:
-        return TierDecomposition(())
-
     sets = {p: frozenset(p[:-1]) for p in prefixes}
-    n = len(prefixes)
-    adj: Dict[int, List[int]] = {i: [] for i in range(n)}
-    for a in range(n):
-        for b in range(a + 1, n):
-            sa, sb = sets[prefixes[a]], sets[prefixes[b]]
-            if not (sa <= sb) and not (sb <= sa):
-                adj[a].append(b)
-                adj[b].append(a)
+    by_body: Dict[FrozenSet[Item], List[Tuple[Item, ...]]] = {}
+    for p in prefixes:
+        by_body.setdefault(sets[p], []).append(p)
 
-    comp = [-1] * n
-    n_comp = 0
-    for start in range(n):
-        if comp[start] != -1:
-            continue
-        stack = [start]
-        comp[start] = n_comp
-        while stack:
-            cur = stack.pop()
-            for nxt in adj[cur]:
-                if comp[nxt] == -1:
-                    comp[nxt] = n_comp
-                    stack.append(nxt)
-        n_comp += 1
-
-    members: Dict[int, List[int]] = {c: [] for c in range(n_comp)}
-    for i, c in enumerate(comp):
-        members[c].append(i)
-    reps = {c: sets[prefixes[members[c][0]]] for c in range(n_comp)}
-
-    # Merge mutually containing components, then order by containment.
-    classes: List[List[int]] = []
-    for c in range(n_comp):
-        placed = False
-        for cls in classes:
-            r = reps[cls[0]]
-            if reps[c] <= r and r <= reps[c]:
-                cls.append(c)
-                placed = True
-                break
-        if not placed:
-            classes.append([c])
-    classes.sort(key=lambda cls: (len(reps[cls[0]]),
-                                  tuple(sorted(map(str, reps[cls[0]])))))
-
+    # Each class gathers the body sets linked by a chain of incomparable ones.
+    classes: List[List[FrozenSet[Item]]] = []
+    for body in by_body:
+        joined = [body]
+        for cls in [c for c in classes if any(not (body <= b or b <= body) for b in c)]:
+            classes.remove(cls)
+            joined += cls
+        classes.append(joined)
+    order = {p: i for i, p in enumerate(prefixes)}
     tiers: List[Tier] = []
     for cls in classes:
-        idxs = sorted(
-            (i for c in cls for i in members[c]),
-            key=lambda i: _list_key(prefixes[i]),
-        )
-        tier_prefixes = tuple(prefixes[i] for i in idxs)
-        tier_sets = {sets[p] | {j} for p in tier_prefixes}
-        if len(tier_sets) == 1:
-            kind = "setwise-identical"
-        else:
-            kind = "incomparable-equal"
-        tiers.append(Tier(tier_prefixes, kind))
+        members = sorted((p for body in cls for p in by_body[body]), key=order.get)
+        kind = "setwise-identical" if len(cls) == 1 else "incomparable-equal"
+        tiers.append(Tier(tuple(members), kind))
+    tiers.sort(key=lambda t: (len(sets[t.prefixes[0]]),
+                              tuple(sorted(map(str, sets[t.prefixes[0]]))),
+                              order[t.prefixes[0]]))
 
     # Within-tier: equal conditional choice probabilities toward S for every
     # pair of prefixes that differ as sets.  Set-wise identical prefixes may

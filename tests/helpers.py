@@ -293,3 +293,57 @@ def list_scan_choice_probability(dist: ListDistribution, S, j, given=()) -> Frac
         if next((e for e in lst.entries[k:] if e in S), None) == j:
             hit += prob
     return hit / total
+
+
+def prefix_graph_tiers(dist: ListDistribution, S, j) -> List[Tuple[Tuple[tuple, ...], str]]:
+    """Reference tier grouping on single prefixes: connected components of
+    the incomparability graph on the S-avoiding prefixes ending at ``j``,
+    merged when their first bodies are equal, ordered by the size and
+    ``str`` tuple of the first body.  Returns ``(prefixes, kind)`` pairs."""
+    S = frozenset(S)
+    prefixes = sorted(
+        (p.entries for p in dist.realizable_prefixes()
+         if p.endpoint == j and not (S & p.as_set())),
+        key=lambda p: (len(p), tuple(map(str, p))),
+    )
+    sets = [frozenset(p[:-1]) for p in prefixes]
+    n = len(prefixes)
+    adj: Dict[int, List[int]] = {i: [] for i in range(n)}
+    for a in range(n):
+        for b in range(a + 1, n):
+            if not (sets[a] <= sets[b]) and not (sets[b] <= sets[a]):
+                adj[a].append(b)
+                adj[b].append(a)
+    comp = [-1] * n
+    n_comp = 0
+    for start in range(n):
+        if comp[start] != -1:
+            continue
+        stack = [start]
+        comp[start] = n_comp
+        while stack:
+            cur = stack.pop()
+            for nxt in adj[cur]:
+                if comp[nxt] == -1:
+                    comp[nxt] = n_comp
+                    stack.append(nxt)
+        n_comp += 1
+    members: Dict[int, List[int]] = {c: [] for c in range(n_comp)}
+    for i, c in enumerate(comp):
+        members[c].append(i)
+    reps = {c: sets[members[c][0]] for c in range(n_comp)}
+    classes: List[List[int]] = []
+    for c in range(n_comp):
+        for cls in classes:
+            if reps[cls[0]] == reps[c]:
+                cls.append(c)
+                break
+        else:
+            classes.append([c])
+    classes.sort(key=lambda cls: (len(reps[cls[0]]), tuple(sorted(map(str, reps[cls[0]])))))
+    out = []
+    for cls in classes:
+        idxs = sorted(i for c in cls for i in members[c])
+        kind = "setwise-identical" if len({sets[i] for i in idxs}) == 1 else "incomparable-equal"
+        out.append((tuple(prefixes[i] for i in idxs), kind))
+    return out

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from fixedprice import load_instance
+from fixedprice import extensions, load_instance
 from fixedprice.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -266,6 +266,24 @@ class TestRobustAndMultibuyer:
         )
         assert code == 0 and out["value"] == "21/16"
 
+    @pytest.mark.parametrize("argv", [
+        ["--instance", fixture("robust_menu_instance.json"), "--menu", fixture("robust_menu.json")],
+        ["--instance", fixture("singleton_mixture.json")],
+        ["--instance", fixture("condition_violation_minimal.json")],
+    ])
+    def test_robust_solves_each_exposability_lp_once(self, capsys, monkeypatch, argv):
+        calls = []
+        solve_lp = extensions.solve_lp
+
+        def counting_solve_lp(lp):
+            calls.append(lp)
+            return solve_lp(lp)
+
+        monkeypatch.setattr(extensions, "solve_lp", counting_solve_lp)
+        code, out = run(capsys, "robust", *argv)
+        assert code == 0
+        assert len(calls) == len(out["exposable_counts"]) * out["menu_size"]
+
     def test_multibuyer_lp_and_fixed_mechanisms(self, capsys):
         path = fixture("two_buyer_two_item.json")
         code, out = run(capsys, "multibuyer", "--what", "dsic", "--instance", path)
@@ -375,6 +393,22 @@ MALFORMED_ARGS = {
                            "--endowments"),
     "order_not_a_list": (["multibuyer", "--what", "sd", "--instance", MB_FIXTURE,
                           "--order", "5"], "--order"),
+    "nested_explicit_items_not_a_list": (
+        gen_argv({"model": "mixture", "alpha": {},
+                  "base": {"model": "explicit", "instance": {"items": 5, "lists": []}}}),
+        "base.instance.items: expected a list"),
+    "nested_explicit_price_malformed": (
+        gen_argv({"model": "mixture", "alpha": {},
+                  "base": {"model": "explicit",
+                           "instance": {"items": [{"id": "A", "price": "x"}], "lists": []}}}),
+        "base.instance.items[0].price"),
+    "prices_missing": (gen_argv({k: v for k, v in MNL_DESC.items() if k != "prices"}),
+                       'missing "prices"'),
+    "instance_missing": (gen_argv({"model": "explicit"}), 'missing "instance"'),
+    "nested_weights_missing": (
+        gen_argv({"model": "mixture", "alpha": {},
+                  "base": {k: v for k, v in MNL_DESC.items() if k != "weights"}}),
+        'missing "base.weights"'),
 }
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -31,12 +32,15 @@ from fixedprice.errors import (
     PrefixOverlapError,
     UnrealizablePrefixError,
 )
+from fixedprice.stopping import _monotone_masks
 
 from .helpers import (
     condition_violation_minimal,
     equal_weight_chain_params,
     four_item_clash,
     history_monotone_tree,
+    prefix_graph_tiers,
+    random_history_monotone_instance,
     random_instance,
     random_monotone_generators,
     random_sparse_chain,
@@ -101,6 +105,18 @@ class TestPolicies:
 
 
 class TestBruteForce:
+    @pytest.mark.parametrize("k, count", [(0, 2), (1, 3), (2, 6), (3, 20), (4, 168)])
+    def test_monotone_masks_match_superset_definition(self, k, count):
+        subsets = range(1 << k)
+
+        def monotone(mask):
+            return all(mask >> sup & 1 for h in subsets if mask >> h & 1
+                       for sup in subsets if sup & h == h)
+
+        expected = [mask for mask in range(1 << (1 << k)) if monotone(mask)]
+        assert _monotone_masks(k) == expected
+        assert len(expected) == count  # Dedekind numbers
+
     def test_mixture_instance_monotone_optimum_is_one(self):
         policy, value = optimal_policy_bruteforce(singleton_mixture())
         assert value == 1
@@ -340,6 +356,23 @@ class TestTiers:
         inst = history_monotone_tree()
         rows = tier_adjusted_prices(inst, {"A"}, "B")
         assert rows == [[1], [0, 0], [Fraction(-1, 2), -1]]
+
+    def test_body_set_grouping_matches_prefix_graph(self):
+        rng = random.Random(2)
+        multi = 0
+        for _ in range(100):
+            inst = random_history_monotone_instance(rng)
+            items = sorted(inst.items, key=str)
+            for size in range(3):
+                for S in itertools.combinations(items, size):
+                    for j in items:
+                        if j in S:
+                            continue
+                        expected = prefix_graph_tiers(inst.dist, S, j)
+                        td = tier_decomposition(inst.dist, S, j)
+                        assert [(t.prefixes, t.kind) for t in td.tiers] == expected
+                        multi += len(expected) >= 2
+        assert multi >= 200
 
     def test_chain_instances_have_equal_probabilities_within_tiers(self):
         rng = random.Random(71)
