@@ -54,9 +54,6 @@ class MnlParams:
     weights: Mapping[Item, object]
     w0: object = 1
 
-    def weight(self, j: Item):
-        return self.weights[j]
-
     def validate(self, items: Sequence[Item]) -> None:
         for j in items:
             if j not in self.weights:

@@ -7,13 +7,17 @@ policy), ``check`` (ic, history-monotone, submodular, containment),
 ``compare`` (the three LP values), ``robust`` (menu worst-case revenue), and
 ``multibuyer`` (profile LPs and fixed mechanisms).
 
-Every report is a single JSON object on stdout.  Exit codes: 0 on success,
-2 when a check fails, 1 on usage or data errors.
+Each verb returns its report, and ``main`` prints it on stdout as a single
+JSON object (``gen`` without ``-o`` writes the instance there instead).
+Exit codes: 2 when the report's ``"holds"`` is false (every ``check`` report
+carries it, no other report does), 1 on usage or data errors, 0 otherwise.
+An error, usage errors included, prints ``{"error": ...}`` on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -22,18 +26,11 @@ from typing import Dict, Optional
 from . import choice_models as cm
 from . import core, extensions, lotteries, mechanism_lp, stopping
 from .errors import ContainmentError, FixedPriceError
-from .rational import format_rational
+from .rational import coerce_rational, format_rational
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_CHECK_FAILED = 2
-
-
-def _emit(obj: dict, pretty: bool) -> None:
-    if pretty:
-        print(json.dumps(obj, indent=2, sort_keys=False))
-    else:
-        print(json.dumps(obj, sort_keys=False))
 
 
 def _decimal(value: Fraction) -> float:
@@ -95,6 +92,43 @@ def _mnl_params(desc: dict, where: str) -> cm.MnlParams:
                         core._parse_at(where + "w0", desc.get("w0", 1)))
 
 
+def _markov(desc: dict, where: str, items: list):
+    arrivals = _rationals(_field(desc, "arrivals", where), where + "arrivals")
+    arrivals = {j: p for j, p in arrivals.items() if j != "0"}
+    rows = _field(desc, "transitions", where)
+    core._check_object(rows, where + "transitions")
+    transitions = {
+        j: {k: p for k, p in _rationals(row, f"{where}transitions.{j}").items()
+            if k != "0"}
+        for j, row in rows.items()
+    }
+    return cm.gen_markov_chain(items, cm.MarkovChainParams(arrivals, transitions))
+
+
+def _eba(desc: dict, where: str, items: list):
+    nests = _field(desc, "nests", where)
+    if not isinstance(nests, list):
+        raise FixedPriceError(f"{where}nests: expected a list")
+    for k, nest in enumerate(nests):
+        core._check_item_ids(nest, f"{where}nests[{k}]")
+    nests = cm.NestStructure([frozenset(nest) for nest in nests])
+    return cm.gen_elimination_by_aspects(items, _mnl_params(desc, where), nests)
+
+
+# The models that generate a distribution over the descriptor's "items":
+# each maps (descriptor, path prefix, items) to the distribution.
+_GENERATED_MODELS = {
+    "mnl": lambda desc, where, items: cm.gen_mnl(items, _mnl_params(desc, where)),
+    "markov": _markov,
+    "eba": _eba,
+    "nl3": lambda desc, where, items: cm.gen_nested_logit_3item(
+        items, _mnl_params(desc, where), _number(desc, "gamma", where)),
+    "nl4sym": lambda desc, where, items: cm.gen_nested_logit_4item_symmetric(
+        items, cm.SymmetricNlParams(_number(desc, "w", where),
+                                    _number(desc, "gamma", where), 4)),
+}
+
+
 def _instance_from_descriptor(desc: dict, where: str = "") -> core.Instance:
     """The instance a model descriptor (a JSON object) describes; ``where``
     prefixes the paths that errors name."""
@@ -103,71 +137,41 @@ def _instance_from_descriptor(desc: dict, where: str = "") -> core.Instance:
         return core.instance_from_json(_field(desc, "instance", where), where + "instance.")
     if model == "topk-gap":
         return lotteries.gen_topk_gap_instance(_number(desc, "n", where, int),
-                                               _field(desc, "M", where))
-    if "items" in desc:
-        core._check_item_ids(desc["items"], where + "items")
+                                               _number(desc, "M", where, coerce_rational))
     if model == "mixture":
+        if "items" in desc:
+            core._check_item_ids(desc["items"], where + "items")
         core._check_object(_field(desc, "base", where), where + "base")
         base = _instance_from_descriptor(desc["base"], where + "base.")
         alpha = _rationals(_field(desc, "alpha", where), where + "alpha")
         dist = cm.mix_with_singletons(base.dist, alpha)
         items = list(desc.get("items", base.items))
-        if "prices" in desc:
-            prices = _rationals(desc["prices"], where + "prices")
-        else:
-            prices = base.prices
+        prices = (_rationals(desc["prices"], where + "prices") if "prices" in desc
+                  else base.prices)
         return core.Instance(items, prices, dist)
-
-    items = list(_field(desc, "items", where))
-    prices = _rationals(_field(desc, "prices", where), where + "prices")
-    if model == "mnl":
-        dist = cm.gen_mnl(items, _mnl_params(desc, where))
-    elif model == "markov":
-        arrivals = _rationals(_field(desc, "arrivals", where), where + "arrivals")
-        arrivals = {j: p for j, p in arrivals.items() if j != "0"}
-        rows = _field(desc, "transitions", where)
-        core._check_object(rows, where + "transitions")
-        transitions = {
-            j: {k: p for k, p in _rationals(row, f"{where}transitions.{j}").items()
-                if k != "0"}
-            for j, row in rows.items()
-        }
-        dist = cm.gen_markov_chain(items, cm.MarkovChainParams(arrivals, transitions))
-    elif model == "eba":
-        nests = _field(desc, "nests", where)
-        if not isinstance(nests, list):
-            raise FixedPriceError(f"{where}nests: expected a list")
-        for k, nest in enumerate(nests):
-            core._check_item_ids(nest, f"{where}nests[{k}]")
-        nests = cm.NestStructure([frozenset(nest) for nest in nests])
-        dist = cm.gen_elimination_by_aspects(items, _mnl_params(desc, where), nests)
-    elif model == "nl3":
-        dist = cm.gen_nested_logit_3item(items, _mnl_params(desc, where),
-                                         _number(desc, "gamma", where))
-    elif model == "nl4sym":
-        params = cm.SymmetricNlParams(_number(desc, "w", where),
-                                      _number(desc, "gamma", where), 4)
-        dist = cm.gen_nested_logit_4item_symmetric(items, params)
-    else:
+    generate = _GENERATED_MODELS.get(model) if isinstance(model, str) else None
+    if generate is None:
         raise FixedPriceError(f"unknown model {model!r}")
-    return core.Instance(items, prices, dist)
+    core._check_item_ids(_field(desc, "items", where), where + "items")
+    items = list(desc["items"])
+    prices = _rationals(_field(desc, "prices", where), where + "prices")
+    return core.Instance(items, prices, generate(desc, where, items))
 
 
-def _cmd_gen(args) -> int:
-    desc = json.loads(args.params) if args.params else json.loads(_read_text(None))
+def _cmd_gen(args) -> Optional[dict]:
+    desc = json.loads(args.params or _read_text(None))
     core._check_object(desc, "descriptor")
     if args.model:
         desc.setdefault("model", args.model)
     inst = _instance_from_descriptor(desc)
     text = core.dump_instance(inst)
-    if args.output and args.output != "-":
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        _emit({"written": args.output, "items": len(inst.items),
-               "lists": len(inst.dist.support)}, args.pretty)
-    else:
+    if not args.output or args.output == "-":
         sys.stdout.write(text)
-    return EXIT_OK
+        return None
+    with open(args.output, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return {"written": args.output, "items": len(inst.items),
+            "lists": len(inst.dist.support)}
 
 
 # ---------------------------------------------------------------------------
@@ -175,47 +179,34 @@ def _cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> dict:
     inst = parse_instance(args.instance)
     what = args.what
     if what == "assortment":
         S, value = core.optimal_assortment(inst, cap=args.cap or 20)
-        out = _value_fields(value)
-        out["assortment"] = sorted(map(str, S))
+        fields = {"assortment": sorted(map(str, S))}
     elif what == "mech":
         value, mech = mechanism_lp.solve_mechanism_lp(inst)
-        out = _value_fields(value)
-        out["mechanism"] = mechanism_lp.mechanism_to_json(mech)
+        fields = {"mechanism": mechanism_lp.mechanism_to_json(mech)}
     elif what == "f":
         value, f = mechanism_lp.solve_set_function_lp(
             inst, cap=args.cap or mechanism_lp.SET_FUNCTION_LP_CAP
         )
         ones = [S for S, v in f.values.items() if v == 1]
-        minimal = [S for S in ones if not any(T < S for T in ones)]
-        out = _value_fields(value)
-        out["one_sets_minimal"] = sorted(
-            [sorted(map(str, S)) for S in minimal], key=lambda s: (len(s), s)
-        )
+        minimal = [sorted(map(str, S)) for S in ones if not any(T < S for T in ones)]
+        fields = {"one_sets_minimal": sorted(minimal, key=lambda s: (len(s), s))}
     elif what == "topk":
-        k, S, value = lotteries.best_topk_lottery(
-            inst, k=args.k, cap=args.cap or 20
-        )
-        out = _value_fields(value)
-        out["k"] = k
-        out["assortment"] = sorted(map(str, S))
-    elif what == "policy":
+        k, S, value = lotteries.best_topk_lottery(inst, k=args.k, cap=args.cap or 20)
+        fields = {"k": k, "assortment": sorted(map(str, S))}
+    else:  # policy
         policy, value = stopping.optimal_policy_bruteforce(
             inst, cap=args.cap or stopping.POLICY_ITEM_CAP
         )
-        out = _value_fields(value)
-        out["policy"] = {
+        fields = {"policy": {
             str(j): [sorted(map(str, g)) for g in gens]
             for j, gens in sorted(policy.generators.items(), key=lambda kv: str(kv[0]))
-        }
-    else:
-        raise FixedPriceError(f"unknown solve target {what!r}")
-    _emit(out, args.pretty)
-    return EXIT_OK
+        }}
+    return {**_value_fields(value), **fields}
 
 
 # ---------------------------------------------------------------------------
@@ -223,19 +214,18 @@ def _cmd_solve(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> dict:
     inst = parse_instance(args.instance)
     what = args.what
     if what == "history-monotone":
         report = stopping.check_history_monotone(inst.dist, tol=args.tolerance or 0)
-        _emit(report.to_json(), args.pretty)
-        return EXIT_OK if report.holds else EXIT_CHECK_FAILED
+        return report.to_json()
     if args.mechanism is None:
         raise FixedPriceError(f"check --what {what} needs --mechanism PATH")
     mech = _load_mechanism(args.mechanism, inst)
     if what == "ic":
         report = mechanism_lp.verify_ic(inst, mech)
-        out = {
+        return {
             "holds": report.ok,
             "violations": [
                 {"kind": v.kind, "list": list(v.lst), "k": v.k,
@@ -243,31 +233,20 @@ def _cmd_check(args) -> int:
                 for v in report.violations
             ],
         }
-        _emit(out, args.pretty)
-        return EXIT_OK if report.ok else EXIT_CHECK_FAILED
     if what == "submodular":
-        f = mechanism_lp.mechanism_to_set_function(inst, mech)
-        witness = f.submodular_witness()
-        out = {"holds": witness is None}
-        if witness is not None:
-            S, j, jp = witness
-            out["witness"] = {"S": sorted(map(str, S)), "j": str(j), "jp": str(jp)}
-        _emit(out, args.pretty)
-        return EXIT_OK if witness is None else EXIT_CHECK_FAILED
-    if what == "containment":
-        try:
-            z = mechanism_lp.containment_witness(inst, mech)
-        except ContainmentError as exc:
-            _emit({"holds": False, "detail": str(exc)}, args.pretty)
-            return EXIT_CHECK_FAILED
-        _emit(
-            {"holds": True,
-             "z": {str(j): format_rational(v) for j, v in sorted(
-                 z.items(), key=lambda kv: str(kv[0]))}},
-            args.pretty,
-        )
-        return EXIT_OK
-    raise FixedPriceError(f"unknown check {what!r}")
+        witness = mechanism_lp.mechanism_to_set_function(inst, mech).submodular_witness()
+        if witness is None:
+            return {"holds": True}
+        S, j, jp = witness
+        return {"holds": False,
+                "witness": {"S": sorted(map(str, S)), "j": str(j), "jp": str(jp)}}
+    try:  # containment
+        z = mechanism_lp.containment_witness(inst, mech)
+    except ContainmentError as exc:
+        return {"holds": False, "detail": str(exc)}
+    return {"holds": True,
+            "z": {str(j): format_rational(v)
+                  for j, v in sorted(z.items(), key=lambda kv: str(kv[0]))}}
 
 
 # ---------------------------------------------------------------------------
@@ -275,12 +254,12 @@ def _cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> dict:
     inst = parse_instance(args.instance)
     S, opt_s = core.optimal_assortment(inst, cap=args.cap or 20)
     opt_x, _ = mechanism_lp.solve_mechanism_lp(inst)
     opt_bm, _ = mechanism_lp.solve_bm_lp(inst)
-    out = {
+    return {
         "opt_assortment": format_rational(opt_s),
         "opt_mechanism": format_rational(opt_x),
         "opt_bm": format_rational(opt_bm),
@@ -289,58 +268,46 @@ def _cmd_compare(args) -> int:
         "opt_bm_decimal": _decimal(opt_bm),
         "assortment": sorted(map(str, S)),
     }
-    _emit(out, args.pretty)
-    return EXIT_OK
 
 
-def _cmd_robust(args) -> int:
+def _cmd_robust(args) -> dict:
     inst = parse_instance(args.instance)
     if args.menu:
-        menu = extensions.menu_from_json(
-            json.loads(_read_text(args.menu)), items=inst.items
-        )
-    elif args.mechanism:
-        mech = _load_mechanism(args.mechanism, inst)
-        menu = extensions.mechanism_to_menu(inst, mech)
+        menu = extensions.menu_from_json(json.loads(_read_text(args.menu)), inst.items)
     else:
-        _, mech = mechanism_lp.solve_mechanism_lp(inst)
+        mech = (_load_mechanism(args.mechanism, inst) if args.mechanism
+                else mechanism_lp.solve_mechanism_lp(inst)[1])
         menu = extensions.mechanism_to_menu(inst, mech)
     value, exposable = extensions._robust(inst, menu)
-    out = _value_fields(value)
-    out["menu_size"] = len(menu)
-    out["exposable_counts"] = {
-        ",".join(map(str, lst.entries)): len(entries) for lst, entries in exposable.items()
+    return {
+        **_value_fields(value),
+        "menu_size": len(menu),
+        "exposable_counts": {
+            ",".join(map(str, lst.entries)): len(entries)
+            for lst, entries in exposable.items()
+        },
     }
-    _emit(out, args.pretty)
-    return EXIT_OK
 
 
-def _cmd_multibuyer(args) -> int:
+def _cmd_multibuyer(args) -> dict:
     inst = extensions.multibuyer_from_json(json.loads(_read_text(args.instance)))
     what = args.what
     if what in ("dsic", "bic"):
         value, _ = extensions.solve_multibuyer_lp(inst, what)
-        out = _value_fields(value)
-        out["mode"] = what
-    elif what == "ttc":
+        return {**_value_fields(value), "mode": what}
+    if what == "ttc":
         if args.endowments is None:
             raise FixedPriceError("--endowments: required for --what ttc")
         endow = json.loads(args.endowments)
         core._check_object(endow, "--endowments")
         if not all(key.isdecimal() and core._is_item_id(j) for key, j in endow.items()):
             raise FixedPriceError("--endowments: expected buyer indices mapped to item ids")
-        value = extensions.eval_endowment_ttc(inst, {int(k): j for k, j in endow.items()})
-        out = _value_fields(value)
-    elif what == "sd":
-        order = json.loads(args.order) if args.order else list(range(inst.num_buyers))
-        if not isinstance(order, list) or not all(type(i) is int for i in order):
-            raise FixedPriceError("--order: expected a list of buyer indices")
-        value = extensions.eval_serial_dictatorship(inst, order)
-        out = _value_fields(value)
-    else:
-        raise FixedPriceError(f"unknown multibuyer target {what!r}")
-    _emit(out, args.pretty)
-    return EXIT_OK
+        return _value_fields(
+            extensions.eval_endowment_ttc(inst, {int(k): j for k, j in endow.items()}))
+    order = json.loads(args.order) if args.order else list(range(inst.num_buyers))
+    if not isinstance(order, list) or not all(type(i) is int for i in order):
+        raise FixedPriceError("--order: expected a list of buyer indices")
+    return _value_fields(extensions.eval_serial_dictatorship(inst, order))
 
 
 # ---------------------------------------------------------------------------
@@ -348,49 +315,56 @@ def _cmd_multibuyer(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors, so that ``main`` reports them as JSON; its
+    subparsers are of the same class."""
+
+    def error(self, message):
+        raise FixedPriceError(f"{self.prog}: {message}")
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
+    parser = _Parser(
         prog="fixedprice",
         description="Revenue maximization over fixed-price selling mechanisms.",
     )
-    sub = parser.add_subparsers(dest="verb")
+    sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p):
+    def verb(name, run, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
         p.add_argument("--instance", help="instance JSON path ('-' for stdin)")
         p.add_argument("--pretty", action="store_true", help="indent the JSON report")
         p.add_argument("--cap", type=int, help="override enumeration caps")
         p.add_argument("--tolerance", type=float,
                        help="comparison tolerance for float-born data (default exact)")
+        return p
 
-    p = sub.add_parser("gen", help="expand a model descriptor into an instance")
-    common(p)
+    p = verb("gen", _cmd_gen, "expand a model descriptor into an instance")
     p.add_argument("--model", help="model name (overrides the descriptor)")
     p.add_argument("--params", help="model descriptor JSON (else read stdin)")
     p.add_argument("-o", "--output", help="write the instance here (else stdout)")
 
-    p = sub.add_parser("solve", help="optimize over a mechanism class")
-    common(p)
+    p = verb("solve", _cmd_solve, "optimize over a mechanism class")
     p.add_argument("--what", required=True,
                    choices=["assortment", "mech", "f", "topk", "policy"])
     p.add_argument("--k", type=int, help="fix k for --what topk")
 
-    p = sub.add_parser("check", help="verify a property; exit 2 on failure")
-    common(p)
+    p = verb("check", _cmd_check, "verify a property; exit 2 on failure")
     p.add_argument("--what", required=True,
                    choices=["ic", "history-monotone", "submodular", "containment"])
     p.add_argument("--mechanism", help="mechanism JSON path")
 
-    p = sub.add_parser("compare", help="assortment vs mechanism vs inclusion LPs")
-    common(p)
+    p = verb("compare", _cmd_compare, "assortment vs mechanism vs inclusion LPs")
     p.add_argument("--lps", action="store_true", help="compare all three values")
 
-    p = sub.add_parser("robust", help="worst-case revenue of a menu")
-    common(p)
+    p = verb("robust", _cmd_robust, "worst-case revenue of a menu")
     p.add_argument("--menu", help="menu JSON path")
     p.add_argument("--mechanism", help="mechanism JSON path (menu built from it)")
 
-    p = sub.add_parser("multibuyer", help="multi-buyer LPs and fixed mechanisms")
-    common(p)
+    p = verb("multibuyer", _cmd_multibuyer, "multi-buyer LPs and fixed mechanisms")
     p.add_argument("--what", required=True, choices=["dsic", "bic", "ttc", "sd"])
     p.add_argument("--endowments", help='JSON like {"0": "B", "1": "A"}')
     p.add_argument("--order", help="JSON list of buyer indices")
@@ -398,30 +372,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DISPATCH = {
-    "gen": _cmd_gen,
-    "solve": _cmd_solve,
-    "check": _cmd_check,
-    "compare": _cmd_compare,
-    "robust": _cmd_robust,
-    "multibuyer": _cmd_multibuyer,
-}
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if not args.verb:
-        parser.print_usage(sys.stderr)
-        return EXIT_ERROR
     try:
-        return _DISPATCH[args.verb](args)
+        args = _parser().parse_args(argv)
+        report = args.run(args)
+        if report is None:
+            return EXIT_OK
+        print(json.dumps(report, indent=2 if args.pretty else None))
     except FixedPriceError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_ERROR
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}), file=sys.stderr)
         return EXIT_ERROR
+    return EXIT_OK if report.get("holds", True) else EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

@@ -296,12 +296,6 @@ class MenuEntry:
             raise InvalidMechanismError("entry components must be a subprobability")
         object.__setattr__(self, "alloc", pairs)
 
-    def probability(self, j: Item) -> Fraction:
-        for jj, p in self.alloc:
-            if jj == j:
-                return p
-        return Fraction(0)
-
     @property
     def no_purchase(self) -> Fraction:
         return 1 - sum((p for _, p in self.alloc), Fraction(0))

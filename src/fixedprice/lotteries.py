@@ -17,10 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
-from .core import Instance, Item, ListDistribution, _best_subset, _first_hits_revenue
+from .core import (Instance, Item, ListDistribution, _best_subset, _check_object,
+                   _first_hits_revenue, _parse_at)
 from .errors import CapExceededError, GuaranteeViolationError, InvalidInstanceError
 from .mechanism_lp import Mechanism, _best_over_reports, _increments, mechanism_revenue
-from .rational import coerce_rational, format_rational, parse_rational
+from .rational import coerce_rational, format_rational
 
 GUARANTEE_SLACK = 1e-9
 
@@ -202,12 +203,15 @@ def budget_additive_to_json(params: BudgetAdditiveParams) -> dict:
 
 def budget_additive_from_json(obj: dict, items: Optional[Iterable[Item]] = None
                               ) -> BudgetAdditiveParams:
+    if not isinstance(obj, dict) or "weights" not in obj or "budget" not in obj:
+        raise InvalidInstanceError('budget-additive JSON needs "weights" and "budget"')
+    _check_object(obj["weights"], "weights")
     key_map = {str(j): j for j in items} if items is not None else {}
     weights = {
-        key_map.get(name, name): parse_rational(w)
+        key_map.get(name, name): _parse_at(f"weights.{name}", w)
         for name, w in obj["weights"].items()
     }
-    return BudgetAdditiveParams(weights, parse_rational(obj["budget"]))
+    return BudgetAdditiveParams(weights, _parse_at("budget", obj["budget"]))
 
 
 def gen_topk_gap_instance(n: int, M) -> Instance:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import time
@@ -5,8 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from fixedprice import extensions, load_instance
+from fixedprice import choice_models as cm
+from fixedprice import extensions, load_instance, lotteries, mechanism_lp
 from fixedprice.cli import main
+from fixedprice.core import Instance, dump_instance
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -160,6 +163,53 @@ class TestCheck:
         assert "exclusion cap" in out["detail"]
 
 
+# An IC mechanism on a three-list instance whose induced set function is not
+# submodular.
+SUPERMODULAR_INSTANCE = {
+    "items": [{"id": j, "price": "1"} for j in "ABC"],
+    "lists": [{"items": ["A", "B"], "prob": "1/3"},
+              {"items": ["B", "C", "A"], "prob": "1/3"},
+              {"items": ["A"], "prob": "1/3"}],
+}
+SUPERMODULAR_MECH = {"alloc": [
+    {"list": ["A", "B"], "probs": {"A": "1/2", "B": "1/4"}},
+    {"list": ["B", "C", "A"], "probs": {"B": "1/2", "C": "1/2"}},
+    {"list": ["A"], "probs": {"A": "1/2"}},
+]}
+HALF_MECH = {"alloc": [
+    {"list": lst, "probs": {lst[0]: "1/2", lst[1]: "1/2"}}
+    for lst in (["B", "A"], ["C", "A"], ["D", "A"], ["C", "B"], ["D", "B"], ["D", "C"])
+]}
+
+
+class TestSubmodularCheck:
+    @pytest.mark.parametrize("inst_doc, mech_doc, holds", [
+        (SUPERMODULAR_INSTANCE, SUPERMODULAR_MECH, False),
+        (None, HALF_MECH, True),
+    ])
+    def test_report_matches_the_set_function_witness(self, capsys, tmp_path,
+                                                     inst_doc, mech_doc, holds):
+        inst_path = fixture("four_item_clash.json")
+        if inst_doc is not None:
+            inst_path = tmp_path / "inst.json"
+            inst_path.write_text(json.dumps(inst_doc))
+        mech_path = tmp_path / "mech.json"
+        mech_path.write_text(json.dumps(mech_doc))
+        code, out = run(capsys, "check", "--what", "submodular",
+                        "--instance", str(inst_path), "--mechanism", str(mech_path))
+        with open(inst_path) as fh:
+            inst = load_instance(fh.read())
+        mech = mechanism_lp.mechanism_from_json(mech_doc, items=inst.items)
+        witness = mechanism_lp.mechanism_to_set_function(inst, mech).submodular_witness()
+        assert (witness is None) == holds
+        if holds:
+            assert (code, out) == (0, {"holds": True})
+        else:
+            S, j, jp = witness
+            assert code == 2 and out == {
+                "holds": False, "witness": {"S": sorted(S), "j": j, "jp": jp}}
+
+
 class TestCompare:
     def test_chain_order(self, capsys):
         code, out = run(
@@ -236,6 +286,51 @@ class TestGen:
             assert out_path.read_text() == fh.read()
 
 
+MNL_FIELDS = {"weights": {"A": 1, "B": 2, "C": 3, "D": 1}, "w0": 2}
+MNL_PARAMS = cm.MnlParams({"A": Fraction(1), "B": Fraction(2), "C": Fraction(3),
+                           "D": Fraction(1)}, Fraction(2))
+PRICES = {"A": "2", "B": "1", "C": "3/2", "D": "1"}
+
+# A descriptor of each generated model, and the instance it must give.
+GEN_MODELS = {
+    "markov": (
+        {"model": "markov", "items": ["A", "B"], "prices": {"A": "2", "B": "1"},
+         "arrivals": {"A": "1/2", "B": "1/4"},
+         "transitions": {"A": {"B": "1/3"}, "B": {"A": "1/2"}}},
+        lambda: Instance(["A", "B"], {"A": 2, "B": 1}, cm.gen_markov_chain(
+            ["A", "B"], cm.MarkovChainParams(
+                {"A": Fraction(1, 2), "B": Fraction(1, 4)},
+                {"A": {"B": Fraction(1, 3)}, "B": {"A": Fraction(1, 2)}})))),
+    "eba": (
+        {"model": "eba", "items": list("ABCD"), "prices": PRICES, **MNL_FIELDS,
+         "nests": [["A", "B"], ["C", "D"]]},
+        lambda: Instance(list("ABCD"), PRICES, cm.gen_elimination_by_aspects(
+            list("ABCD"), MNL_PARAMS,
+            cm.NestStructure([frozenset("AB"), frozenset("CD")])))),
+    "nl3": (
+        {"model": "nl3", "items": list("ABC"), "prices": PRICES, **MNL_FIELDS,
+         "gamma": 0.5},
+        lambda: Instance(list("ABC"), PRICES, cm.gen_nested_logit_3item(
+            list("ABC"), MNL_PARAMS, 0.5))),
+    "nl4sym": (
+        {"model": "nl4sym", "items": list("ABCD"), "prices": PRICES, "w": 1.0,
+         "gamma": 0.6},
+        lambda: Instance(list("ABCD"), PRICES, cm.gen_nested_logit_4item_symmetric(
+            list("ABCD"), cm.SymmetricNlParams(1.0, 0.6, 4)))),
+    # A JSON float base is taken exactly.
+    "topk-gap": ({"model": "topk-gap", "n": 3, "M": 10.5},
+                 lambda: lotteries.gen_topk_gap_instance(3, 10.5)),
+}
+
+
+@pytest.mark.parametrize("model", sorted(GEN_MODELS))
+def test_gen_without_output_writes_the_instance(capsys, model):
+    desc, expected = GEN_MODELS[model]
+    assert main(["gen", "--params", json.dumps(desc)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == dump_instance(expected()) and captured.err == ""
+
+
 class TestRobustAndMultibuyer:
     def test_robust_menu_values(self, capsys):
         code, out = run(
@@ -265,6 +360,18 @@ class TestRobustAndMultibuyer:
             capsys, "robust", "--instance", fixture("robust_menu_instance.json"),
         )
         assert code == 0 and out["value"] == "21/16"
+
+    def test_robust_from_mechanism_file(self, capsys, tmp_path):
+        path = tmp_path / "mech.json"
+        path.write_text(json.dumps(HALF_MECH))
+        code, out = run(capsys, "robust", "--instance", fixture("four_item_clash.json"),
+                        "--mechanism", str(path))
+        with open(fixture("four_item_clash.json")) as fh:
+            inst = load_instance(fh.read())
+        menu = extensions.mechanism_to_menu(
+            inst, mechanism_lp.mechanism_from_json(HALF_MECH, items=inst.items))
+        assert code == 0 and out["menu_size"] == len(menu)
+        assert Fraction(out["value"]) == extensions.robust_revenue(inst, menu)
 
     @pytest.mark.parametrize("argv", [
         ["--instance", fixture("robust_menu_instance.json"), "--menu", fixture("robust_menu.json")],
@@ -409,6 +516,26 @@ MALFORMED_ARGS = {
         gen_argv({"model": "mixture", "alpha": {},
                   "base": {k: v for k, v in MNL_DESC.items() if k != "weights"}}),
         'missing "base.weights"'),
+    "unknown_model": (gen_argv({"model": "foo"}), "unknown model 'foo'"),
+    "unknown_nested_model": (gen_argv({"model": "mixture", "alpha": {},
+                                       "base": {"model": "bar"}}),
+                             "unknown model 'bar'"),
+    "M_not_a_rational": (gen_argv({"model": "topk-gap", "n": 4, "M": [1]}),
+                         "M: expected a number"),
+    # Usage errors.
+    "what_misspelled": (["check", "--what", "histroy-monotone", "--instance",
+                         fixture("condition_violation_minimal.json")],
+                        "argument --what: invalid choice: 'histroy-monotone'"),
+    "k_not_an_integer": (["solve", "--what", "topk", "--k", "two", "--instance",
+                          fixture("four_item_clash.json")],
+                         "argument --k: invalid int value: 'two'"),
+    "what_missing": (["solve", "--instance", fixture("four_item_clash.json")],
+                     "required: --what"),
+    "unknown_flag": (["solve", "--what", "assortment", "--bogus", "--instance",
+                      fixture("four_item_clash.json")],
+                     "unrecognized arguments: --bogus"),
+    "unknown_verb": (["frob"], "argument verb: invalid choice: 'frob'"),
+    "no_verb": ([], "required: verb"),
 }
 
 
@@ -467,3 +594,33 @@ class TestErrors:
             capsys, "solve", "--what", "assortment", "--instance", str(path)
         )
         assert code == 0 and out["value"] == "1/4"
+
+
+class TestMain:
+    def test_pretty_indents_the_same_report(self, capsys):
+        argv = ["solve", "--what", "assortment",
+                "--instance", fixture("four_item_clash.json")]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main(argv + ["--pretty"]) == 0
+        assert capsys.readouterr().out == json.dumps(json.loads(plain), indent=2) + "\n"
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        argv = ["check", "--what", "history-monotone",
+                "--instance", fixture("condition_violation_minimal.json")]
+        main(argv)
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert main(argv) == 2 and main(argv) == 2
+        assert built == []
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--help"])
+        assert exc.value.code == 0 and "--what" in capsys.readouterr().out

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from fixedprice import load_instance
 from fixedprice.errors import FixedPriceError
 from fixedprice.extensions import menu_from_json, multibuyer_from_json
+from fixedprice.lotteries import budget_additive_from_json
 from fixedprice.mechanism_lp import mechanism_from_json
 
 KEYS = ("items", "lists", "id", "price", "prob", "alloc", "list", "probs", "entries",
@@ -62,11 +63,18 @@ multibuyer_like = st.fixed_dictionaries({
     "items": _objects(("id", "price")) | json_values,
     "buyers": st.lists(_objects(("items", "prob")) | json_values, max_size=3) | json_values,
 })
+budget_additive_like = st.fixed_dictionaries({
+    "weights": st.dictionaries(st.sampled_from(["A", "B"]) | st.text(max_size=2),
+                               json_values, max_size=3) | json_values,
+    "budget": json_values,
+})
 
 LOADERS = {
     "mechanism": (lambda doc: mechanism_from_json(doc, items=("A", "B")), mechanism_like),
     "menu": (lambda doc: menu_from_json(doc, items=("A", "B")), menu_like),
     "multibuyer": (multibuyer_from_json, multibuyer_like),
+    "budget_additive": (lambda doc: budget_additive_from_json(doc, items=("A", "B")),
+                        budget_additive_like),
 }
 
 
