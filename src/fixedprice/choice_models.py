@@ -58,9 +58,9 @@ class MnlParams:
         for j in items:
             if j not in self.weights:
                 raise InvalidInstanceError(f"missing weight for item {j!r}")
-            if _as_float(self.weights[j]) <= 0:
+            if coerce_rational(self.weights[j]) <= 0:
                 raise InvalidInstanceError(f"weight of {j!r} must be positive")
-        if _as_float(self.w0) <= 0:
+        if coerce_rational(self.w0) <= 0:
             raise InvalidInstanceError("no-purchase weight must be positive")
 
 

@@ -25,7 +25,7 @@ from typing import Dict, Optional
 
 from . import choice_models as cm
 from . import core, extensions, lotteries, mechanism_lp, stopping
-from .errors import ContainmentError, FixedPriceError
+from .errors import ContainmentError, FixedPriceError, InvalidMechanismError
 from .rational import coerce_rational, format_rational
 
 EXIT_OK = 0
@@ -57,19 +57,13 @@ def parse_instance(path: Optional[str]) -> core.Instance:
 
 
 def _load_mechanism(path: str, inst: core.Instance) -> mechanism_lp.Mechanism:
-    obj = json.loads(_read_text(path))
+    obj = core._read_json(_read_text(path), InvalidMechanismError, "--mechanism: ")
     return mechanism_lp.mechanism_from_json(obj, items=inst.items, validate=False)
 
 
 # ---------------------------------------------------------------------------
 # gen
 # ---------------------------------------------------------------------------
-
-
-def _rationals(value, path: str) -> Dict[str, Fraction]:
-    """An object of rationals, parsed; errors name ``path``."""
-    core._check_object(value, path)
-    return {key: core._parse_at(f"{path}.{key}", v) for key, v in value.items()}
 
 
 def _field(desc: dict, key: str, where: str):
@@ -80,28 +74,42 @@ def _field(desc: dict, key: str, where: str):
 
 
 def _number(desc: dict, key: str, where: str, kind=float):
+    """``kind(desc[key])``; rejects booleans, and floats that ``int`` would truncate."""
     value = _field(desc, key, where)
     try:
-        return kind(value)
+        if isinstance(value, bool):
+            raise TypeError(f"{value!r} is not a number")
+        number = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise FixedPriceError(f"{where}{key}: expected a number") from exc
+    if kind is int and isinstance(value, float) and number != value:
+        raise FixedPriceError(f"{where}{key}: expected an integer")
+    return number
 
 
-def _mnl_params(desc: dict, where: str) -> cm.MnlParams:
-    return cm.MnlParams(_rationals(_field(desc, "weights", where), where + "weights"),
+def _item_rationals(desc: dict, key: str, where: str, items: list) -> dict:
+    """``desc[key]``, an object of rationals keyed by ids in ``items``."""
+    return core._parse_rationals(_field(desc, key, where), where + key, items=items)
+
+
+def _mnl_params(desc: dict, where: str, items: list) -> cm.MnlParams:
+    return cm.MnlParams(_item_rationals(desc, "weights", where, items),
                         core._parse_at(where + "w0", desc.get("w0", 1)))
 
 
 def _markov(desc: dict, where: str, items: list):
-    arrivals = _rationals(_field(desc, "arrivals", where), where + "arrivals")
-    arrivals = {j: p for j, p in arrivals.items() if j != "0"}
+    # "0" is the outside option, never an item: its key stays "0" and is dropped.
+    ids = [j for j in items if str(j) != "0"]
+    arrivals = _item_rationals(desc, "arrivals", where, ids)
+    arrivals.pop("0", None)
     rows = _field(desc, "transitions", where)
     core._check_object(rows, where + "transitions")
-    transitions = {
-        j: {k: p for k, p in _rationals(row, f"{where}transitions.{j}").items()
-            if k != "0"}
-        for j, row in rows.items()
-    }
+    ids_of = {str(j): j for j in ids}
+    transitions = {}
+    for key, row in rows.items():
+        row = core._parse_rationals(row, f"{where}transitions.{key}", items=ids)
+        row.pop("0", None)
+        transitions[ids_of.get(key, key)] = row
     return cm.gen_markov_chain(items, cm.MarkovChainParams(arrivals, transitions))
 
 
@@ -112,17 +120,17 @@ def _eba(desc: dict, where: str, items: list):
     for k, nest in enumerate(nests):
         core._check_item_ids(nest, f"{where}nests[{k}]")
     nests = cm.NestStructure([frozenset(nest) for nest in nests])
-    return cm.gen_elimination_by_aspects(items, _mnl_params(desc, where), nests)
+    return cm.gen_elimination_by_aspects(items, _mnl_params(desc, where, items), nests)
 
 
 # The models that generate a distribution over the descriptor's "items":
 # each maps (descriptor, path prefix, items) to the distribution.
 _GENERATED_MODELS = {
-    "mnl": lambda desc, where, items: cm.gen_mnl(items, _mnl_params(desc, where)),
+    "mnl": lambda desc, where, items: cm.gen_mnl(items, _mnl_params(desc, where, items)),
     "markov": _markov,
     "eba": _eba,
     "nl3": lambda desc, where, items: cm.gen_nested_logit_3item(
-        items, _mnl_params(desc, where), _number(desc, "gamma", where)),
+        items, _mnl_params(desc, where, items), _number(desc, "gamma", where)),
     "nl4sym": lambda desc, where, items: cm.gen_nested_logit_4item_symmetric(
         items, cm.SymmetricNlParams(_number(desc, "w", where),
                                     _number(desc, "gamma", where), 4)),
@@ -143,10 +151,9 @@ def _instance_from_descriptor(desc: dict, where: str = "") -> core.Instance:
             core._check_item_ids(desc["items"], where + "items")
         core._check_object(_field(desc, "base", where), where + "base")
         base = _instance_from_descriptor(desc["base"], where + "base.")
-        alpha = _rationals(_field(desc, "alpha", where), where + "alpha")
-        dist = cm.mix_with_singletons(base.dist, alpha)
         items = list(desc.get("items", base.items))
-        prices = (_rationals(desc["prices"], where + "prices") if "prices" in desc
+        dist = cm.mix_with_singletons(base.dist, _item_rationals(desc, "alpha", where, items))
+        prices = (_item_rationals(desc, "prices", where, items) if "prices" in desc
                   else base.prices)
         return core.Instance(items, prices, dist)
     generate = _GENERATED_MODELS.get(model) if isinstance(model, str) else None
@@ -154,15 +161,15 @@ def _instance_from_descriptor(desc: dict, where: str = "") -> core.Instance:
         raise FixedPriceError(f"unknown model {model!r}")
     core._check_item_ids(_field(desc, "items", where), where + "items")
     items = list(desc["items"])
-    prices = _rationals(_field(desc, "prices", where), where + "prices")
+    prices = _item_rationals(desc, "prices", where, items)
     return core.Instance(items, prices, generate(desc, where, items))
 
 
 def _cmd_gen(args) -> Optional[dict]:
-    desc = json.loads(args.params or _read_text(None))
+    desc = core._read_json(args.params or _read_text(None), where="descriptor: ")
     core._check_object(desc, "descriptor")
     if args.model:
-        desc.setdefault("model", args.model)
+        desc["model"] = args.model
     inst = _instance_from_descriptor(desc)
     text = core.dump_instance(inst)
     if not args.output or args.output == "-":
@@ -273,7 +280,8 @@ def _cmd_compare(args) -> dict:
 def _cmd_robust(args) -> dict:
     inst = parse_instance(args.instance)
     if args.menu:
-        menu = extensions.menu_from_json(json.loads(_read_text(args.menu)), inst.items)
+        obj = core._read_json(_read_text(args.menu), InvalidMechanismError, "--menu: ")
+        menu = extensions.menu_from_json(obj, inst.items)
     else:
         mech = (_load_mechanism(args.mechanism, inst) if args.mechanism
                 else mechanism_lp.solve_mechanism_lp(inst)[1])
@@ -290,7 +298,8 @@ def _cmd_robust(args) -> dict:
 
 
 def _cmd_multibuyer(args) -> dict:
-    inst = extensions.multibuyer_from_json(json.loads(_read_text(args.instance)))
+    inst = extensions.multibuyer_from_json(
+        core._read_json(_read_text(args.instance), where="--instance: "))
     what = args.what
     if what in ("dsic", "bic"):
         value, _ = extensions.solve_multibuyer_lp(inst, what)
@@ -298,13 +307,14 @@ def _cmd_multibuyer(args) -> dict:
     if what == "ttc":
         if args.endowments is None:
             raise FixedPriceError("--endowments: required for --what ttc")
-        endow = json.loads(args.endowments)
+        endow = core._read_json(args.endowments, where="--endowments: ")
         core._check_object(endow, "--endowments")
         if not all(key.isdecimal() and core._is_item_id(j) for key, j in endow.items()):
             raise FixedPriceError("--endowments: expected buyer indices mapped to item ids")
         return _value_fields(
             extensions.eval_endowment_ttc(inst, {int(k): j for k, j in endow.items()}))
-    order = json.loads(args.order) if args.order else list(range(inst.num_buyers))
+    order = (core._read_json(args.order, where="--order: ") if args.order
+             else list(range(inst.num_buyers)))
     if not isinstance(order, list) or not all(type(i) is int for i in order):
         raise FixedPriceError("--order: expected a list of buyer indices")
     return _value_fields(extensions.eval_serial_dictatorship(inst, order))
@@ -382,7 +392,7 @@ def main(argv=None) -> int:
     except FixedPriceError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_ERROR
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, ValueError) as exc:
         print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}), file=sys.stderr)
         return EXIT_ERROR
     return EXIT_OK if report.get("holds", True) else EXIT_CHECK_FAILED

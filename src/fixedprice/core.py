@@ -499,7 +499,17 @@ def _is_item_id(value) -> bool:
 
 # The loaders of all four JSON formats and the CLI's model descriptors and
 # arguments check their input with these helpers, so an error names the path
-# of the first malformed part.
+# of the first malformed part.  Every JSON text is read by ``_read_json``, and
+# every object of rationals keyed by item ids is parsed by ``_parse_rationals``.
+def _read_json(text: str, error=InvalidInstanceError, where: str = ""):
+    """The JSON value of ``text``; a syntax error, an over-long integer or
+    nesting past the recursion limit raises ``error`` prefixed by ``where``."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{where}malformed JSON: {exc}") from exc
+
+
 def _check_object(value, path: str, error=InvalidInstanceError) -> None:
     if not isinstance(value, dict):
         raise error(f"{path}: expected an object")
@@ -529,6 +539,16 @@ def _parse_at(path: str, value, error=InvalidInstanceError) -> Fraction:
         return parse_rational(value)
     except ValueError as exc:
         raise error(f"{path}: {exc}") from exc
+
+
+def _parse_rationals(value, path: str, error=InvalidInstanceError,
+                     items: Optional[Iterable[Item]] = None) -> Dict[Item, Fraction]:
+    """An object of rationals, parsed; errors name ``path.key``.  A key that
+    spells an id in ``items`` becomes that id; other keys stay strings."""
+    _check_object(value, path, error)
+    ids = {str(j): j for j in items or ()}
+    return {ids.get(key, key): _parse_at(f"{path}.{key}", v, error)
+            for key, v in value.items()}
 
 
 def _parse_items(entries, path: str) -> Tuple[List[Item], Dict[Item, Fraction]]:
@@ -575,10 +595,4 @@ def dump_instance(inst: Instance) -> str:
 
 
 def load_instance(text: str) -> Instance:
-    # ValueError covers syntax errors and over-long integers; RecursionError
-    # covers nesting past the interpreter's recursion limit.
-    try:
-        obj = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise InvalidInstanceError(f"malformed JSON: {exc}") from exc
-    return instance_from_json(obj)
+    return instance_from_json(_read_json(text))

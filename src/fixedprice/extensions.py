@@ -24,13 +24,12 @@ from .core import (
     Item,
     ListDistribution,
     RankedList,
-    _check_object,
     _check_objects,
     _items_to_json,
     _lists_to_json,
-    _parse_at,
     _parse_items,
     _parse_lists,
+    _parse_rationals,
 )
 from .errors import (
     CapExceededError,
@@ -82,7 +81,9 @@ class MultiBuyerInstance:
 
 
 def _support_by_entries(dist: ListDistribution):
-    return sorted(dist.support.items(), key=lambda kv: kv[0].entries)
+    # The type flag makes mixed str/int ids comparable; one id type keeps the raw order.
+    return sorted(dist.support.items(),
+                  key=lambda kv: [(isinstance(j, str), j) for j in kv[0].entries])
 
 
 def _joint(buyers: Iterable[ListDistribution]):
@@ -425,20 +426,15 @@ def menu_from_json(obj: dict, items: Optional[Iterable[Item]] = None) -> Menu:
     if not isinstance(obj, dict) or "entries" not in obj:
         raise InvalidMechanismError('menu JSON needs an "entries" key')
     _check_objects(obj["entries"], "entries", ("alloc",), InvalidMechanismError)
-    key_map = {str(j): j for j in items} if items is not None else {}
+    # "0" is the no-purchase component, never an item.
+    ids = [j for j in items or () if str(j) != "0"]
     entries = []
     for k, raw in enumerate(obj["entries"]):
-        _check_object(raw["alloc"], f"entries[{k}].alloc", InvalidMechanismError)
-        alloc = {}
-        total = Fraction(0)
-        for name, p in raw["alloc"].items():
-            p = _parse_at(f"entries[{k}].alloc.{name}", p, InvalidMechanismError)
-            total += p
-            if name == "0":
-                continue
-            alloc[key_map.get(name, name)] = p
-        if total != 1:
+        alloc = _parse_rationals(raw["alloc"], f"entries[{k}].alloc",
+                                 InvalidMechanismError, ids)
+        if sum(alloc.values(), Fraction(0)) != 1:
             raise InvalidMechanismError("menu entry components must sum to 1")
+        alloc.pop("0", None)
         entries.append(MenuEntry(alloc))
     return Menu(entries)
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
-from .core import (Instance, Item, ListDistribution, _best_subset, _check_object,
-                   _first_hits_revenue, _parse_at)
+from .core import (Instance, Item, ListDistribution, _best_subset,
+                   _first_hits_revenue, _parse_at, _parse_rationals)
 from .errors import CapExceededError, GuaranteeViolationError, InvalidInstanceError
 from .mechanism_lp import Mechanism, _best_over_reports, _increments, mechanism_revenue
 from .rational import coerce_rational, format_rational
@@ -205,12 +205,7 @@ def budget_additive_from_json(obj: dict, items: Optional[Iterable[Item]] = None
                               ) -> BudgetAdditiveParams:
     if not isinstance(obj, dict) or "weights" not in obj or "budget" not in obj:
         raise InvalidInstanceError('budget-additive JSON needs "weights" and "budget"')
-    _check_object(obj["weights"], "weights")
-    key_map = {str(j): j for j in items} if items is not None else {}
-    weights = {
-        key_map.get(name, name): _parse_at(f"weights.{name}", w)
-        for name, w in obj["weights"].items()
-    }
+    weights = _parse_rationals(obj["weights"], "weights", items=items)
     return BudgetAdditiveParams(weights, _parse_at("budget", obj["budget"]))
 
 

@@ -33,10 +33,9 @@ from .core import (
     Item,
     RankedList,
     _check_item_ids,
-    _check_object,
     _check_objects,
     _list_key,
-    _parse_at,
+    _parse_rationals,
     _subsets,
 )
 from .errors import (
@@ -542,15 +541,9 @@ def mechanism_from_json(obj: dict, items: Optional[Iterable[Item]] = None,
     if not isinstance(obj, dict) or "alloc" not in obj:
         raise InvalidMechanismError('mechanism JSON needs an "alloc" key')
     _check_objects(obj["alloc"], "alloc", ("list",), InvalidMechanismError)
-    key_map = {str(j): j for j in items} if items is not None else {}
     alloc = {}
     for k, entry in enumerate(obj["alloc"]):
         _check_item_ids(entry["list"], f"alloc[{k}].list", InvalidMechanismError)
-        probs = entry.get("probs", {})
-        _check_object(probs, f"alloc[{k}].probs", InvalidMechanismError)
-        alloc[tuple(entry["list"])] = {
-            key_map.get(name, name):
-                _parse_at(f"alloc[{k}].probs.{name}", p, InvalidMechanismError)
-            for name, p in probs.items()
-        }
+        alloc[tuple(entry["list"])] = _parse_rationals(
+            entry.get("probs", {}), f"alloc[{k}].probs", InvalidMechanismError, items)
     return Mechanism(alloc, validate=validate)

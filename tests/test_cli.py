@@ -1,15 +1,18 @@
 import argparse
+import io
 import json
 import os
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
 from fixedprice import choice_models as cm
-from fixedprice import extensions, load_instance, lotteries, mechanism_lp
+from fixedprice import core, extensions, load_instance, lotteries, mechanism_lp
 from fixedprice.cli import main
 from fixedprice.core import Instance, dump_instance
+from fixedprice.rational import format_rational
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -263,6 +266,13 @@ class TestGen:
         with open(fixture("price_ladder_n4.json")) as fh:
             assert out_path.read_text() == fh.read()
 
+    def test_gen_model_option_overrides_the_descriptor(self, capsys, tmp_path):
+        out_path = tmp_path / "gap.json"
+        code, _ = run(capsys, "gen", "--model", "topk-gap", "--params",
+                      json.dumps({"model": "mnl", "n": 3, "M": "10"}), "-o", str(out_path))
+        assert code == 0
+        assert out_path.read_text() == dump_instance(lotteries.gen_topk_gap_instance(3, 10))
+
     def test_gen_mixture(self, capsys, tmp_path):
         desc = {
             "model": "mixture",
@@ -290,9 +300,23 @@ MNL_FIELDS = {"weights": {"A": 1, "B": 2, "C": 3, "D": 1}, "w0": 2}
 MNL_PARAMS = cm.MnlParams({"A": Fraction(1), "B": Fraction(2), "C": Fraction(3),
                            "D": Fraction(1)}, Fraction(2))
 PRICES = {"A": "2", "B": "1", "C": "3/2", "D": "1"}
+INT_PRICES_JSON = {"1": "2", "2": "1", "3": "3/2"}
+INT_PRICES = {1: Fraction(2), 2: Fraction(1), 3: Fraction(3, 2)}
+
+
+def extreme_weight_mnl(weight: str):
+    """A two-item MNL descriptor whose weight of A is exact but far outside
+    the float range, and the instance it must give."""
+    desc = {"model": "mnl", "items": ["A", "B"], "weights": {"A": weight, "B": 1},
+            "prices": {"A": "1", "B": "1"}}
+    params = cm.MnlParams({"A": Fraction(weight), "B": Fraction(1)}, Fraction(1))
+    return desc, lambda: Instance(["A", "B"], {"A": 1, "B": 1}, cm.gen_mnl(["A", "B"], params))
+
 
 # A descriptor of each generated model, and the instance it must give.
 GEN_MODELS = {
+    "mnl-huge-weight": extreme_weight_mnl("1e400"),
+    "mnl-tiny-weight": extreme_weight_mnl("1e-400"),
     "markov": (
         {"model": "markov", "items": ["A", "B"], "prices": {"A": "2", "B": "1"},
          "arrivals": {"A": "1/2", "B": "1/4"},
@@ -320,6 +344,34 @@ GEN_MODELS = {
     # A JSON float base is taken exactly.
     "topk-gap": ({"model": "topk-gap", "n": 3, "M": 10.5},
                  lambda: lotteries.gen_topk_gap_instance(3, 10.5)),
+    # Integer item ids: the descriptor's objects spell them as string keys,
+    # and "0" stays the outside option.
+    "mnl-int": (
+        {"model": "mnl", "items": [1, 2, 3], "weights": {"1": 1, "2": 2, "3": 3},
+         "w0": 2, "prices": {"1": "2", "2": "1", "3": "3/2"}},
+        lambda: Instance([1, 2, 3], INT_PRICES, cm.gen_mnl([1, 2, 3], cm.MnlParams(
+            {1: Fraction(1), 2: Fraction(2), 3: Fraction(3)}, Fraction(2))))),
+    "markov-int": (
+        {"model": "markov", "items": [1, 2], "prices": {"1": "2", "2": "1"},
+         "arrivals": {"0": "1/4", "1": "1/2", "2": "1/4"},
+         "transitions": {"1": {"0": "1/2", "2": "1/3"}, "2": {"1": "1/2"}}},
+        lambda: Instance([1, 2], INT_PRICES, cm.gen_markov_chain(
+            [1, 2], cm.MarkovChainParams(
+                {1: Fraction(1, 2), 2: Fraction(1, 4)},
+                {1: {2: Fraction(1, 3)}, 2: {1: Fraction(1, 2)}})))),
+    "eba-int": (
+        {"model": "eba", "items": [1, 2, 3, 4], "prices": {**INT_PRICES_JSON, "4": "1"},
+         "weights": {"1": 1, "2": 2, "3": 3, "4": 1}, "w0": 2, "nests": [[1, 2], [3, 4]]},
+        lambda: Instance([1, 2, 3, 4], {**INT_PRICES, 4: 1}, cm.gen_elimination_by_aspects(
+            [1, 2, 3, 4], cm.MnlParams({1: 1, 2: 2, 3: 3, 4: 1}, 2),
+            cm.NestStructure([frozenset({1, 2}), frozenset({3, 4})])))),
+    "mixture-int": (
+        {"model": "mixture", "alpha": {"2": "1/2"}, "prices": INT_PRICES_JSON,
+         "base": {"model": "explicit", "instance": {
+             "items": [{"id": j, "price": "1"} for j in (1, 2, 3)],
+             "lists": [{"items": [1, 2, 3], "prob": 1}]}}},
+        lambda: Instance([1, 2, 3], INT_PRICES, cm.mix_with_singletons(
+            core.ListDistribution({(1, 2, 3): 1}), {2: Fraction(1, 2)}))),
 }
 
 
@@ -329,6 +381,27 @@ def test_gen_without_output_writes_the_instance(capsys, model):
     assert main(["gen", "--params", json.dumps(desc)]) == 0
     captured = capsys.readouterr()
     assert captured.out == dump_instance(expected()) and captured.err == ""
+
+
+@pytest.mark.parametrize("model", sorted(m for m in GEN_MODELS if m.endswith("-int")))
+def test_gen_integer_ids_round_trip_through_solve(capsys, tmp_path, model):
+    desc, expected = GEN_MODELS[model]
+    path = tmp_path / "inst.json"
+    code, _ = run(capsys, "gen", "--params", json.dumps(desc), "-o", str(path))
+    assert code == 0
+    ids = [entry["id"] for entry in json.loads(path.read_text())["items"]]
+    assert ids and all(type(j) is int for j in ids)
+    S, value = core.optimal_assortment(expected())
+    code, out = run(capsys, "solve", "--what", "assortment", "--instance", str(path))
+    assert code == 0 and out["value"] == format_rational(value)
+    assert out["assortment"] == sorted(map(str, S))
+
+
+MIXED_ID_MULTIBUYER = {
+    "items": [{"id": "A", "price": "2"}, {"id": 1, "price": "1"}],
+    "buyers": [[{"items": ["A", 1], "prob": "1/2"}, {"items": [1], "prob": "1/2"}],
+               [{"items": [1, "A"], "prob": "1/3"}, {"items": ["A"], "prob": "2/3"}]],
+}
 
 
 class TestRobustAndMultibuyer:
@@ -391,22 +464,31 @@ class TestRobustAndMultibuyer:
         assert code == 0
         assert len(calls) == len(out["exposable_counts"]) * out["menu_size"]
 
-    def test_multibuyer_lp_and_fixed_mechanisms(self, capsys):
-        path = fixture("two_buyer_two_item.json")
-        code, out = run(capsys, "multibuyer", "--what", "dsic", "--instance", path)
-        assert code == 0 and out["value"] == "16/9"
-        code, out = run(capsys, "multibuyer", "--what", "bic", "--instance", path)
-        assert code == 0 and out["value"] == "16/9"
-        code, out = run(
-            capsys, "multibuyer", "--what", "ttc", "--instance", path,
-            "--endowments", '{"0": "B", "1": "A"}',
-        )
-        assert code == 0 and out["value"] == "16/9"
-        code, out = run(
-            capsys, "multibuyer", "--what", "sd", "--instance", path,
-            "--order", "[0, 1]",
-        )
-        assert code == 0 and out["value"] == "5/3"
+    def test_multibuyer_lp_and_fixed_mechanisms(self, capsys, tmp_path):
+        mixed_path = tmp_path / "mixed.json"
+        mixed_path.write_text(json.dumps(MIXED_ID_MULTIBUYER))
+        cases = [
+            # (instance, endowments, dsic, bic, ttc, sd)
+            (fixture("two_buyer_two_item.json"), '{"0": "B", "1": "A"}',
+             "16/9", "16/9", "16/9", "5/3"),
+            # Item ids "A" and 1 in one instance.
+            (str(mixed_path), '{"0": "A", "1": 1}', "3", "3", "7/3", "8/3"),
+        ]
+        for path, endowments, dsic, bic, ttc, sd in cases:
+            code, out = run(capsys, "multibuyer", "--what", "dsic", "--instance", path)
+            assert code == 0 and out["value"] == dsic
+            code, out = run(capsys, "multibuyer", "--what", "bic", "--instance", path)
+            assert code == 0 and out["value"] == bic
+            code, out = run(
+                capsys, "multibuyer", "--what", "ttc", "--instance", path,
+                "--endowments", endowments,
+            )
+            assert code == 0 and out["value"] == ttc
+            code, out = run(
+                capsys, "multibuyer", "--what", "sd", "--instance", path,
+                "--order", "[0, 1]",
+            )
+            assert code == 0 and out["value"] == sd
 
 
 def assert_error_report(capsys, tmp_path, doc) -> str:
@@ -452,9 +534,21 @@ MALFORMED_PATH = {
 }
 
 
+# JSON nested past the interpreter's recursion limit.
+DEEP = "[" * 100_000
+
 # Malformed mechanism, menu and multi-buyer documents: (verb arguments before
-# the file, option naming the file, document, path the error must name).
+# the file, option naming the file, document or raw JSON text, path the error
+# must name).
 MALFORMED_OTHER = {
+    "mechanism_nested_too_deep": (["check", "--what", "ic", "--instance",
+                                   fixture("four_item_clash.json")], "--mechanism",
+                                  DEEP, "--mechanism: malformed JSON"),
+    "menu_nested_too_deep": (["robust", "--instance",
+                              fixture("robust_menu_instance.json")], "--menu",
+                             DEEP, "--menu: malformed JSON"),
+    "multibuyer_nested_too_deep": (["multibuyer", "--what", "dsic"], "--instance",
+                                   DEEP, "--instance: malformed JSON"),
     "alloc_not_a_list": (["check", "--what", "ic", "--instance",
                           fixture("four_item_clash.json")], "--mechanism",
                          {"alloc": 5}, "alloc: expected a list"),
@@ -493,6 +587,19 @@ MALFORMED_ARGS = {
                          "nests: expected a list"),
     "n_not_a_number": (gen_argv({"model": "topk-gap", "n": [1], "M": "100"}),
                        "n: expected a number"),
+    "n_not_an_integer": (gen_argv({"model": "topk-gap", "n": 3.7, "M": "100"}),
+                         "n: expected an integer"),
+    "n_a_boolean": (gen_argv({"model": "topk-gap", "n": True, "M": "100"}),
+                    "n: expected a number"),
+    "gamma_a_boolean": (gen_argv({"model": "nl4sym", "items": list("ABCD"),
+                                  "prices": PRICES, "w": 1.0, "gamma": True}),
+                        "gamma: expected a number"),
+    "params_nested_too_deep": (["gen", "--params", DEEP], "descriptor: malformed JSON"),
+    "endowments_nested_too_deep": (["multibuyer", "--what", "ttc", "--instance", MB_FIXTURE,
+                                    "--endowments", DEEP],
+                                   "--endowments: malformed JSON"),
+    "order_nested_too_deep": (["multibuyer", "--what", "sd", "--instance", MB_FIXTURE,
+                               "--order", DEEP], "--order: malformed JSON"),
     "endowments_not_an_object": (["multibuyer", "--what", "ttc", "--instance", MB_FIXTURE,
                                   "--endowments", "[1]"],
                                  "--endowments: expected an object"),
@@ -556,7 +663,7 @@ class TestErrors:
     def test_malformed_other_formats_reported(self, capsys, tmp_path, name):
         argv, option, doc, where = MALFORMED_OTHER[name]
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         code = main(argv + [option, str(path)])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
@@ -571,6 +678,15 @@ class TestErrors:
         assert code == 1 and captured.out == ""
         report = json.loads(captured.err)
         assert list(report) == ["error"] and where in report["error"]
+
+    def test_descriptor_on_stdin_nested_too_deep(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(DEEP))
+        code = main(["gen"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        report = json.loads(captured.err)
+        assert list(report) == ["error"]
+        assert report["error"].startswith("descriptor: malformed JSON: maximum recursion")
 
     def test_huge_decimal_exponent_rejected_quickly(self, capsys, tmp_path):
         doc = {"items": [{"id": "A", "price": "1e16000000"}],
