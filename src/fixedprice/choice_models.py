@@ -10,13 +10,18 @@ involve irrational powers, so they run in extended-precision floating point
 (mpmath) and are rounded to nearby rationals via continued fractions at
 ``RATIONALIZE_TOL`` before the distribution is assembled; the assembled
 distribution then sums to exactly 1 by construction.
+
+Each model is a tree of transition chances over prefixes.  ``_expand`` is the
+one path that assembles such a tree into a distribution and checks its
+chances; a generator supplies only the ``step`` that gives one node's stop
+chance and moves.  ``mix_with_singletons`` merges distributions instead.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import mpmath
@@ -191,8 +196,8 @@ class SymmetricNlParams:
     n: int
 
     def __post_init__(self):
-        if self.w <= 0:
-            raise InvalidInstanceError("weight must be positive")
+        if not (math.isfinite(self.w) and self.w > 0):
+            raise InvalidInstanceError(f"weight must be positive and finite, not {self.w}")
         if not (0 < self.gamma <= 1):
             raise InvalidInstanceError("dissimilarity must lie in (0, 1]")
 
@@ -208,6 +213,44 @@ def _check_cap(what: str, items: Sequence[Item]) -> Tuple[Item, ...]:
     if len(set(items)) != len(items):
         raise InvalidInstanceError("duplicate item ids")
     return items
+
+
+def _expand(root, step) -> ListDistribution:
+    """The list distribution of a tree of transition chances over prefixes.
+
+    ``step(state)`` gives a node's stop chance and its moves ``(item, chance,
+    next_state)``.  A list's probability is the product of the chances on its
+    path times its stop chance.  Lists are recorded in pre-order; zero-mass
+    lists are left out and zero-chance moves are not followed.  A negative
+    stop or move chance at a visited node raises ``InfeasibleTreeError``.
+    """
+    pairs: Dict[Tuple[Item, ...], Fraction] = {}
+
+    def visit(prefix: Tuple[Item, ...], state, prob: Fraction) -> None:
+        stop, moves = step(state)
+        if stop > 0:
+            pairs[prefix] = prob * stop
+        elif stop < 0:
+            raise InfeasibleTreeError(f"stop chance {stop} < 0 at prefix {prefix}")
+        for j, p, nxt in moves:
+            if p > 0:
+                visit(prefix + (j,), nxt, prob * p)
+            elif p < 0:
+                raise InfeasibleTreeError(f"chance {p} < 0 of {j!r} after prefix {prefix}")
+
+    visit((), root, Fraction(1))
+    return ListDistribution(pairs)
+
+
+def _chance_step(items: Tuple[Item, ...], chance):
+    """The ``step`` of the tree of prefixes of ``items`` in which a node is
+    entered with ``chance(node)``; the rest of a node's mass stops there."""
+
+    def step(prefix: Tuple[Item, ...]):
+        moves = [(j, chance(prefix + (j,)), prefix + (j,)) for j in items if j not in prefix]
+        return 1 - sum(p for _, p, _ in moves), moves
+
+    return step
 
 
 # ---------------------------------------------------------------------------
@@ -278,33 +321,17 @@ def gen_markov_chain(
     verify_absorbing(params, items)
 
     cache: Dict[frozenset, Dict[Item, Dict[object, Fraction]]] = {}
-    pairs: Dict[Tuple[Item, ...], Fraction] = {}
 
-    def passage(visited: frozenset):
+    def step(prefix: Tuple[Item, ...]):
+        if not prefix:
+            return params.no_arrival, [(j, lam, (j,)) for j, lam in params.arrivals.items()]
+        visited = frozenset(prefix)
         if visited not in cache:
             cache[visited] = _first_passage_table(params, items, visited)
-        return cache[visited]
+        table = cache[visited][prefix[-1]]
+        return table[None], [(j, table[j], prefix + (j,)) for j in items if j not in visited]
 
-    def walk(prefix: Tuple[Item, ...], prob: Fraction):
-        state = prefix[-1]
-        visited = frozenset(prefix)
-        table = passage(visited)[state]
-        stop = table[None]
-        if stop > 0:
-            pairs[prefix] = pairs.get(prefix, Fraction(0)) + prob * stop
-        for j in items:
-            if j in visited:
-                continue
-            p = table.get(j, Fraction(0))
-            if p > 0:
-                walk(prefix + (j,), prob * p)
-
-    if params.no_arrival > 0:
-        pairs[()] = params.no_arrival
-    for j, lam in params.arrivals.items():
-        if lam > 0:
-            walk((j,), lam)
-    return ListDistribution(pairs)
+    return _expand((), step)
 
 
 # ---------------------------------------------------------------------------
@@ -342,22 +369,18 @@ def _urn(
     is vacuous and this is the plain urn of ``gen_mnl``."""
     w = {j: coerce_rational(params.weights[j]) for j in items}
     w0 = coerce_rational(params.w0)
-    pairs: Dict[Tuple[Item, ...], Fraction] = {}
 
-    def draw(prefix: Tuple[Item, ...], remaining: frozenset, lock: frozenset,
-             prob: Fraction):
+    def step(state: Tuple[frozenset, frozenset]):
+        remaining, lock = state
         # Inside an unfinished nest only its items compete; between nests the
         # terminating ball competes with every remaining item.
         locked = lock & remaining
-        total = sum((w[j] for j in locked or remaining), Fraction(0))
-        if not locked:
-            total += w0
-            pairs[prefix] = prob * w0 / total
-        for j in locked or remaining:
-            draw(prefix + (j,), remaining - {j}, nest[j], prob * w[j] / total)
+        stop = Fraction(0) if locked else w0
+        pool = locked or remaining
+        total = sum((w[j] for j in pool), stop)
+        return stop / total, [(j, w[j] / total, (remaining - {j}, nest[j])) for j in pool]
 
-    draw((), frozenset(items), frozenset(), Fraction(1))
-    return ListDistribution(pairs)
+    return _expand((frozenset(items), frozenset()), step)
 
 
 # ---------------------------------------------------------------------------
@@ -460,54 +483,37 @@ def gen_nested_logit_3item(
             return _mp_nl_choice_prob(w, w0, g, S, j)
 
         q1 = {j: prob(j, items) for j in items}
-        q2 = {}
-        for j in items:
-            for jp in items:
-                if jp == j:
-                    continue
-                S = tuple(k for k in items if k != jp)
-                q2[(jp, j)] = (prob(j, S) - q1[j]) / q1[jp]
+        q2 = {(jp, j): (prob(j, tuple(k for k in items if k != jp)) - q1[j]) / q1[jp]
+              for j in items for jp in items if jp != j}
         q3 = {}
         for j in items:
             jp, jpp = [k for k in items if k != j]
-            partial = (
-                q1[j] + q1[jp] * q2[(jp, j)] + q1[jpp] * q2[(jpp, j)]
-            )
+            partial = q1[j] + q1[jp] * q2[(jp, j)] + q1[jpp] * q2[(jpp, j)]
             weight = q1[jp] * q2[(jp, jpp)] + q1[jpp] * q2[(jpp, jp)]
-            if weight == 0:
-                q3[j] = mpmath.mpf(0)
-            else:
-                q3[j] = (prob(j, (j,)) - partial) / weight
+            q3[j] = (prob(j, (j,)) - partial) / weight if weight else mpmath.mpf(0)
 
         q1r = {j: _rationalize(v) for j, v in q1.items()}
         q2r = {k: _rationalize(v) for k, v in q2.items()}
         q3r = {j: _rationalize(v) for j, v in q3.items()}
 
-    for label, value in [("first", v) for v in q1r.values()] + [
-        ("second", v) for v in q2r.values()
-    ] + [("third", v) for v in q3r.values()]:
-        if not (0 <= value <= 1):
-            raise InfeasibleTreeError(
-                f"{label}-position transition {value} is outside [0, 1]"
-            )
-    if sum(q1r.values()) > 1:
-        raise InfeasibleTreeError("first-position transitions exceed 1")
-    for j in items:
-        others = [k for k in items if k != j]
-        if q2r[(j, others[0])] + q2r[(j, others[1])] > 1:
-            raise InfeasibleTreeError(f"transitions out of ({j!r}) exceed 1")
+    # _expand checks only the nodes it reaches, so the values and the nodes
+    # below a zero first-position chance are checked here.
+    for label, q in (("first", q1r), ("second", q2r), ("third", q3r)):
+        for value in q.values():
+            if not (0 <= value <= 1):
+                raise InfeasibleTreeError(f"{label}-position transition {value} "
+                                          "is outside [0, 1]")
 
-    pairs: Dict[Tuple[Item, ...], Fraction] = {}
-    pairs[()] = 1 - sum(q1r.values())
-    for a in items:
-        rest = [k for k in items if k != a]
-        pairs[(a,)] = q1r[a] * (1 - q2r[(a, rest[0])] - q2r[(a, rest[1])])
-        for b in rest:
-            c = next(k for k in rest if k != b)
-            pairs[(a, b)] = q1r[a] * q2r[(a, b)] * (1 - q3r[c])
-            pairs[(a, b, c)] = q1r[a] * q2r[(a, b)] * q3r[c]
-    pairs = {k: v for k, v in pairs.items() if v > 0}
-    return ListDistribution(pairs)
+    def chance(node: Tuple[Item, ...]) -> Fraction:
+        if len(node) == 2:
+            return q2r[node]
+        return (q1r if len(node) == 1 else q3r)[node[-1]]
+
+    step = _chance_step(items, chance)
+    for j in items:
+        if q1r[j] == 0 and step((j,))[0] < 0:
+            raise InfeasibleTreeError(f"transitions out of ({j!r}) exceed 1")
+    return _expand((), step)
 
 
 def gen_nested_logit_4item_symmetric(
@@ -526,10 +532,7 @@ def gen_nested_logit_4item_symmetric(
     with mpmath.workdps(_MP_DPS):
         w = _to_mpf(params.w)
         g = _to_mpf(params.gamma)
-        P = {
-            k: 1 / (k * (1 + (k * w) ** (-g)))
-            for k in range(1, 5)
-        }
+        P = {k: 1 / (k * (1 + (k * w) ** (-g))) for k in range(1, 5)}
         # Alternating-sum telescopes: products q_1 .. q_{m+1}.
         prod = [
             P[4],
@@ -537,9 +540,7 @@ def gen_nested_logit_4item_symmetric(
             (P[2] - 2 * P[3] + P[4]) / 2,
             (P[1] - 3 * P[2] + 3 * P[3] - P[4]) / 6,
         ]
-        q = [prod[0]]
-        for k in range(1, 4):
-            q.append(prod[k] / prod[k - 1])
+        q = [prod[0]] + [prod[k] / prod[k - 1] for k in range(1, 4)]
         qr = [_rationalize(v) for v in q]
 
     for k, value in enumerate(qr, start=1):
@@ -549,22 +550,9 @@ def gen_nested_logit_4item_symmetric(
     for k in range(3):
         if 1 / qr[k] + slack < 1 / qr[k + 1] + 1:
             raise MonotonicityViolationError(
-                f"reciprocal gap fails between depths {k + 1} and {k + 2}"
-            )
+                f"reciprocal gap fails between depths {k + 1} and {k + 2}")
 
-    pairs: Dict[Tuple[Item, ...], Fraction] = {}
-    for size in range(0, 5):
-        stop = Fraction(1) if size == 4 else 1 - (4 - size) * qr[size]
-        if stop < 0:
-            raise InfeasibleTreeError(f"negative stop mass at depth {size}")
-        base = Fraction(1)
-        for k in range(size):
-            base *= qr[k]
-        if base * stop == 0:
-            continue
-        for order in permutations(items, size):
-            pairs[order] = base * stop
-    return ListDistribution(pairs)
+    return _expand((), _chance_step(items, lambda node: qr[len(node) - 1]))
 
 
 def nl_markov_fit_gap(w: float, gamma: float) -> float:

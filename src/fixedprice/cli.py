@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Dict, Optional
@@ -74,7 +75,8 @@ def _field(desc: dict, key: str, where: str):
 
 
 def _number(desc: dict, key: str, where: str, kind=float):
-    """``kind(desc[key])``; rejects booleans, and floats that ``int`` would truncate."""
+    """``kind(desc[key])``; rejects booleans, non-finite floats, and floats
+    that ``int`` would truncate."""
     value = _field(desc, key, where)
     try:
         if isinstance(value, bool):
@@ -82,6 +84,8 @@ def _number(desc: dict, key: str, where: str, kind=float):
         number = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise FixedPriceError(f"{where}{key}: expected a number") from exc
+    if isinstance(number, float) and not math.isfinite(number):
+        raise FixedPriceError(f"{where}{key}: expected a finite number")
     if kind is int and isinstance(value, float) and number != value:
         raise FixedPriceError(f"{where}{key}: expected an integer")
     return number
@@ -266,15 +270,10 @@ def _cmd_compare(args) -> dict:
     S, opt_s = core.optimal_assortment(inst, cap=args.cap or 20)
     opt_x, _ = mechanism_lp.solve_mechanism_lp(inst)
     opt_bm, _ = mechanism_lp.solve_bm_lp(inst)
-    return {
-        "opt_assortment": format_rational(opt_s),
-        "opt_mechanism": format_rational(opt_x),
-        "opt_bm": format_rational(opt_bm),
-        "opt_assortment_decimal": _decimal(opt_s),
-        "opt_mechanism_decimal": _decimal(opt_x),
-        "opt_bm_decimal": _decimal(opt_bm),
-        "assortment": sorted(map(str, S)),
-    }
+    values = {"opt_assortment": opt_s, "opt_mechanism": opt_x, "opt_bm": opt_bm}
+    return {**{key: format_rational(v) for key, v in values.items()},
+            **{f"{key}_decimal": _decimal(v) for key, v in values.items()},
+            "assortment": sorted(map(str, S))}
 
 
 def _cmd_robust(args) -> dict:
@@ -342,17 +341,15 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def verb(name, run, summary):
+    def verb(name, run, summary, instance=True):
         p = sub.add_parser(name, help=summary)
         p.set_defaults(run=run)
-        p.add_argument("--instance", help="instance JSON path ('-' for stdin)")
         p.add_argument("--pretty", action="store_true", help="indent the JSON report")
-        p.add_argument("--cap", type=int, help="override enumeration caps")
-        p.add_argument("--tolerance", type=float,
-                       help="comparison tolerance for float-born data (default exact)")
+        if instance:
+            p.add_argument("--instance", help="instance JSON path ('-' for stdin)")
         return p
 
-    p = verb("gen", _cmd_gen, "expand a model descriptor into an instance")
+    p = verb("gen", _cmd_gen, "expand a model descriptor into an instance", instance=False)
     p.add_argument("--model", help="model name (overrides the descriptor)")
     p.add_argument("--params", help="model descriptor JSON (else read stdin)")
     p.add_argument("-o", "--output", help="write the instance here (else stdout)")
@@ -361,14 +358,19 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--what", required=True,
                    choices=["assortment", "mech", "f", "topk", "policy"])
     p.add_argument("--k", type=int, help="fix k for --what topk")
+    p.add_argument("--cap", type=int, help="override the enumeration cap")
 
     p = verb("check", _cmd_check, "verify a property; exit 2 on failure")
     p.add_argument("--what", required=True,
                    choices=["ic", "history-monotone", "submodular", "containment"])
     p.add_argument("--mechanism", help="mechanism JSON path")
+    p.add_argument("--tolerance", type=float,
+                   help="comparison tolerance for float-born data (default exact)")
 
     p = verb("compare", _cmd_compare, "assortment vs mechanism vs inclusion LPs")
-    p.add_argument("--lps", action="store_true", help="compare all three values")
+    p.add_argument("--lps", action="store_true",
+                   help="no effect: all three values are always reported")
+    p.add_argument("--cap", type=int, help="override the assortment search cap")
 
     p = verb("robust", _cmd_robust, "worst-case revenue of a menu")
     p.add_argument("--menu", help="menu JSON path")

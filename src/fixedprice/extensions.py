@@ -414,10 +414,15 @@ def robust_revenue(inst: Instance, menu: Menu) -> Fraction:
 
 
 def menu_to_json(menu: Menu) -> dict:
+    """Each allocation keys the no-purchase component by ``"0"`` and each item
+    by its ``str``; an item whose key is taken raises ``InvalidMechanismError``."""
     entries = []
     for e in menu.entries:
         alloc = {"0": format_rational(e.no_purchase)}
-        alloc.update({str(j): format_rational(p) for j, p in e.alloc})
+        for j, p in e.alloc:
+            if str(j) in alloc:
+                raise InvalidMechanismError(f"menu item {j!r}: its key {str(j)!r} is taken")
+            alloc[str(j)] = format_rational(p)
         entries.append({"alloc": alloc})
     return {"entries": entries}
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -23,13 +24,16 @@ from fixedprice import (
     nl_markov_fit_gap,
     validate_distribution,
 )
+from fixedprice.choice_models import _expand
+from fixedprice.core import _list_key
 from fixedprice.errors import (
     CapExceededError,
+    InfeasibleTreeError,
     InvalidInstanceError,
     NonAbsorbingChainError,
 )
 
-from .helpers import equal_weight_chain_params, random_sparse_chain
+from .helpers import equal_weight_chain_params, random_instance, random_sparse_chain
 
 
 def subsets(items):
@@ -312,3 +316,108 @@ class TestGeneratorsValidate:
             outputs.append(inst.dist)
         for dist in outputs:
             assert validate_distribution(dist).ok
+
+
+def support_digest(dist) -> str:
+    """sha256 of the support sorted by ``_list_key``, with exact values; it
+    does not depend on the support's order."""
+    rows = sorted(dist.support.items(), key=lambda kv: _list_key(kv[0].entries))
+    text = "\n".join(f"{lst.entries!r} {p}" for lst, p in rows)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+EBA_PARAMS = MnlParams({"A": 1, "B": 2, "C": 3, "D": 1}, 1)
+NL3_PARAMS = MnlParams({"A": 2, "B": 1, "C": Fraction(1, 2)}, 1)
+PINNED_GENERATORS = {
+    **{f"mnl-{n}": (lambda n=n: gen_mnl("ABCDE"[:n], MnlParams(
+        {j: k + 1 for k, j in enumerate("ABCDE"[:n])}, Fraction(3, 2)))) for n in range(1, 6)},
+    "eba-pairs": lambda: gen_elimination_by_aspects(
+        "ABCD", EBA_PARAMS, NestStructure(["AB", "CD"])),
+    "eba-one-three": lambda: gen_elimination_by_aspects(
+        "ABCD", EBA_PARAMS, NestStructure(["A", "BCD"])),
+    "markov-zero-arrivals": lambda: gen_markov_chain("ABC", MarkovChainParams(
+        {"A": Fraction(1, 3), "B": 0, "C": Fraction(1, 2)},
+        {"A": {"B": Fraction(1, 4), "C": 0}, "B": {"A": Fraction(1, 3), "C": Fraction(1, 3)},
+         "C": {"B": Fraction(1, 2)}})),
+    "markov-zero-transitions": lambda: gen_markov_chain("ABC", MarkovChainParams(
+        {"A": Fraction(1, 4), "B": Fraction(1, 4), "C": Fraction(1, 4)}, {})),
+    **{f"nl3-{g}": (lambda g=g: gen_nested_logit_3item("ABC", NL3_PARAMS, g))
+       for g in (0.5, 0.75, 1.0)},
+    **{f"nl4-{w}": (lambda w=w: gen_nested_logit_4item_symmetric(
+        "ABCD", SymmetricNlParams(w, 0.5, 4))) for w in (0.5, 1.0, 2.0)},
+}
+# Recorded before the generators shared one tree expander.
+PINNED_DIGESTS = {
+    "mnl-1": "727733be497deafd0f67b7b1e6570cc8d47089008f21aec403c87d61c5f8ceaa",
+    "mnl-2": "83ce39e6a4f4c1e3be2599e45a5a60f83eb7a641fb50e5661a234f3e3645f0a8",
+    "mnl-3": "80ba61447c100289fd0d48d0c3fcd1c753d74505218f0aa2f399db58c075b98e",
+    "mnl-4": "53906e96804f7479c6ddc9a0969e7264ca63e87387c481b686c31388094a1ed1",
+    "mnl-5": "d4098921c197dc6d3738c714b97482dd372f15b82dd95f5d914afb0b23a16ca3",
+    "eba-pairs": "bd51423a3e73eeabc0cc121e0a46f94fcd38451c1bbd437a00e86e6256d1abdc",
+    "eba-one-three": "f71783e1a8be5db9a5a5ed1946d375908c01be46e9498909a91e365d88668d9b",
+    "markov-zero-arrivals": "cda53844fbbcdc42bc86680bed5aeaed14e758c13f71ec205ddc9d90fba6c85c",
+    "markov-zero-transitions": "c966e9e8c2c4e9299459c8a443a6c5c43f3338375accfb3f99c6e19a15bfa3a2",
+    "nl3-0.5": "49886e4744c1ae75f489c191b7544abed7d485917315acb3e66691859088a7ca",
+    "nl3-0.75": "8126a5ba0d35a77647b69aeea28fe061bfbce7a23ab68d86a747906e9479625f",
+    "nl3-1.0": "64da4de4070c0efbfc7a1ea3e581da8ba93aba21e468e7981cb8dc75bed44ee1",
+    "nl4-0.5": "1bbae3cf97b6e73ede93206c16b7522703eda717c327d68b7af6933ecd78db2d",
+    "nl4-1.0": "a6b3670cc7f512dc7d80857b36f5cb1aeac599ae5721b8bae99139b4b57c3680",
+    "nl4-2.0": "e1abe680aee2685ebef739a9894deea18ffd42894e1b2d6ff536644605a01308",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_GENERATORS))
+def test_generator_output_pinned(name):
+    assert support_digest(PINNED_GENERATORS[name]()) == PINNED_DIGESTS[name]
+
+
+def tree_step(dist):
+    """An ``_expand`` step that walks ``dist``'s tree diagram by prefix."""
+    tree = build_tree_diagram(dist)
+
+    def step(prefix):
+        children = tree.children(prefix)
+        return tree.stop_mass(prefix), [(c.entries[-1], tree.q(c), c.entries) for c in children]
+
+    return step
+
+
+class TestExpand:
+    def test_tree_diagram_round_trip(self):
+        rng = random.Random(53)
+        dists = [random_instance(rng).dist for _ in range(30)]
+        dists += [make() for make in PINNED_GENERATORS.values()]
+        for dist in dists:
+            assert _expand((), tree_step(dist)) == dist
+
+    def test_negative_chance_raises(self):
+        def step(prefix):
+            if prefix:
+                return Fraction(1), []
+            moves = [("A", Fraction(3, 4), ("A",)), ("B", Fraction(-1, 4), ("B",))]
+            return Fraction(1, 2), moves
+
+        with pytest.raises(InfeasibleTreeError, match="-1/4"):
+            _expand((), step)
+
+    def test_moves_past_one_raise(self):
+        def step(prefix):
+            moves = [] if prefix else [(j, Fraction(2, 3), (j,)) for j in "AB"]
+            return 1 - sum(p for _, p, _ in moves), moves
+
+        with pytest.raises(InfeasibleTreeError, match="stop chance -1/3"):
+            _expand((), step)
+
+    def test_zero_chance_moves_are_not_followed(self):
+        def step(prefix):
+            if prefix:
+                raise AssertionError(f"visited {prefix}")
+            return Fraction(1), [("A", Fraction(0), ("A",))]
+
+        assert _expand((), step) == ListDistribution({(): Fraction(1)})
+
+
+@pytest.mark.parametrize("w", [float("nan"), float("inf"), float("-inf")])
+def test_symmetric_nl_rejects_non_finite_weight(w):
+    with pytest.raises(InvalidInstanceError, match="finite"):
+        SymmetricNlParams(w, 0.5, 4)

@@ -573,6 +573,8 @@ def gen_argv(desc) -> list:
 
 MNL_DESC = {"model": "mnl", "items": ["A"], "weights": {"A": 1}, "prices": {"A": "1"}}
 MB_FIXTURE = fixture("two_buyer_two_item.json")
+NL4_DESC = {"model": "nl4sym", "items": list("ABCD"), "prices": PRICES, "w": 1.0,
+            "gamma": 0.5}
 
 # Malformed gen descriptors and multibuyer arguments: (argv, path the error
 # must name).
@@ -594,6 +596,10 @@ MALFORMED_ARGS = {
     "gamma_a_boolean": (gen_argv({"model": "nl4sym", "items": list("ABCD"),
                                   "prices": PRICES, "w": 1.0, "gamma": True}),
                         "gamma: expected a number"),
+    "w_nan": (gen_argv({**NL4_DESC, "w": "nan"}), "w: expected a finite number"),
+    "w_inf": (gen_argv({**NL4_DESC, "w": "inf"}), "w: expected a finite number"),
+    "w_overflows_to_inf": (["gen", "--params", json.dumps(NL4_DESC)[:-1] + ', "w": 1e400}'],
+                           "w: expected a finite number"),
     "params_nested_too_deep": (["gen", "--params", DEEP], "descriptor: malformed JSON"),
     "endowments_nested_too_deep": (["multibuyer", "--what", "ttc", "--instance", MB_FIXTURE,
                                     "--endowments", DEEP],
@@ -641,6 +647,11 @@ MALFORMED_ARGS = {
     "unknown_flag": (["solve", "--what", "assortment", "--bogus", "--instance",
                       fixture("four_item_clash.json")],
                      "unrecognized arguments: --bogus"),
+    "cap_not_read_by_gen": (gen_argv(MNL_DESC) + ["--cap", "3"],
+                            "unrecognized arguments: --cap 3"),
+    "tolerance_not_read_by_robust": (["robust", "--instance", fixture("four_item_clash.json"),
+                                      "--tolerance", "1e-9"],
+                                     "unrecognized arguments: --tolerance 1e-9"),
     "unknown_verb": (["frob"], "argument verb: invalid choice: 'frob'"),
     "no_verb": ([], "required: verb"),
 }

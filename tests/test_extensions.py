@@ -17,7 +17,7 @@ from fixedprice import (
     solve_mechanism_lp,
     solve_multibuyer_lp,
 )
-from fixedprice.errors import UnsupportedShapeError
+from fixedprice.errors import InvalidMechanismError, UnsupportedShapeError
 from fixedprice.extensions import menu_from_json, menu_to_json, multibuyer_from_json
 
 from .helpers import (
@@ -212,6 +212,13 @@ class TestJson:
         menu = seven_entry_menu()
         again = menu_from_json(menu_to_json(menu))
         assert again.entries == menu.entries
+
+    @pytest.mark.parametrize("item", [0, "0"])
+    def test_menu_writer_rejects_the_no_purchase_key(self, item):
+        # "0" keys the no-purchase component; writing item 0 under it would
+        # give a menu that does not load back.
+        with pytest.raises(InvalidMechanismError, match=f"menu item {item!r}"):
+            menu_to_json(Menu([MenuEntry({item: Fraction(1, 2)})]))
 
     def test_multibuyer_round_trip(self):
         from fixedprice.extensions import multibuyer_to_json
