@@ -378,7 +378,10 @@ def _urn(
         stop = Fraction(0) if locked else w0
         pool = locked or remaining
         total = sum((w[j] for j in pool), stop)
-        return stop / total, [(j, w[j] / total, (remaining - {j}, nest[j])) for j in pool]
+        # Moves follow ``items``, not set order, so the support order does
+        # not depend on the hash seed.
+        return stop / total, [(j, w[j] / total, (remaining - {j}, nest[j]))
+                              for j in items if j in pool]
 
     return _expand((frozenset(items), frozenset()), step)
 

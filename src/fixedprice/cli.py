@@ -190,28 +190,33 @@ def _cmd_gen(args) -> Optional[dict]:
 # ---------------------------------------------------------------------------
 
 
+def _cap(args, default: int) -> int:
+    """``--cap`` when given, 0 and negative values included; else ``default``."""
+    return default if args.cap is None else args.cap
+
+
 def _cmd_solve(args) -> dict:
     inst = parse_instance(args.instance)
     what = args.what
     if what == "assortment":
-        S, value = core.optimal_assortment(inst, cap=args.cap or 20)
+        S, value = core.optimal_assortment(inst, cap=_cap(args, 20))
         fields = {"assortment": sorted(map(str, S))}
     elif what == "mech":
         value, mech = mechanism_lp.solve_mechanism_lp(inst)
         fields = {"mechanism": mechanism_lp.mechanism_to_json(mech)}
     elif what == "f":
         value, f = mechanism_lp.solve_set_function_lp(
-            inst, cap=args.cap or mechanism_lp.SET_FUNCTION_LP_CAP
+            inst, cap=_cap(args, mechanism_lp.SET_FUNCTION_LP_CAP)
         )
         ones = [S for S, v in f.values.items() if v == 1]
         minimal = [sorted(map(str, S)) for S in ones if not any(T < S for T in ones)]
         fields = {"one_sets_minimal": sorted(minimal, key=lambda s: (len(s), s))}
     elif what == "topk":
-        k, S, value = lotteries.best_topk_lottery(inst, k=args.k, cap=args.cap or 20)
+        k, S, value = lotteries.best_topk_lottery(inst, k=args.k, cap=_cap(args, 20))
         fields = {"k": k, "assortment": sorted(map(str, S))}
     else:  # policy
         policy, value = stopping.optimal_policy_bruteforce(
-            inst, cap=args.cap or stopping.POLICY_ITEM_CAP
+            inst, cap=_cap(args, stopping.POLICY_ITEM_CAP)
         )
         fields = {"policy": {
             str(j): [sorted(map(str, g)) for g in gens]
@@ -267,7 +272,7 @@ def _cmd_check(args) -> dict:
 
 def _cmd_compare(args) -> dict:
     inst = parse_instance(args.instance)
-    S, opt_s = core.optimal_assortment(inst, cap=args.cap or 20)
+    S, opt_s = core.optimal_assortment(inst, cap=_cap(args, 20))
     opt_x, _ = mechanism_lp.solve_mechanism_lp(inst)
     opt_bm, _ = mechanism_lp.solve_bm_lp(inst)
     values = {"opt_assortment": opt_s, "opt_mechanism": opt_x, "opt_bm": opt_bm}

@@ -9,8 +9,9 @@ exact rationals.
 A distribution's prefix trie (``PrefixNode``) is its one prefix
 representation: every prefix walk here and in ``stopping`` reads it.  The
 first-hit walk ``_first_hits`` serves choice probabilities, assortment
-revenue and the top-k lottery value; the subset search ``_best_subset``
-serves ``optimal_assortment`` and ``lotteries.best_topk_lottery``.
+revenue and the top-k lottery value; the integer subset search
+``_best_subsets`` serves ``optimal_assortment`` and
+``lotteries.best_topk_lottery``, every k from one trie walk per subset.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -28,7 +29,7 @@ from .errors import (
     PrefixOverlapError,
     UnrealizablePrefixError,
 )
-from .rational import format_rational, parse_rational
+from .rational import format_rational, lcm_of_denominators, parse_rational
 
 Item = Union[str, int]
 Assortment = frozenset
@@ -379,28 +380,84 @@ def _subsets(items: Sequence[Item]) -> Iterable[Tuple[Item, ...]]:
         yield from combinations(items, size)
 
 
-def _best_subset(
-    items: Iterable[Item], value, cap: int, what: str, detail: str
-) -> Tuple[Assortment, Fraction]:
-    """Exhaustive maximum of ``value(subset)`` over every subset of ``items``,
-    ties broken toward the lexicographically smallest sorted ``str`` tuple.
+def _best_subsets(
+    inst: Instance, ks: Sequence[int], cap: int, what: str, detail: str
+) -> List[Tuple[Assortment, Fraction]]:
+    """Exhaustive best subset of ``inst.items`` for each k in ``ks``, in
+    ``ks`` order: the maximum of the top-k value (``_first_hits_revenue``
+    with k hits), ties broken toward the lexicographically smallest sorted
+    ``str`` tuple.
 
-    ``value`` is called once per subset, the empty one included.  Raises
-    ``CapExceededError(what, n, cap, detail)`` beyond ``cap`` items.
+    Raises ``CapExceededError(what, n, cap, detail)`` beyond ``cap`` items,
+    then ``InvalidInstanceError`` for a k below 1.
+
+    The trie is scaled to integers once: with D the lcm of the list
+    probabilities' denominators and P that of the prices', a node's weight
+    mass·D·price·P is an integer, and a subset's value for k is the sum of
+    the weights of the first k hits on each path over D·P·k.  Each subset,
+    in ``_subsets`` order, gets one pre-order walk that adds a hit's weight
+    to the slot of the number of hits before it on its path and skips a
+    subtree once its path holds as many hits as the largest k can use;
+    prefix sums of the slots give the numerator of every k at once.
     """
-    ordered = sorted(items, key=str)
-    if len(ordered) > cap:
-        raise CapExceededError(what, len(ordered), cap, detail)
-    best_set: Tuple[Item, ...] = ()
-    best_value = None
-    for combo in _subsets(ordered):
-        v = value(combo)
-        if best_value is None or v > best_value or (
-            v == best_value and tuple(map(str, combo)) < tuple(map(str, best_set))
-        ):
-            best_value = v
-            best_set = combo
-    return frozenset(best_set), best_value
+    ordered = sorted(inst.items, key=str)
+    n = len(ordered)
+    if n > cap:
+        raise CapExceededError(what, n, cap, detail)
+    for k in ks:
+        if k < 1:
+            raise InvalidInstanceError(f"k must be at least 1, got {k}")
+    depth_cap = min(max(ks), n)
+    D = lcm_of_denominators(inst.dist.support.values())
+    P = lcm_of_denominators(inst.prices[j] for j in ordered)
+    bit = {j: 1 << i for i, j in enumerate(ordered)}
+    # The trie in pre-order: item bit, integer weight, depth and the index
+    # just past the node's subtree.
+    bits: List[int] = []
+    weights: List[int] = []
+    depths: List[int] = []
+    stack = [(j, child, 1) for j, child in reversed(inst.dist.node(()).children.items())]
+    while stack:
+        j, node, depth = stack.pop()
+        price = inst.prices[j]
+        bits.append(bit[j])
+        weights.append(node.mass.numerator * (D // node.mass.denominator)
+                       * price.numerator * (P // price.denominator))
+        depths.append(depth)
+        stack.extend((c, child, depth + 1) for c, child in reversed(node.children.items()))
+    ends = [len(bits)] * len(bits)
+    open_nodes: List[int] = []
+    for i, depth in enumerate(depths):
+        while open_nodes and depths[open_nodes[-1]] >= depth:
+            ends[open_nodes.pop()] = i
+        open_nodes.append(i)
+
+    names = [str(j) for j in ordered]
+    best: List[Optional[Tuple[int, Tuple[int, ...]]]] = [None] * len(ks)
+    hits_at = [0] * (n + 1)  # hits_at[d]: hits among the first d items of the path
+    for combo in _subsets(range(n)):
+        mask = sum(1 << i for i in combo)
+        slots = [0] * depth_cap
+        i = 0
+        while i < len(bits):
+            hits = hits_at[depths[i] - 1]
+            if bits[i] & mask:
+                slots[hits] += weights[i]
+                hits += 1
+                if hits == depth_cap:
+                    i = ends[i]
+                    continue
+            hits_at[depths[i]] = hits
+            i += 1
+        totals = [0, *accumulate(slots)]
+        for x, k in enumerate(ks):
+            num = totals[min(k, depth_cap)]
+            cur = best[x]
+            if cur is None or num > cur[0] or (num == cur[0] and [names[i] for i in combo]
+                                               < [names[i] for i in cur[1]]):
+                best[x] = (num, combo)
+    return [(frozenset(ordered[i] for i in combo), Fraction(num, D * P * k))
+            for k, (num, combo) in zip(ks, best)]
 
 
 def optimal_assortment(
@@ -410,10 +467,8 @@ def optimal_assortment(
 
     Ties are broken toward the lexicographically smallest sorted item tuple.
     """
-    return _best_subset(
-        inst.items, lambda S: assortment_revenue(inst, S), cap,
-        "optimal_assortment", "2^n enumeration",
-    )
+    (best,) = _best_subsets(inst, (1,), cap, "optimal_assortment", "2^n enumeration")
+    return best
 
 
 @dataclass(frozen=True)

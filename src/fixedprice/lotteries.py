@@ -4,10 +4,11 @@ price-ladder family separating lotteries from assortments.
 A budget-additive mechanism is induced by f(S) = min(sum of weights in S, B):
 the buyer's k-th item is granted with probability equal to f's increment
 along their list.  Top-k lotteries are the uniform-weight case w = 1/k,
-B = 1; their value is core's first-hit walk with k hits, and the best one is
-found by core's subset search, run once per k.  The rounding constructions
-replace a mechanism by a random assortment with independent inclusions and
-carry multiplicative revenue guarantees, checked numerically here.
+B = 1; their value is core's first-hit walk with k hits, and the best one
+for every k is found by one pass of core's subset search.  The rounding
+constructions replace a mechanism by a random assortment with independent
+inclusions and carry multiplicative revenue guarantees, checked numerically
+here.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
-from .core import (Instance, Item, ListDistribution, _best_subset,
+from .core import (Instance, Item, ListDistribution, _best_subsets,
                    _first_hits_revenue, _parse_at, _parse_rationals)
 from .errors import CapExceededError, GuaranteeViolationError, InvalidInstanceError
 from .mechanism_lp import Mechanism, _best_over_reports, _increments, mechanism_revenue
@@ -110,12 +111,10 @@ def best_topk_lottery(
     Ties prefer smaller k, then the lexicographically smallest item tuple.
     The k = 1 case is exactly assortment optimization.
     """
+    ks = range(1, max(len(inst.items), 1) + 1) if k is None else (k,)
+    subsets = _best_subsets(inst, ks, cap, "best_topk_lottery", "2^n enumeration per k")
     best: Optional[Tuple[int, frozenset, Fraction]] = None
-    for kk in range(1, max(len(inst.items), 1) + 1) if k is None else [k]:
-        S, value = _best_subset(
-            inst.items, lambda S: topk_lottery_value(inst, kk, S), cap,
-            "best_topk_lottery", "2^n enumeration per k",
-        )
+    for kk, (S, value) in zip(ks, subsets):
         if best is None or value > best[2]:
             best = (kk, S, value)
     return best

@@ -60,6 +60,16 @@ class TestMnl:
         dist = gen_mnl(["1", "2"], MnlParams({"1": 2, "2": 1}, 1))
         assert dist.probability(("1", "2")) == Fraction(2, 4) * Fraction(1, 2)
 
+    def test_support_in_preorder_of_items(self):
+        # The order follows the items, not set iteration, so it is the same
+        # under every hash seed.
+        dist = gen_mnl("ABC", MnlParams({"A": 1, "B": 2, "C": 3}, 1))
+        assert [lst.entries for lst in dist.support] == [
+            (), ("A",), ("A", "B"), ("A", "B", "C"), ("A", "C"), ("A", "C", "B"),
+            ("B",), ("B", "A"), ("B", "A", "C"), ("B", "C"), ("B", "C", "A"),
+            ("C",), ("C", "A"), ("C", "A", "B"), ("C", "B"), ("C", "B", "A"),
+        ]
+
     def test_cap(self):
         items = [f"i{k}" for k in range(9)]
         with pytest.raises(CapExceededError):
@@ -125,6 +135,15 @@ class TestEliminationByAspects:
         mnl = gen_mnl("ABC", params)
         assert eba == mnl
         assert list(eba.support) == list(mnl.support)
+
+    def test_support_in_preorder_of_items(self):
+        params = MnlParams({"1": 1, "2": 2, "3": 1}, 1)
+        nests = NestStructure([frozenset(["2", "3"]), frozenset(["1"])])
+        dist = gen_elimination_by_aspects(["1", "2", "3"], params, nests)
+        assert [lst.entries for lst in dist.support] == [
+            (), ("1",), ("1", "2", "3"), ("1", "3", "2"), ("2", "3"), ("2", "3", "1"),
+            ("3", "2"), ("3", "2", "1"),
+        ]
 
     def test_two_singleton_nests_unit_weights(self):
         params = MnlParams({"1": 1, "2": 1}, 1)

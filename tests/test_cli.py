@@ -654,6 +654,12 @@ MALFORMED_ARGS = {
                                      "unrecognized arguments: --tolerance 1e-9"),
     "unknown_verb": (["frob"], "argument verb: invalid choice: 'frob'"),
     "no_verb": ([], "required: verb"),
+    # --cap 0 is a cap of 0, not the default cap.
+    **{f"cap_zero_solve_{what}": (["solve", "--what", what, "--cap", "0", "--instance",
+                                   fixture("four_item_clash.json")], "exceeds cap 0")
+       for what in ("assortment", "f", "topk", "policy")},
+    "cap_zero_compare": (["compare", "--cap", "0", "--instance",
+                          fixture("four_item_clash.json")], "exceeds cap 0"),
 }
 
 

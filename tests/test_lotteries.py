@@ -160,6 +160,74 @@ class TestSubsetSearchTies:
             assert (kk, value, tuple(sorted(map(str, S)))) == (k_ref,) + per_k[k_ref]
 
 
+def _search_instance(rng):
+    """A random instance for the subset searches: 0–6 items of which some
+    may appear on no list, sometimes an empty list, and prices that are all
+    equal, zero or rational with denominators 1–6."""
+    n = rng.randint(0, 6)
+    items = [f"i{x}" for x in range(n)]
+    listed = items[:rng.randint(0, n)]
+    lists = {tuple(rng.sample(listed, rng.randint(0, len(listed))))
+             for _ in range(rng.randint(1, 6))}
+    if rng.random() < 0.3:
+        lists.add(())
+    lists = sorted(lists)
+    weights = [rng.randint(1, 6) for _ in lists]
+    dist = ListDistribution([(l, Fraction(w, sum(weights))) for l, w in zip(lists, weights)])
+    kind = rng.choice(["equal", "zero", "rational"])
+    prices = {j: (Fraction(3, 2) if kind == "equal" else Fraction(0) if kind == "zero"
+                  else Fraction(rng.randint(0, 12), rng.randint(1, 6))) for j in items}
+    return Instance(items, prices, dist)
+
+
+class TestSubsetSearchBruteForce:
+    """Both subset searches against the brute force, on instances built to
+    hit the integer scaling's corner cases."""
+
+    INSTANCES = [_search_instance(random.Random(seed)) for seed in range(80)]
+
+    def test_kinds_are_covered(self):
+        assert any(not inst.items for inst in self.INSTANCES)
+        assert any(set(inst.items) - set(inst.dist.items) for inst in self.INSTANCES)
+        assert any(() in {l.entries for l in inst.dist.support} for inst in self.INSTANCES)
+        assert {p.denominator for inst in self.INSTANCES for p in inst.prices.values()} \
+            == set(range(1, 7))
+
+    def test_optimal_assortment(self):
+        for inst in self.INSTANCES:
+            S, value = optimal_assortment(inst)
+            assert type(S) is frozenset and type(value) is Fraction
+            ref = _brute_force_best(inst, lambda S: assortment_revenue(inst, S))
+            assert (value, tuple(sorted(map(str, S)))) == ref
+
+    def test_best_topk_lottery(self):
+        for inst in self.INSTANCES:
+            n = len(inst.items)
+            per_k = {k: _brute_force_best(inst, lambda S: topk_lottery_value(inst, k, S))
+                     for k in range(1, n + 3)}
+            # The all-k search runs k = 1..max(n, 1); a larger k must be
+            # strictly better to win.
+            all_k = range(1, max(n, 1) + 1)
+            top = max(per_k[k][0] for k in all_k)
+            k_ref = min(k for k in all_k if per_k[k][0] == top)
+            for k, expect in ((None, k_ref), (1, 1), (2, 2), (n, n), (n + 2, n + 2)):
+                if k is not None and k < 1:
+                    with pytest.raises(InvalidInstanceError, match="k must be at least 1"):
+                        best_topk_lottery(inst, k=k)
+                    continue
+                kk, S, value = best_topk_lottery(inst, k=k)
+                assert type(S) is frozenset and type(value) is Fraction
+                assert (kk, value, tuple(sorted(map(str, S)))) == (expect,) + per_k[expect]
+
+    def test_cap_is_checked_before_k(self):
+        for inst in self.INSTANCES[:10]:
+            n = len(inst.items)
+            with pytest.raises(CapExceededError, match=f"exceeds cap {n - 1}"):
+                best_topk_lottery(inst, k=0, cap=n - 1)
+            with pytest.raises(InvalidInstanceError, match="k must be at least 1, got 0"):
+                best_topk_lottery(inst, k=0, cap=n)
+
+
 class TestGapFamily:
     def test_two_item_instance_layout(self):
         inst = gen_topk_gap_instance(2, 10)
