@@ -15,9 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
-
-import numpy as np
 
 from .choice_models import MarkovChainParams, solve_transient
 from .core import (
@@ -159,6 +158,8 @@ def optimal_policy_bruteforce(
     exponential growth of the count of monotone boolean functions (Dedekind
     numbers): 20 per item at n = 4, but 168 per item at n = 5.
     """
+    import numpy as np  # imported here so that importing the package skips it
+
     items = tuple(sorted(inst.items, key=str))
     n = len(items)
     if n > cap:
@@ -428,6 +429,33 @@ def check_domination(
     return DominationResult(witness is None, witness)
 
 
+def _future_classes(dist: ListDistribution) -> Dict[Tuple[Item, ...], int]:
+    """The future class of every prefix, the empty one included.
+
+    One post-order pass over the trie: a node's class is the id of its
+    signature, the set of ``(item, child.mass/mass, class of child)`` over
+    its children, and equal signatures share one id.  Each ratio is kept
+    as its reduced numerator and denominator, so signatures compare
+    exactly.  The stop chance needs no place: stop/mass is 1 minus the sum
+    of the ratios.  By induction on depth, prefixes of one class have
+    equal ``_first_hits`` for every S.
+    """
+    order = [((), dist.node(()))]
+    for entries, node in order:
+        order.extend((entries + (item,), child) for item, child in node.children.items())
+    ids: Dict[FrozenSet[tuple], int] = {}
+    classes: Dict[Tuple[Item, ...], int] = {}
+    for entries, node in reversed(order):
+        num, den = node.mass.numerator, node.mass.denominator
+        signature = []
+        for item, child in node.children.items():
+            a, b = child.mass.numerator * den, child.mass.denominator * num
+            g = gcd(a, b)
+            signature.append((item, a // g, b // g, classes[entries + (item,)]))
+        classes[entries] = ids.setdefault(frozenset(signature), len(ids))
+    return classes
+
+
 def check_history_monotone(dist: ListDistribution, tol=0) -> ConditionReport:
     """Check that set-wise larger same-endpoint histories dominate.
 
@@ -436,20 +464,32 @@ def check_history_monotone(dist: ListDistribution, tol=0) -> ConditionReport:
     dominate.  Comparisons are exact unless a tolerance is supplied for
     float-born distributions.  The witness is the first violation in the
     deterministic (prefix, prefix, assortment, item) order.
+
+    A reversal between two prefixes depends only on each one's future class
+    (``_future_classes``) and entry set: the class fixes its choice
+    probabilities, and the two entry sets fix the assortments searched and,
+    under a common endpoint, whether the bodies are nested.  So each
+    endpoint's prefixes are keyed by (class, entry set), and only the first
+    prefix of each key, in the sorted prefix order, is compared.  Two
+    prefixes with one key have equal bodies and are never compared.  The
+    first violating pair in the full (prefix, prefix) order is the smallest
+    pair of first prefixes over the reversing key pairs, which is the first
+    reversal the loop over the representatives meets, with the same
+    (assortment, item).
     """
     prefixes = sorted(dist.realizable_prefixes(), key=lambda p: _list_key(p.entries))
+    classes = _future_classes(dist)
     tol_f = coerce_rational(tol)
     cache: Dict = {}
-    by_endpoint: Dict[Item, List[Prefix]] = {}
+    by_endpoint: Dict[Item, Dict[tuple, Prefix]] = {}
     for prefix in prefixes:
-        by_endpoint.setdefault(prefix.endpoint, []).append(prefix)
+        key = (classes[prefix.entries], prefix.as_set())
+        by_endpoint.setdefault(prefix.endpoint, {}).setdefault(key, prefix)
     for endpoint in sorted(by_endpoint, key=str):
-        group = by_endpoint[endpoint]
+        group = list(by_endpoint[endpoint].values())
         for rho in group:
             body_rho = frozenset(rho.entries[:-1])
             for rho_p in group:
-                if rho == rho_p:
-                    continue
                 if body_rho <= frozenset(rho_p.entries[:-1]):
                     continue  # only non-contained bodies must dominate
                 witness = _reversal(dist, cache, rho, rho_p, tol_f)

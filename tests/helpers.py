@@ -21,6 +21,9 @@ from fixedprice import (
     gen_mnl,
     mix_with_singletons,
 )
+from fixedprice.core import Prefix, _list_key
+from fixedprice.rational import coerce_rational
+from fixedprice.stopping import ConditionReport, ConditionWitness, _reversal
 
 ITEM_POOL = list(string.ascii_uppercase)
 
@@ -347,3 +350,30 @@ def prefix_graph_tiers(dist: ListDistribution, S, j) -> List[Tuple[Tuple[tuple, 
         kind = "setwise-identical" if len({sets[i] for i in idxs}) == 1 else "incomparable-equal"
         out.append((tuple(prefixes[i] for i in idxs), kind))
     return out
+
+
+def reference_history_monotone(dist: ListDistribution, tol=0) -> ConditionReport:
+    """Reference condition check on prefix pairs: every ordered pair of
+    same-endpoint prefixes whose bodies are not nested, in the sorted
+    prefix order, until the first reversal."""
+    prefixes = sorted(dist.realizable_prefixes(), key=lambda p: _list_key(p.entries))
+    tol_f = coerce_rational(tol)
+    cache: Dict = {}
+    by_endpoint: Dict[str, List[Prefix]] = {}
+    for prefix in prefixes:
+        by_endpoint.setdefault(prefix.endpoint, []).append(prefix)
+    for endpoint in sorted(by_endpoint, key=str):
+        group = by_endpoint[endpoint]
+        for rho in group:
+            body_rho = frozenset(rho.entries[:-1])
+            for rho_p in group:
+                if rho == rho_p:
+                    continue
+                if body_rho <= frozenset(rho_p.entries[:-1]):
+                    continue  # only non-contained bodies must dominate
+                witness = _reversal(dist, cache, rho, rho_p, tol_f)
+                if witness is not None:
+                    return ConditionReport(
+                        False, ConditionWitness(rho.entries, rho_p.entries, *witness)
+                    )
+    return ConditionReport(True)

@@ -2,12 +2,14 @@ import argparse
 import io
 import json
 import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
 
 import pytest
 
+import fixedprice
 from fixedprice import choice_models as cm
 from fixedprice import core, extensions, load_instance, lotteries, mechanism_lp
 from fixedprice.cli import main
@@ -757,3 +759,14 @@ class TestMain:
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--help"])
         assert exc.value.code == 0 and "--what" in capsys.readouterr().out
+
+    def test_import_leaves_numpy_unloaded(self):
+        # numpy serves only the brute-force policy search, so a CLI process
+        # that does not search policies never pays for importing it.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(fixedprice.__file__)))
+        code = "import sys, fixedprice.cli; print('numpy' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        )
+        assert done.stdout.strip() == "False"

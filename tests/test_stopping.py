@@ -8,12 +8,14 @@ from fixedprice import (
     Instance,
     ListDistribution,
     MarkovChainParams,
+    MnlParams,
     MonotoneStoppingPolicy,
     adjusted_revenue_identity,
     assortment_revenue,
     check_domination,
     check_history_monotone,
     gen_markov_chain,
+    gen_mnl,
     markov_stopping_assortment,
     optimal_assortment,
     optimal_policy_bruteforce,
@@ -32,7 +34,7 @@ from fixedprice.errors import (
     PrefixOverlapError,
     UnrealizablePrefixError,
 )
-from fixedprice.stopping import _monotone_masks
+from fixedprice.stopping import _future_classes, _monotone_masks
 
 from .helpers import (
     condition_violation_minimal,
@@ -44,6 +46,7 @@ from .helpers import (
     random_instance,
     random_monotone_generators,
     random_sparse_chain,
+    reference_history_monotone,
     singleton_mixture,
 )
 
@@ -329,6 +332,73 @@ class TestConditionChecker:
 
             inst = random_history_monotone_instance(rng, n_max=5)
             assert check_history_monotone(inst.dist).holds
+
+    @staticmethod
+    def _report_tuple(report):
+        w = report.witness
+        if w is None:
+            return report.holds, None
+        return report.holds, (w.prefix, w.other, w.assortment, w.item)
+
+    def test_matches_prefix_pair_reference_on_random_supports(self):
+        rng = random.Random(111)
+        violations = 0
+        for _ in range(1500):
+            items = "ABCDE"[:rng.randint(2, 5)]
+            pool = [lst for k in range(len(items) + 1)
+                    for lst in itertools.permutations(items, k)]
+            lists = rng.sample(pool, rng.randint(1, min(10, len(pool))))
+            weights = [rng.randint(1, 6) for _ in lists]
+            dist = ListDistribution(
+                [(lst, Fraction(w, sum(weights))) for lst, w in zip(lists, weights)]
+            )
+            for tol in (0, Fraction(1, 10)):
+                got = self._report_tuple(check_history_monotone(dist, tol))
+                assert got == self._report_tuple(reference_history_monotone(dist, tol))
+                violations += not got[0]
+        assert 0 < violations < 3000
+
+    def test_matches_prefix_pair_reference_on_mnl_urns(self):
+        rng = random.Random(112)
+        for n in (2, 3, 4, 5):
+            for _ in range(3):
+                items = "ABCDE"[:n]
+                weights = {j: Fraction(rng.randint(1, 4)) for j in items}
+                dist = gen_mnl(items, MnlParams(weights, Fraction(rng.randint(1, 3))))
+                got = self._report_tuple(check_history_monotone(dist))
+                assert got == self._report_tuple(reference_history_monotone(dist)) == (True, None)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_mnl_urn_has_one_future_class_per_seen_set(self, n):
+        items = "ABCDE"[:n]
+        weights = {j: Fraction(i + 1) for i, j in enumerate(items)}
+        dist = gen_mnl(items, MnlParams(weights, Fraction(1)))
+        assert len(set(_future_classes(dist).values())) == 2 ** n
+
+    # ("B","C","A") and ("C","B","A") share an entry set and a tree shape;
+    # only the second fails against ("B","A"), so their futures must fall
+    # in different classes.  They differ in their child chances in the
+    # first case and only below their children in the second.
+    @pytest.mark.parametrize("weights", [
+        {("B", "A", "E"): 1, ("B", "A"): 2,
+         ("B", "C", "A", "E"): 2, ("B", "C", "A", "D"): 1, ("B", "C", "A"): 1,
+         ("C", "B", "A", "D"): 2, ("C", "B", "A", "E"): 1, ("C", "B", "A"): 1},
+        {("B", "A", "D", "E"): 1, ("B", "A"): 2,
+         ("B", "C", "A", "D", "E"): 1, ("B", "C", "A"): 1,
+         ("C", "B", "A", "D"): 1, ("C", "B", "A"): 1},
+    ])
+    def test_same_set_prefixes_with_different_futures_are_both_compared(self, weights):
+        total = sum(weights.values())
+        dist = ListDistribution({lst: Fraction(w, total) for lst, w in weights.items()})
+        classes = _future_classes(dist)
+        assert classes[("B", "C", "A")] != classes[("C", "B", "A")]
+        expected = (False, (("C", "B", "A"), ("B", "A"), frozenset({"E"}), "E"))
+        assert self._report_tuple(check_history_monotone(dist)) == expected
+        assert self._report_tuple(reference_history_monotone(dist)) == expected
+
+    def test_minimal_violation_witness_pair_has_different_classes(self):
+        classes = _future_classes(condition_violation_minimal().dist)
+        assert classes[("C", "B")] != classes[("B",)]
 
 
 class TestTiers:
