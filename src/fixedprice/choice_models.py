@@ -9,7 +9,8 @@ Everything downstream works on exact rationals.  Nested-logit computations
 involve irrational powers, so they run in extended-precision floating point
 (mpmath) and are rounded to nearby rationals via continued fractions at
 ``RATIONALIZE_TOL`` before the distribution is assembled; the assembled
-distribution then sums to exactly 1 by construction.
+distribution then sums to exactly 1 by construction.  mpmath is imported
+inside the functions that use it, so importing the package does not load it.
 
 Each model is a tree of transition chances over prefixes.  ``_expand`` is the
 one path that assembles such a tree into a distribution and checks its
@@ -23,8 +24,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
-
-import mpmath
 
 from .core import Item, ListDistribution
 from .errors import (
@@ -46,6 +45,8 @@ def _as_float(x) -> float:
 
 
 def _to_mpf(x):
+    import mpmath  # imported where used so that importing the package skips it
+
     if isinstance(x, float):
         return mpmath.mpf(x)
     f = coerce_rational(x)
@@ -442,6 +443,8 @@ def nested_logit_choice_prob(
 
 def _mp_nl_choice_prob(weights, w0, gamma, S, j):
     """Single-nest nested-logit choice probability in mpmath arithmetic."""
+    import mpmath
+
     total = mpmath.fsum([weights[k] for k in S])
     share = (total ** gamma) / (w0 + total ** gamma)
     return share * weights[j] / total
@@ -449,6 +452,8 @@ def _mp_nl_choice_prob(weights, w0, gamma, S, j):
 
 def _rationalize(x) -> Fraction:
     """Exact binary value of an mpf, rounded to a nearby small rational."""
+    import mpmath
+
     p, q = mpmath.libmp.to_rational(mpmath.mpf(x)._mpf_)
     out = round_to_rational(Fraction(int(p), int(q)), RATIONALIZE_TOL)
     # Snap boundary noise from the extended-precision computation.
@@ -476,6 +481,8 @@ def gen_nested_logit_3item(
     params.validate(items)
     if not (0 < float(gamma) <= 1):
         raise InvalidInstanceError("dissimilarity must lie in (0, 1]")
+
+    import mpmath
 
     with mpmath.workdps(_MP_DPS):
         w = {j: _to_mpf(params.weights[j]) for j in items}
@@ -531,6 +538,8 @@ def gen_nested_logit_4item_symmetric(
     items = tuple(items)
     if len(items) != 4 or params.n != 4:
         raise InvalidInstanceError("this construction needs exactly 4 items")
+
+    import mpmath
 
     with mpmath.workdps(_MP_DPS):
         w = _to_mpf(params.w)

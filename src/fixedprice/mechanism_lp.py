@@ -8,9 +8,10 @@ items simultaneously for every k, which linearizes into the row family
     sum_{j in first k of l} x_j(l)  >=  sum_{j in (first k of l) ∩ l'} x_j(l')
 
 for all supported lists l, positions k, and alternative reports l'.  This
-module builds that LP, the monotone-set-function relaxation of its optimum,
-and the weaker assortment LP used for comparisons, plus the conversions
-between assortments, mechanisms, and monotone set functions.
+module builds that LP, the monotone-set-function relaxation of its optimum
+(solved by a minimum cut), and the weaker assortment LP used for
+comparisons, plus the conversions between assortments, mechanisms, and
+monotone set functions.
 
 The IC row family is enumerated in one place, ``_ic_rows``; its three
 consumers are ``build_mechanism_lp`` (the rows), ``verify_ic`` (the exact
@@ -46,7 +47,7 @@ from .errors import (
     SubmodularityError,
 )
 from .lp import LPSolution, RationalLP, solve_lp
-from .rational import format_rational, parse_rational
+from .rational import format_rational, lcm_of_denominators, parse_rational
 
 
 def _var(lst: RankedList, j: Item) -> str:
@@ -395,7 +396,7 @@ def submodular_to_mechanism(inst: Instance, f: SetFunction) -> Mechanism:
 
 
 # ---------------------------------------------------------------------------
-# The set-function relaxation LP
+# The set-function relaxation
 # ---------------------------------------------------------------------------
 
 
@@ -406,16 +407,35 @@ def _set_var(S: Iterable[Item]) -> str:
     return "f[" + ",".join(str(j) for j in sorted(S, key=str)) + "]"
 
 
-def build_set_function_lp(inst: Instance, cap: int = SET_FUNCTION_LP_CAP) -> RationalLP:
-    """Relaxation over monotone [0,1] set functions of the prefix revenue.
-
-    One variable per subset, pairwise monotonicity rows, and the objective
-    collects r * Pr[prefix] increments per prefix set.  The constraint
-    matrix is an interval/network matrix, so vertex optima are 0/1.
-    """
+def _check_set_function_cap(inst: Instance, cap: int) -> None:
     n = len(inst.items)
     if n > cap:
         raise CapExceededError("build_set_function_lp", n, cap, "2^n variables")
+
+
+def _set_weights(inst: Instance) -> Dict[frozenset, Fraction]:
+    """The coefficient w(T) of f(T) in the prefix revenue: price * Pr[prefix]
+    summed over the prefixes whose set is T, minus the same sum over the
+    prefixes whose body set is T (zeros kept, in first-seen order)."""
+    weights: Dict[frozenset, Fraction] = {}
+    for prefix, prob in inst.dist.realizable_prefixes().items():
+        gain = inst.prices[prefix.endpoint] * prob
+        big, small = prefix.as_set(), prefix.body.as_set()
+        weights[big] = weights.get(big, Fraction(0)) + gain
+        weights[small] = weights.get(small, Fraction(0)) - gain
+    return weights
+
+
+def build_set_function_lp(inst: Instance, cap: int = SET_FUNCTION_LP_CAP) -> RationalLP:
+    """The relaxation over monotone [0,1] set functions as an explicit LP.
+
+    One variable per subset, pairwise monotonicity rows, and the objective
+    ``sum_T w(T) f(T)`` of ``_set_weights``.  The rows are differences of
+    two variables, a network matrix, so every vertex is 0/1.
+    ``solve_set_function_lp`` solves the same problem by a minimum cut; this
+    LP serves external cross-checks and the tests.
+    """
+    _check_set_function_cap(inst, cap)
     lp = RationalLP()
     universe = tuple(sorted(inst.items, key=str))
     for combo in _subsets(universe):
@@ -425,25 +445,93 @@ def build_set_function_lp(inst: Instance, cap: int = SET_FUNCTION_LP_CAP) -> Rat
         for j in universe:
             if j not in S:
                 lp.add_row({_set_var(S): 1, _set_var(S | {j}): -1}, "<=", 0)
-    objective: Dict[str, Fraction] = {}
-    for prefix, prob in inst.dist.realizable_prefixes().items():
-        price = inst.prices[prefix.endpoint]
-        big = _set_var(prefix.as_set())
-        small = _set_var(prefix.body.as_set())
-        objective[big] = objective.get(big, Fraction(0)) + price * prob
-        objective[small] = objective.get(small, Fraction(0)) - price * prob
-    lp.set_objective(objective)
+    lp.set_objective({_set_var(T): w for T, w in _set_weights(inst).items()})
     return lp
 
 
+def _max_weight_closure(
+    weights: Sequence[Tuple[frozenset, int]]
+) -> Tuple[int, List[frozenset]]:
+    """Maximum total weight of a family of the given sets that is closed
+    under taking supersets among them, and the smallest such family.
+
+    Picard's reduction to a minimum cut: source -> T with capacity w(T) > 0,
+    T -> sink with capacity -w(T) > 0, and an uncapacitated edge A -> B for
+    every A ⊊ B.  Edmonds-Karp finds a maximum flow; the optimum is the
+    positive weight minus the flow, and the sets still reachable from the
+    source in the residual graph form the smallest optimal family.
+    """
+    m = len(weights)
+    source, sink = m, m + 1
+    positive = sum(w for _, w in weights if w > 0)
+    head: List[int] = []
+    cap: List[int] = []
+    adj: List[List[int]] = [[] for _ in range(m + 2)]
+
+    def edge(u: int, v: int, c: int) -> None:
+        adj[u].append(len(head))
+        head.append(v)
+        cap.append(c)
+        adj[v].append(len(head))
+        head.append(u)
+        cap.append(0)
+
+    for a, (A, w) in enumerate(weights):
+        if w > 0:
+            edge(source, a, w)
+        else:
+            edge(a, sink, -w)
+        for b, (B, _) in enumerate(weights):
+            if A < B:
+                edge(a, b, positive + 1)
+    flow = 0
+    while True:
+        via = {source: -1}
+        queue = [source]
+        for u in queue:
+            for e in adj[u]:
+                if cap[e] > 0 and head[e] not in via:
+                    via[head[e]] = e
+                    queue.append(head[e])
+            if sink in via:
+                break
+        if sink not in via:
+            break
+        path = []
+        v = sink
+        while v != source:
+            path.append(via[v])
+            v = head[via[v] ^ 1]
+        push = min(cap[e] for e in path)
+        for e in path:
+            cap[e] -= push
+            cap[e ^ 1] += push
+        flow += push
+    return positive - flow, [weights[u][0] for u in via if u < m]
+
+
 def solve_set_function_lp(inst: Instance, cap: int = SET_FUNCTION_LP_CAP):
-    """Optimal relaxation value with the attaining vertex set function."""
-    lp = build_set_function_lp(inst, cap=cap)
-    sol = solve_lp(lp)
+    """Optimal relaxation value and the pointwise smallest optimal set function.
+
+    The optimum over monotone [0,1] set functions is attained at a 0/1 one,
+    the indicator of an up-closed family of sets, so OPT^f is a maximum-weight
+    closure of the sets with nonzero weight in ``_set_weights`` and comes
+    from one exact minimum cut (``_max_weight_closure``).  The returned f is 1
+    exactly on the supersets of the smallest optimal closure: a 0/1 vertex of
+    ``build_set_function_lp`` that lies below every optimal solution.  The
+    cap bounds only the 2^n values f materialises.
+    """
+    _check_set_function_cap(inst, cap)
+    weights = [(T, w) for T, w in _set_weights(inst).items() if T and w != 0]
+    scale = lcm_of_denominators(w for _, w in weights)
+    value, closure = _max_weight_closure([(T, int(w * scale)) for T, w in weights])
+    closure = [A for A in closure if not any(B < A for B in closure)]
     universe = tuple(sorted(inst.items, key=str))
-    values = {frozenset(combo): sol.assignment[_set_var(combo)]
-              for combo in _subsets(universe)}
-    return sol.value, SetFunction(values, universe)
+    values = {}
+    for combo in _subsets(universe):
+        S = frozenset(combo)
+        values[S] = Fraction(int(any(A <= S for A in closure)))
+    return Fraction(value, scale), SetFunction(values, universe)
 
 
 # ---------------------------------------------------------------------------

@@ -760,13 +760,21 @@ class TestMain:
             main(["solve", "--help"])
         assert exc.value.code == 0 and "--what" in capsys.readouterr().out
 
-    def test_import_leaves_numpy_unloaded(self):
-        # numpy serves only the brute-force policy search, so a CLI process
-        # that does not search policies never pays for importing it.
+    @staticmethod
+    def _cli_import_loads(module: str) -> bool:
         src = os.path.dirname(os.path.dirname(os.path.abspath(fixedprice.__file__)))
-        code = "import sys, fixedprice.cli; print('numpy' in sys.modules)"
+        code = f"import sys, fixedprice.cli; print({module!r} in sys.modules)"
         done = subprocess.run(
             [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
             capture_output=True, text=True, check=True,
         )
-        assert done.stdout.strip() == "False"
+        return done.stdout.strip() == "True"
+
+    def test_import_leaves_numpy_unloaded(self):
+        # numpy serves only the brute-force policy search, so a CLI process
+        # that does not search policies never pays for importing it.
+        assert not self._cli_import_loads("numpy")
+
+    def test_import_leaves_mpmath_unloaded(self):
+        # mpmath serves only the nested-logit generators.
+        assert not self._cli_import_loads("mpmath")

@@ -13,20 +13,34 @@ from fixedprice import (
     assortment_revenue,
     assortment_to_mechanism,
     build_mechanism_lp,
+    build_set_function_lp,
     containment_witness,
     gen_mnl,
     mechanism_revenue,
     mechanism_to_set_function,
     optimal_assortment,
     solve_bm_lp,
+    solve_lp,
     solve_mechanism_lp,
     solve_set_function_lp,
     submodular_to_mechanism,
     verify_ic,
 )
-from fixedprice.errors import ContainmentError, IdentityCheckError, SubmodularityError
+from fixedprice.errors import (
+    CapExceededError,
+    ContainmentError,
+    IdentityCheckError,
+    SubmodularityError,
+)
 from fixedprice.lotteries import BudgetAdditiveParams, budget_additive_mechanism
-from fixedprice.mechanism_lp import _var, mechanism_from_json, mechanism_to_json
+from fixedprice.mechanism_lp import (
+    _max_weight_closure,
+    _set_var,
+    _var,
+    mechanism_from_json,
+    mechanism_to_json,
+    set_function_revenue,
+)
 
 from .helpers import four_item_clash, random_instance
 
@@ -288,6 +302,62 @@ class TestSetFunctionLp:
             inst = random_instance(rng, n_max=4)
             _, f = solve_set_function_lp(inst)
             assert all(v in (Fraction(0), Fraction(1)) for v in f.values.values())
+
+
+class TestSetFunctionClosure:
+    """The minimum-cut solve against the explicit LP and its simplex vertex."""
+
+    def test_matches_the_lp_and_lies_below_its_vertex(self):
+        rng = random.Random("closure")
+        for trial in range(200):
+            inst = random_instance(rng, n_min=1, n_max=6, max_lists=8)
+            value, f = solve_set_function_lp(inst)
+            sol = solve_lp(build_set_function_lp(inst))
+            assert value == sol.value, f"trial {trial}"
+            assert f.monotone_witness() is None, f"trial {trial}"
+            assert set_function_revenue(inst, f) == value, f"trial {trial}"
+            for S, v in f.values.items():
+                vertex = sol.assignment[_set_var(S)]
+                assert vertex in (0, 1), f"trial {trial}: LP vertex not 0/1"
+                assert v in (0, 1) and v <= vertex, f"trial {trial}: f not minimal"
+
+    def test_no_items(self):
+        inst = Instance([], {}, ListDistribution({(): Fraction(1)}))
+        value, f = solve_set_function_lp(inst)
+        assert value == 0 and f.values == {frozenset(): 0}
+
+    def test_zero_prices_give_zero_function(self):
+        inst = Instance("AB", {"A": 0, "B": 0}, ListDistribution(
+            {("A", "B"): Fraction(1, 2), ("B",): Fraction(1, 2)}))
+        value, f = solve_set_function_lp(inst)
+        assert value == 0
+        assert len(f.values) == 4 and set(f.values.values()) == {0}
+
+    def test_all_negative_weights_close_nothing(self):
+        # Instances never weigh every set negatively (the weights of the
+        # nonempty sets sum to the first-entry revenue), so the cut runs here
+        # on hand-made weights.
+        sets = [frozenset("A"), frozenset("AB"), frozenset("B")]
+        assert _max_weight_closure([(S, -k) for k, S in enumerate(sets, 1)]) == (0, [])
+
+    def test_superset_pulled_into_closure(self):
+        # {A} alone is worth 3 but drags in {A, B} at -2; {B} is worth -1 and
+        # stays out because nothing forces it in.
+        weights = [(frozenset("A"), 3), (frozenset("AB"), -2), (frozenset("B"), -1)]
+        value, closure = _max_weight_closure(weights)
+        assert value == 1
+        assert sorted(map(sorted, closure)) == [["A"], ["A", "B"]]
+
+    def test_zero_gain_closure_left_out(self):
+        # Taking {A} and {A, B} gains 0, so the smallest optimum takes neither.
+        assert _max_weight_closure([(frozenset("A"), 2), (frozenset("AB"), -2)]) == (0, [])
+
+    def test_cap(self):
+        inst = four_item_clash()
+        with pytest.raises(CapExceededError) as err:
+            solve_set_function_lp(inst, cap=3)
+        assert str(err.value) == (
+            "build_set_function_lp: size 4 exceeds cap 3 (2^n variables)")
 
 
 class TestInclusionLp:
