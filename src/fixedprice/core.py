@@ -9,9 +9,11 @@ exact rationals.
 A distribution's prefix trie (``PrefixNode``) is its one prefix
 representation: every prefix walk here and in ``stopping`` reads it.  The
 first-hit walk ``_first_hits`` serves choice probabilities, assortment
-revenue and the top-k lottery value; the integer subset search
-``_best_subsets`` serves ``optimal_assortment`` and
-``lotteries.best_topk_lottery``, every k from one trie walk per subset.
+revenue and the top-k lottery value.  ``_preorder`` scales the trie to
+integers in pre-order for the two exhaustive searches: ``_best_subsets``
+serves ``optimal_assortment`` and ``lotteries.best_topk_lottery``, every k
+from one trie walk per subset, and ``stopping.optimal_policy_bruteforce``
+folds the revenue of every policy up the same nodes.
 """
 
 from __future__ import annotations
@@ -380,6 +382,41 @@ def _subsets(items: Sequence[Item]) -> Iterable[Tuple[Item, ...]]:
         yield from combinations(items, size)
 
 
+def _preorder(
+    inst: Instance, ordered: Sequence[Item]
+) -> Tuple[List[int], List[int], List[int], List[int], int]:
+    """The trie scaled to integers, in pre-order: for each node the position
+    of its endpoint in ``ordered``, its weight, its depth and the index just
+    past its subtree; then the scale D·P.
+
+    With D the lcm of the list probabilities' denominators and P that of the
+    prices', a node's weight mass·D·price·P is an integer, and any revenue
+    that adds node masses times endpoint prices is an integer over D·P.
+    """
+    D = lcm_of_denominators(inst.dist.support.values())
+    P = lcm_of_denominators(inst.prices[j] for j in ordered)
+    position = {j: i for i, j in enumerate(ordered)}
+    positions: List[int] = []
+    weights: List[int] = []
+    depths: List[int] = []
+    stack = [(j, child, 1) for j, child in reversed(inst.dist.node(()).children.items())]
+    while stack:
+        j, node, depth = stack.pop()
+        price = inst.prices[j]
+        positions.append(position[j])
+        weights.append(node.mass.numerator * (D // node.mass.denominator)
+                       * price.numerator * (P // price.denominator))
+        depths.append(depth)
+        stack.extend((c, child, depth + 1) for c, child in reversed(node.children.items()))
+    ends = [len(positions)] * len(positions)
+    open_nodes: List[int] = []
+    for i, depth in enumerate(depths):
+        while open_nodes and depths[open_nodes[-1]] >= depth:
+            ends[open_nodes.pop()] = i
+        open_nodes.append(i)
+    return positions, weights, depths, ends, D * P
+
+
 def _best_subsets(
     inst: Instance, ks: Sequence[int], cap: int, what: str, detail: str
 ) -> List[Tuple[Assortment, Fraction]]:
@@ -391,12 +428,10 @@ def _best_subsets(
     Raises ``CapExceededError(what, n, cap, detail)`` beyond ``cap`` items,
     then ``InvalidInstanceError`` for a k below 1.
 
-    The trie is scaled to integers once: with D the lcm of the list
-    probabilities' denominators and P that of the prices', a node's weight
-    mass·D·price·P is an integer, and a subset's value for k is the sum of
-    the weights of the first k hits on each path over D·P·k.  Each subset,
-    in ``_subsets`` order, gets one pre-order walk that adds a hit's weight
-    to the slot of the number of hits before it on its path and skips a
+    A subset's value for k is the sum of the ``_preorder`` weights of the
+    first k hits on each path over the scale times k.  Each subset, in
+    ``_subsets`` order, gets one pre-order walk that adds a hit's weight to
+    the slot of the number of hits before it on its path and skips a
     subtree once its path holds as many hits as the largest k can use;
     prefix sums of the slots give the numerator of every k at once.
     """
@@ -408,29 +443,8 @@ def _best_subsets(
         if k < 1:
             raise InvalidInstanceError(f"k must be at least 1, got {k}")
     depth_cap = min(max(ks), n)
-    D = lcm_of_denominators(inst.dist.support.values())
-    P = lcm_of_denominators(inst.prices[j] for j in ordered)
-    bit = {j: 1 << i for i, j in enumerate(ordered)}
-    # The trie in pre-order: item bit, integer weight, depth and the index
-    # just past the node's subtree.
-    bits: List[int] = []
-    weights: List[int] = []
-    depths: List[int] = []
-    stack = [(j, child, 1) for j, child in reversed(inst.dist.node(()).children.items())]
-    while stack:
-        j, node, depth = stack.pop()
-        price = inst.prices[j]
-        bits.append(bit[j])
-        weights.append(node.mass.numerator * (D // node.mass.denominator)
-                       * price.numerator * (P // price.denominator))
-        depths.append(depth)
-        stack.extend((c, child, depth + 1) for c, child in reversed(node.children.items()))
-    ends = [len(bits)] * len(bits)
-    open_nodes: List[int] = []
-    for i, depth in enumerate(depths):
-        while open_nodes and depths[open_nodes[-1]] >= depth:
-            ends[open_nodes.pop()] = i
-        open_nodes.append(i)
+    positions, weights, depths, ends, scale = _preorder(inst, ordered)
+    bits = [1 << p for p in positions]
 
     names = [str(j) for j in ordered]
     best: List[Optional[Tuple[int, Tuple[int, ...]]]] = [None] * len(ks)
@@ -456,7 +470,7 @@ def _best_subsets(
             if cur is None or num > cur[0] or (num == cur[0] and [names[i] for i in combo]
                                                < [names[i] for i in cur[1]]):
                 best[x] = (num, combo)
-    return [(frozenset(ordered[i] for i in combo), Fraction(num, D * P * k))
+    return [(frozenset(ordered[i] for i in combo), Fraction(num, scale * k))
             for k, (num, combo) in zip(ks, best)]
 
 

@@ -27,6 +27,7 @@ from .core import (
     _first_hits,
     _first_hits_revenue,
     _list_key,
+    _preorder,
     _subsets,
     assortment_revenue,
 )
@@ -37,7 +38,7 @@ from .errors import (
     MonotonicityViolationError,
     PrefixOverlapError,
 )
-from .rational import coerce_rational, lcm_of_denominators, parse_rational
+from .rational import coerce_rational, parse_rational
 
 POLICY_ITEM_CAP = 4
 
@@ -154,67 +155,55 @@ def optimal_policy_bruteforce(
     """Exhaustive maximum over all tuples of monotone per-item stop rules.
 
     Ties prefer fewer stop entries, then the lexicographically smallest
-    function bitmaps in item order.  The item cap reflects the doubly
-    exponential growth of the count of monotone boolean functions (Dedekind
-    numbers): 20 per item at n = 4, but 168 per item at n = 5.
+    function bitmaps in item order.  The item cap is at most
+    ``POLICY_ITEM_CAP``, whatever ``cap`` asks: the count of monotone
+    boolean functions grows doubly exponentially (Dedekind numbers), 20 per
+    item at n = 4 but 168 per item at n = 5.
+
+    The revenue of every tuple comes from one walk of the trie scaled to
+    integers (``core._preorder``), in reverse pre-order.  A node's value is
+    ``b·w + (1 − b)·(sum of its children's values)``: ``w`` is its weight and
+    ``b`` the stop bits of its item's rules on its history, the entries
+    above it, laid along that item's axis.  One running sum per depth holds
+    the values of the nodes seen there whose parent is not yet reached.
     """
     import numpy as np  # imported here so that importing the package skips it
 
     items = tuple(sorted(inst.items, key=str))
     n = len(items)
-    if n > cap:
+    if n > min(cap, POLICY_ITEM_CAP):
         raise CapExceededError(
-            "optimal_policy_bruteforce", n, cap,
+            "optimal_policy_bruteforce", n, min(cap, POLICY_ITEM_CAP),
             "Dedekind growth of monotone stop rules (168^n tuples beyond n=4)",
         )
     if not items:
         return MonotoneStoppingPolicy({}), Fraction(0)
-    index = {j: i for i, j in enumerate(items)}
-    others = {j: [k for k in items if k != j] for j in items}
-    other_pos = {j: {k: p for p, k in enumerate(others[j])} for j in items}
     masks = _monotone_masks(n - 1)
     n_masks = len(masks)
+    positions, weights, depths, _, scale = _preorder(inst, items)
+    # No revenue exceeds the scale times the largest price.  Below 2^60 it
+    # fits machine integers; beyond, numpy works on Python integers, which
+    # is exact but an order of magnitude slower.
+    dtype = np.int64 if scale * max(inst.prices[j] for j in items) < 2**60 else object
 
-    # Scale probabilities and prices to integers so revenue sums stay exact.
-    prob_den = lcm_of_denominators(inst.dist.support.values())
-    price_den = lcm_of_denominators(inst.prices.values())
-    scale = prob_den * price_den
-    bound = sum(
-        int(p * prob_den) * max((int(r * price_den) for r in inst.prices.values()),
-                                default=0)
-        for p in inst.dist.support.values()
-    )
-    # Revenues below the bound fit machine integers; beyond it numpy works
-    # on Python integers, which is exact but an order of magnitude slower.
-    dtype = np.int64 if bound < 2**60 else object
-
-    # bits[m, h] = stop decision of mask m on history bitmap h.
-    bits = np.zeros((n_masks, 1 << (n - 1)), dtype=dtype)
-    for mi, mask in enumerate(masks):
-        for h in range(1 << (n - 1)):
-            bits[mi, h] = (mask >> h) & 1
-
-    def history_bitmap(j: Item, entries: Tuple[Item, ...]) -> int:
-        h = 0
-        for e in entries:
-            h |= 1 << other_pos[j][e]
-        return h
-
-    rev = np.zeros((n_masks,) * n, dtype=dtype)
-    for lst, prob in inst.dist.support.items():
-        if len(lst) == 0:
-            continue
-        p_int = int(prob * prob_den)
-        value = np.zeros((), dtype=dtype)
-        for k in range(len(lst) - 1, -1, -1):
-            j = lst.entries[k]
-            h = history_bitmap(j, lst.entries[:k])
-            shape = [1] * n
-            shape[index[j]] = n_masks
-            b = bits[:, h].reshape(shape)
-            r_int = int(inst.prices[j] * price_den)
-            value = b * r_int + (1 - b) * value
-        rev = rev + p_int * value
+    # stop_bits[m, h] = stop decision of mask m on history bitmap h, whose
+    # bits are the item's n - 1 others in order.
+    stop_bits = np.array([[mask >> h & 1 for h in range(1 << (n - 1))] for mask in masks],
+                         dtype=dtype)
+    above = [0] * (n + 1)  # above[d]: item bits of the first d entries of the path
+    histories = []  # each node's history bitmap: above[d - 1] with bit p dropped
+    for p, d in zip(positions, depths):
+        histories.append(above[d - 1] & ((1 << p) - 1) | above[d - 1] >> (p + 1) << p)
+        above[d] = above[d - 1] | 1 << p
+    sums = [0] * (n + 2)  # sums[d]: values of depth-d nodes awaiting their parent
+    for i in reversed(range(len(positions))):
+        shape = [1] * n
+        shape[positions[i]] = n_masks
+        b = stop_bits[:, histories[i]].reshape(shape)
+        d = depths[i]
+        sums[d] = sums[d] + b * weights[i] + (1 - b) * sums[d + 1]
+        sums[d + 1] = 0
+    rev = np.broadcast_to(sums[1], (n_masks,) * n)
     best_flat = int(rev.max())
     winners = np.argwhere(rev == best_flat)
     best_value = Fraction(best_flat, scale)
@@ -228,17 +217,12 @@ def optimal_policy_bruteforce(
     )
 
     generators: Dict[Item, List[FrozenSet[Item]]] = {}
-    for j in items:
-        mask = masks[best_choice[index[j]]]
-        gens = []
-        for h in range(1 << (n - 1)):
-            if not (mask >> h) & 1:
-                continue
-            H = frozenset(others[j][p] for p in range(n - 1) if (h >> p) & 1)
-            gens.append(H)
-        generators[j] = gens
-    policy = MonotoneStoppingPolicy(generators)
-    return policy, best_value
+    for i, j in enumerate(items):
+        others = items[:i] + items[i + 1:]
+        mask = masks[best_choice[i]]
+        generators[j] = [frozenset(others[p] for p in range(n - 1) if h >> p & 1)
+                         for h in range(1 << (n - 1)) if mask >> h & 1]
+    return MonotoneStoppingPolicy(generators), best_value
 
 
 # ---------------------------------------------------------------------------

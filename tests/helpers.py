@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import string
 from fractions import Fraction
+from itertools import product
 from typing import Dict, List, Optional, Tuple
 
 from fixedprice import (
@@ -14,16 +15,23 @@ from fixedprice import (
     Menu,
     MenuEntry,
     MnlParams,
+    MonotoneStoppingPolicy,
     MultiBuyerInstance,
     NestStructure,
     gen_elimination_by_aspects,
     gen_markov_chain,
     gen_mnl,
     mix_with_singletons,
+    policy_revenue,
 )
 from fixedprice.core import Prefix, _list_key
 from fixedprice.rational import coerce_rational
-from fixedprice.stopping import ConditionReport, ConditionWitness, _reversal
+from fixedprice.stopping import (
+    ConditionReport,
+    ConditionWitness,
+    _monotone_masks,
+    _reversal,
+)
 
 ITEM_POOL = list(string.ascii_uppercase)
 
@@ -265,6 +273,36 @@ def random_history_monotone_instance(rng: random.Random, n_max: int = 6) -> Inst
     return Instance(items, prices, dist)
 
 
+def random_search_instance(rng: random.Random) -> Instance:
+    """A random instance for the exhaustive searches: 0–6 items of which
+    some may appear on no list, sometimes an empty list, and prices that are
+    all equal, zero or rational with denominators 1–6."""
+    n = rng.randint(0, 6)
+    items = [f"i{x}" for x in range(n)]
+    listed = items[:rng.randint(0, n)]
+    lists = {tuple(rng.sample(listed, rng.randint(0, len(listed))))
+             for _ in range(rng.randint(1, 6))}
+    if rng.random() < 0.3:
+        lists.add(())
+    lists = sorted(lists)
+    weights = [rng.randint(1, 6) for _ in lists]
+    dist = ListDistribution([(l, Fraction(w, sum(weights))) for l, w in zip(lists, weights)])
+    kind = rng.choice(["equal", "zero", "rational"])
+    prices = {j: (Fraction(3, 2) if kind == "equal" else Fraction(0) if kind == "zero"
+                  else Fraction(rng.randint(0, 12), rng.randint(1, 6))) for j in items}
+    return Instance(items, prices, dist)
+
+
+def random_tied_instance(rng: random.Random) -> Instance:
+    """A random 2- or 3-item instance built for ties among stop rules: up to
+    four distinct lists, equally likely, and prices of 1 or 2."""
+    items = ITEM_POOL[:rng.randint(2, 3)]
+    lists = sorted({tuple(rng.sample(items, rng.randint(1, len(items))))
+                    for _ in range(rng.randint(1, 4))})
+    dist = ListDistribution([(l, Fraction(1, len(lists))) for l in lists])
+    return Instance(items, {j: rng.choice([1, 1, 2]) for j in items}, dist)
+
+
 def random_monotone_generators(
     rng: random.Random, items, always_stop=frozenset()
 ) -> Dict[str, List[frozenset]]:
@@ -377,3 +415,26 @@ def reference_history_monotone(dist: ListDistribution, tol=0) -> ConditionReport
                         False, ConditionWitness(rho.entries, rho_p.entries, *witness)
                     )
     return ConditionReport(True)
+
+
+def reference_policy_bruteforce(inst: Instance) -> Tuple[MonotoneStoppingPolicy, Fraction]:
+    """Reference monotone-policy search: every tuple of monotone masks, one
+    per item in ``str`` order, valued by ``policy_revenue`` in Fractions.
+    Bit h of an item's mask is its rule on the history whose bits are its
+    other items in order.  The winner has the largest value, then the
+    fewest stop entries, then the smallest masks in item order."""
+    items = sorted(inst.items, key=str)
+    n = len(items)
+    others = [items[:i] + items[i + 1:] for i in range(n)]
+    histories = [[frozenset(o for p, o in enumerate(others_j) if h >> p & 1)
+                  for h in range(1 << max(n - 1, 0))] for others_j in others]
+    best = None
+    for choice in product(_monotone_masks(max(n - 1, 0)), repeat=n):
+        policy = MonotoneStoppingPolicy.from_table(items, {
+            j: {H: mask >> h & 1 for h, H in enumerate(histories[i])}
+            for i, (j, mask) in enumerate(zip(items, choice))})
+        value = policy_revenue(inst, policy)
+        key = (-value, sum(bin(mask).count("1") for mask in choice), choice)
+        if best is None or key < best[0]:
+            best = (key, policy, value)
+    return best[1], best[2]

@@ -20,6 +20,7 @@ from fixedprice import (
     best_topk_lottery,
     budget_additive_mechanism,
     build_mechanism_lp,
+    build_set_function_lp,
     build_tree_diagram,
     check_history_monotone,
     choice_probability,
@@ -273,10 +274,8 @@ def test_criterion_13_integral_vertices():
     for trial in range(50):
         n = rng.choice([3, 3, 4, 4, 5])
         inst = random_instance(rng, n_min=n, n_max=n, max_lists=6)
-        _, f = solve_set_function_lp(inst)
-        assert all(
-            v in (Fraction(0), Fraction(1)) for v in f.values.values()
-        ), f"trial {trial}"
+        vertex = solve_lp(build_set_function_lp(inst)).assignment
+        assert all(v in (Fraction(0), Fraction(1)) for v in vertex.values()), f"trial {trial}"
     _report(13, "set-function LP vertex optima are 0/1 on 50 random "
                 "instances (n <= 5)")
 

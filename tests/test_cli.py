@@ -662,6 +662,9 @@ MALFORMED_ARGS = {
        for what in ("assortment", "f", "topk", "policy")},
     "cap_zero_compare": (["compare", "--cap", "0", "--instance",
                           fixture("four_item_clash.json")], "exceeds cap 0"),
+    # The policy search never runs past its item cap, whatever --cap asks.
+    "cap_above_policy_limit": (["solve", "--what", "policy", "--cap", "5", "--instance",
+                                fixture("robust_menu_instance.json")], "size 5 exceeds cap 4"),
 }
 
 

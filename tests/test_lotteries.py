@@ -30,6 +30,7 @@ from .helpers import (
     four_item_clash,
     random_bounded_length_instance,
     random_instance,
+    random_search_instance,
     robust_menu_instance,
 )
 
@@ -160,31 +161,11 @@ class TestSubsetSearchTies:
             assert (kk, value, tuple(sorted(map(str, S)))) == (k_ref,) + per_k[k_ref]
 
 
-def _search_instance(rng):
-    """A random instance for the subset searches: 0–6 items of which some
-    may appear on no list, sometimes an empty list, and prices that are all
-    equal, zero or rational with denominators 1–6."""
-    n = rng.randint(0, 6)
-    items = [f"i{x}" for x in range(n)]
-    listed = items[:rng.randint(0, n)]
-    lists = {tuple(rng.sample(listed, rng.randint(0, len(listed))))
-             for _ in range(rng.randint(1, 6))}
-    if rng.random() < 0.3:
-        lists.add(())
-    lists = sorted(lists)
-    weights = [rng.randint(1, 6) for _ in lists]
-    dist = ListDistribution([(l, Fraction(w, sum(weights))) for l, w in zip(lists, weights)])
-    kind = rng.choice(["equal", "zero", "rational"])
-    prices = {j: (Fraction(3, 2) if kind == "equal" else Fraction(0) if kind == "zero"
-                  else Fraction(rng.randint(0, 12), rng.randint(1, 6))) for j in items}
-    return Instance(items, prices, dist)
-
-
 class TestSubsetSearchBruteForce:
     """Both subset searches against the brute force, on instances built to
     hit the integer scaling's corner cases."""
 
-    INSTANCES = [_search_instance(random.Random(seed)) for seed in range(80)]
+    INSTANCES = [random_search_instance(random.Random(seed)) for seed in range(80)]
 
     def test_kinds_are_covered(self):
         assert any(not inst.items for inst in self.INSTANCES)

@@ -300,8 +300,8 @@ class TestSetFunctionLp:
         rng = random.Random(5)
         for _ in range(10):
             inst = random_instance(rng, n_max=4)
-            _, f = solve_set_function_lp(inst)
-            assert all(v in (Fraction(0), Fraction(1)) for v in f.values.values())
+            vertex = solve_lp(build_set_function_lp(inst)).assignment
+            assert all(v in (Fraction(0), Fraction(1)) for v in vertex.values())
 
 
 class TestSetFunctionClosure:

@@ -45,8 +45,11 @@ from .helpers import (
     random_history_monotone_instance,
     random_instance,
     random_monotone_generators,
+    random_search_instance,
     random_sparse_chain,
+    random_tied_instance,
     reference_history_monotone,
+    reference_policy_bruteforce,
     singleton_mixture,
 )
 
@@ -154,6 +157,20 @@ class TestBruteForce:
         inst = random_instance(rng, n_min=5, n_max=5, max_lists=4)
         with pytest.raises(CapExceededError, match="Dedekind"):
             optimal_policy_bruteforce(inst)
+        # A larger cap never lifts the item cap.
+        with pytest.raises(CapExceededError, match="size 5 exceeds cap 4"):
+            optimal_policy_bruteforce(inst, cap=5)
+
+    def test_matches_the_fraction_reference_with_its_tie_rule(self):
+        # The search instances cover no items, unlisted items, empty lists
+        # and zero prices; the tied ones have non-constant optima and ties
+        # that only the stop-entry count or the masks break.
+        instances = [inst for inst in (random_search_instance(random.Random(seed))
+                                       for seed in range(130)) if len(inst.items) <= 3]
+        assert len(instances) >= 75
+        instances += [random_tied_instance(random.Random(seed)) for seed in range(60)]
+        for inst in instances:
+            assert optimal_policy_bruteforce(inst) == reference_policy_bruteforce(inst)
 
     def test_chain_instances_have_assortment_optima(self):
         rng = random.Random(10)
@@ -178,8 +195,8 @@ class TestBruteForce:
             assert policy_revenue(inst, policy) == value
 
     def test_huge_denominators_use_exact_fallback(self):
-        # revenue numerators too large for the vectorized path; the pure
-        # fraction search must agree with evaluating every policy directly
+        # revenue numerators past 2^60 take the object-dtype path, which
+        # must agree with evaluating every policy directly
         eps = Fraction(1, 10**40)
         inst = Instance(
             "AB",
