@@ -4,8 +4,10 @@ The solver keeps an integer tableau with a shared denominator (fraction-free
 "integer pivoting"), uses Bland's anti-cycling rule, and returns a basic
 (vertex) optimal solution with exact rational values.  The LPs of this
 package have a few nonzeros per row, so each tableau row is a map of its
-nonzero entries and a pivot touches only the rows with a nonzero in the
-pivot column.
+nonzero entries.  A pivot rewrites, in place, only the pivot row's columns
+of the rows with a nonzero in the pivot column; the other entries change
+only when the pivot element differs from the shared denominator, and then
+by their ratio.
 """
 
 from __future__ import annotations
@@ -134,7 +136,9 @@ class _Tableau:
     variable, so its value is ``rhs / denom``.  Columns are the structural
     variables, one slack per inequality, then one artificial per ``>=`` or
     ``==`` row; after phase 1 the artificial columns are deleted from every
-    row.
+    row.  A pivot on (r, c) edits the rows in place: a row with a nonzero in
+    column c changes in row r's columns only, and every other entry and rhs
+    changes only when the pivot element p differs from ``denom``, by p / denom.
     """
 
     def __init__(self, lp: RationalLP):
@@ -160,8 +164,10 @@ class _Tableau:
             (([(idx, Fraction(1))], LE, v.hi)
              for idx, v in enumerate(lp.variables) if v.hi is not None),
         )
+        shift = any(self.lo)
         for coefs, rel, rhs in constraints:
-            rhs -= sum((c * self.lo[idx] for idx, c in coefs), Fraction(0))
+            if shift:
+                rhs -= sum((c * self.lo[idx] for idx, c in coefs), Fraction(0))
             sign = 1
             if rel == GE:
                 sign, rhs, rel = -1, -rhs, LE
@@ -213,57 +219,51 @@ class _Tableau:
 
     # -- pivoting ----------------------------------------------------------
 
-    def _pivot(self, r: int, c: int) -> None:
+    def _pivot(self, r: int, c: int, hit: List[int]) -> None:
+        """Pivot on (r, c); ``hit`` lists the rows with a nonzero in column c."""
         rows, rhs = self.rows, self.rhs
         prow = rows[r]
         # The stored pivot entry must be positive so the shared denominator
         # stays positive; negating the pivot row leaves its equation as is.
-        if prow.get(c, 0) < 0:
-            prow = rows[r] = {j: -x for j, x in prow.items()}
+        if prow[c] < 0:
+            for j in prow:
+                prow[j] = -prow[j]
             rhs[r] = -rhs[r]
-        p = prow.get(c, 0)
-        if p <= 0:
-            raise AssertionError("pivot entry must be nonzero")
-        pb = rhs[r]
-        d = self.denom
-        # Only the rows with a nonzero in column c change, unless p != d, when
-        # every other row is rescaled by p / d.  Entries that become zero are
-        # dropped.
-        hit = [i for i, row in enumerate(rows) if c in row]
+        p, pb, d = prow[c], rhs[r], self.denom
+        # Each new entry is (x·p − f·y) // d, exact, with f the row's entry in
+        # column c and y the pivot row's in x's column: 0 in column c, and
+        # x·p // d (never 0; x itself if p == d) where f or y is 0.
         if p != d:
-            hit_set = set(hit)
             for i, row in enumerate(rows):
-                if i not in hit_set:
-                    rows[i] = {j: q for j, x in row.items() if (q := x * p // d)}
+                for j in row.keys() - prow.keys() if c in row else row:
+                    row[j] = row[j] * p // d
+                if c not in row:
                     rhs[i] = rhs[i] * p // d
+        others = [(j, y) for j, y in prow.items() if j != c]
         for i in hit:
-            if i == r:
-                continue
-            row = rows[i]
-            f = row[c]
-            new = {j: x * p for j, x in row.items()}
-            for j, y in prow.items():
-                new[j] = new.get(j, 0) - f * y
-            rows[i] = {j: q for j, v in new.items() if (q := v // d)}
-            rhs[i] = (rhs[i] * p - f * pb) // d
+            if i != r:
+                row = rows[i]
+                f = row.pop(c)
+                for j, y in others:
+                    if q := (row.get(j, 0) * p - f * y) // d:
+                        row[j] = q
+                    else:
+                        row.pop(j, None)
+                rhs[i] = (rhs[i] * p - f * pb) // d
         self.basis[r] = c
         self.denom = p
 
-    def _ratio_leave(self, c: int) -> Optional[int]:
+    def _ratio_leave(self, c: int, hit: List[int]) -> Optional[int]:
         """Bland leaving row for entering column ``c``; None if unbounded."""
-        best = None
-        best_b = best_a = 0
-        m, rhs = self.m, self.rhs
-        for i, row in enumerate(self.rows):
-            if c not in row or i >= m:
+        best, best_b, best_a = None, 0, 0
+        m, rhs, rows = self.m, self.rhs, self.rows
+        for i in hit:
+            a = rows[i][c]
+            if a <= 0 or i >= m:
                 continue
-            a, b = row[c], rhs[i]
-            if a <= 0:
-                continue
-            if (
-                best is None
-                or b * best_a < best_b * a
-                or (b * best_a == best_b * a and self.basis[i] < self.basis[best])
+            b = rhs[i]
+            if best is None or b * best_a < best_b * a or (
+                b * best_a == best_b * a and self.basis[i] < self.basis[best]
             ):
                 best, best_b, best_a = i, b, a
         return best
@@ -271,17 +271,16 @@ class _Tableau:
     def _run(self, obj: int, phase_one: bool) -> None:
         """Pivot on objective row ``obj`` until no column improves it."""
         while True:
-            enter = min(
-                (j for j, x in self.rows[obj].items() if x > 0), default=None
-            )
+            enter = min((j for j, x in self.rows[obj].items() if x > 0), default=None)
             if enter is None:
                 return
-            leave = self._ratio_leave(enter)
+            hit = [i for i, row in enumerate(self.rows) if enter in row]
+            leave = self._ratio_leave(enter, hit)
             if leave is None:
                 if phase_one:
                     raise AssertionError("phase-1 objective cannot be unbounded")
                 raise LPUnboundedError("objective is unbounded above")
-            self._pivot(leave, enter)
+            self._pivot(leave, enter, hit)
 
     def _drive_out_artificials(self) -> None:
         for i in range(self.m):
@@ -294,7 +293,8 @@ class _Tableau:
                 continue  # redundant row; its artificial stays basic at 0
             # The row's basic value is 0 here, so this degenerate pivot
             # preserves feasibility regardless of the entry's sign.
-            self._pivot(i, pivot_col)
+            self._pivot(i, pivot_col,
+                        [k for k, row in enumerate(self.rows) if pivot_col in row])
 
     def solve(self) -> LPSolution:
         m = self.m

@@ -119,13 +119,13 @@ def _ic_rows(
             yield k, top, other, tuple(j for j in other.entries if j in top_set)
 
 
-def _ic_coefs(coefs: Dict[str, Fraction], top_names: Iterable[str],
-              inside_names: Iterable[str], weight=1) -> Dict[str, Fraction]:
+def _ic_coefs(coefs: Dict[str, object], top_names: Iterable[str],
+              inside_names: Iterable[str], weight=1) -> Dict[str, object]:
     """Add ``weight`` times one IC row, given by its variable names, to ``coefs``."""
     for name in top_names:
-        coefs[name] = coefs.get(name, Fraction(0)) + weight
+        coefs[name] = coefs.get(name, 0) + weight
     for name in inside_names:
-        coefs[name] = coefs.get(name, Fraction(0)) - weight
+        coefs[name] = coefs.get(name, 0) - weight
     return coefs
 
 

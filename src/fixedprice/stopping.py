@@ -207,14 +207,11 @@ def optimal_policy_bruteforce(
     best_flat = int(rev.max())
     winners = np.argwhere(rev == best_flat)
     best_value = Fraction(best_flat, scale)
-
-    def tally_ones(choice) -> int:
-        return sum(bin(masks[mi]).count("1") for mi in choice)
-
-    best_choice = min(
-        (tuple(int(mi) for mi in row) for row in winners),
-        key=lambda ch: (tally_ones(ch), tuple(masks[mi] for mi in ch)),
-    )
+    # The masks ascend and argwhere lists the winners in C order, so the
+    # first winner with the fewest stop entries also has the smallest masks.
+    ones = np.array([bin(mask).count("1") for mask in masks])
+    tallies = ones[winners].sum(axis=1)
+    best_choice = winners[int(np.argmin(tallies))]
 
     generators: Dict[Item, List[FrozenSet[Item]]] = {}
     for i, j in enumerate(items):

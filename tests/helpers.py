@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import string
 from fractions import Fraction
@@ -111,6 +112,20 @@ def seven_entry_menu() -> Menu:
             MenuEntry({"5": 1}),
         ]
     )
+
+
+def random_two_buyer(rng: random.Random) -> MultiBuyerInstance:
+    """Two buyers over items A, B, C, each with 2–4 random lists."""
+    items = "ABC"
+    buyers = []
+    for _ in range(2):
+        lists = sorted({tuple(rng.sample(items, rng.randint(1, 3)))
+                        for _ in range(rng.randint(2, 4))})
+        weights = [rng.randint(1, 4) for _ in lists]
+        buyers.append(ListDistribution(
+            [(lst, Fraction(w, sum(weights))) for lst, w in zip(lists, weights)]
+        ))
+    return MultiBuyerInstance(items, {j: rng.randint(1, 4) for j in items}, buyers)
 
 
 def two_buyer_two_item() -> MultiBuyerInstance:
@@ -417,6 +432,19 @@ def reference_history_monotone(dist: ListDistribution, tol=0) -> ConditionReport
     return ConditionReport(True)
 
 
+def _policy_of_masks(items, choice) -> MonotoneStoppingPolicy:
+    """The policy in which ``items[i]`` stops on a history iff bit h of
+    ``choice[i]`` is set, h being the history's bitmap over the item's other
+    items in order."""
+    n = len(items)
+    table = {}
+    for i, (j, mask) in enumerate(zip(items, choice)):
+        others = items[:i] + items[i + 1:]
+        table[j] = {frozenset(o for p, o in enumerate(others) if h >> p & 1): mask >> h & 1
+                    for h in range(1 << max(n - 1, 0))}
+    return MonotoneStoppingPolicy.from_table(items, table)
+
+
 def reference_policy_bruteforce(inst: Instance) -> Tuple[MonotoneStoppingPolicy, Fraction]:
     """Reference monotone-policy search: every tuple of monotone masks, one
     per item in ``str`` order, valued by ``policy_revenue`` in Fractions.
@@ -424,17 +452,78 @@ def reference_policy_bruteforce(inst: Instance) -> Tuple[MonotoneStoppingPolicy,
     other items in order.  The winner has the largest value, then the
     fewest stop entries, then the smallest masks in item order."""
     items = sorted(inst.items, key=str)
-    n = len(items)
-    others = [items[:i] + items[i + 1:] for i in range(n)]
-    histories = [[frozenset(o for p, o in enumerate(others_j) if h >> p & 1)
-                  for h in range(1 << max(n - 1, 0))] for others_j in others]
     best = None
-    for choice in product(_monotone_masks(max(n - 1, 0)), repeat=n):
-        policy = MonotoneStoppingPolicy.from_table(items, {
-            j: {H: mask >> h & 1 for h, H in enumerate(histories[i])}
-            for i, (j, mask) in enumerate(zip(items, choice))})
+    for choice in product(_monotone_masks(max(len(items) - 1, 0)), repeat=len(items)):
+        policy = _policy_of_masks(items, choice)
         value = policy_revenue(inst, policy)
         key = (-value, sum(bin(mask).count("1") for mask in choice), choice)
         if best is None or key < best[0]:
             best = (key, policy, value)
     return best[1], best[2]
+
+
+def min_rule_policy_bruteforce(inst: Instance) -> Tuple[MonotoneStoppingPolicy, Fraction]:
+    """The monotone-policy search with the tie rule applied by a Python
+    ``min`` over every maximising tuple, as ``optimal_policy_bruteforce``
+    once did.  Revenue tensors are summed list by list, entry by entry, in
+    integers; fast enough for 4 items with prices that tie many tuples."""
+    import numpy as np
+
+    items = sorted(inst.items, key=str)
+    n = len(items)
+    masks = _monotone_masks(n - 1)
+    scale = (math.lcm(*(p.denominator for p in inst.dist.support.values()))
+             * math.lcm(*(Fraction(p).denominator for p in inst.prices.values())))
+    rev = np.zeros((len(masks),) * n, dtype=np.int64)
+    for lst, prob in inst.dist.support.items():
+        alive = 1
+        for t, j in enumerate(lst):
+            i = items.index(j)
+            others = items[:i] + items[i + 1:]
+            h = sum(1 << p for p, o in enumerate(others) if o in lst[:t])
+            shape = [1] * n
+            shape[i] = len(masks)
+            b = np.array([mask >> h & 1 for mask in masks]).reshape(shape)
+            rev = rev + alive * b * int(prob * inst.prices[j] * scale)
+            alive = alive * (1 - b)
+    best = rev.max()
+    choice = min((tuple(masks[mi] for mi in row) for row in np.argwhere(rev == best)),
+                 key=lambda ch: (sum(bin(mask).count("1") for mask in ch), ch))
+    return _policy_of_masks(items, choice), Fraction(int(best), scale)
+
+
+def reference_pivot(tab, r: int, c: int, hit=None) -> None:
+    """The fraction-free pivot that rebuilds every row it touches as a new
+    dict: each entry of a row hit by column ``c`` is multiplied by p and
+    divided by d, and it scans column ``c`` itself instead of reading
+    ``hit``.  ``_Tableau._pivot`` must take the same pivots to the same
+    vertex."""
+    rows, rhs = tab.rows, tab.rhs
+    prow = rows[r]
+    if prow.get(c, 0) < 0:
+        prow = rows[r] = {j: -x for j, x in prow.items()}
+        rhs[r] = -rhs[r]
+    p = prow.get(c, 0)
+    if p <= 0:
+        raise AssertionError("pivot entry must be nonzero")
+    pb = rhs[r]
+    d = tab.denom
+    hit = [i for i, row in enumerate(rows) if c in row]
+    if p != d:
+        hit_set = set(hit)
+        for i, row in enumerate(rows):
+            if i not in hit_set:
+                rows[i] = {j: q for j, x in row.items() if (q := x * p // d)}
+                rhs[i] = rhs[i] * p // d
+    for i in hit:
+        if i == r:
+            continue
+        row = rows[i]
+        f = row[c]
+        new = {j: x * p for j, x in row.items()}
+        for j, y in prow.items():
+            new[j] = new.get(j, 0) - f * y
+        rows[i] = {j: q for j, v in new.items() if (q := v // d)}
+        rhs[i] = (rhs[i] * p - f * pb) // d
+    tab.basis[r] = c
+    tab.denom = p

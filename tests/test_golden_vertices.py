@@ -14,13 +14,10 @@ import hashlib
 import json
 import os
 import random
-from fractions import Fraction
 
 import pytest
 
 from fixedprice import (
-    ListDistribution,
-    MultiBuyerInstance,
     load_instance,
     solve_bm_lp,
     solve_mechanism_lp,
@@ -30,7 +27,7 @@ from fixedprice import (
 from fixedprice.extensions import multibuyer_from_json
 from fixedprice.rational import format_rational
 
-from .helpers import random_instance
+from .helpers import random_instance, random_two_buyer
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden_vertices.json")
@@ -63,19 +60,6 @@ def _multibuyer_digests(inst):
         yield mode, _digest(value, sol.assignment.items())
 
 
-def _random_multibuyer(rng: random.Random) -> MultiBuyerInstance:
-    items = "ABC"
-    buyers = []
-    for _ in range(2):
-        lists = sorted({tuple(rng.sample(items, rng.randint(1, 3)))
-                        for _ in range(rng.randint(2, 4))})
-        weights = [rng.randint(1, 4) for _ in lists]
-        buyers.append(ListDistribution(
-            [(lst, Fraction(w, sum(weights))) for lst, w in zip(lists, weights)]
-        ))
-    return MultiBuyerInstance(items, {j: rng.randint(1, 4) for j in items}, buyers)
-
-
 def compute_digests() -> dict:
     out = {}
     for path in sorted(glob.glob(os.path.join(FIXTURES, "*.json"))):
@@ -95,7 +79,7 @@ def compute_digests() -> dict:
         for kind, d in _single_buyer_digests(inst):
             out[f"random/{k}/{kind}"] = d
     for k in range(4):
-        for kind, d in _multibuyer_digests(_random_multibuyer(random.Random(f"golden-mb/{k}"))):
+        for kind, d in _multibuyer_digests(random_two_buyer(random.Random(f"golden-mb/{k}"))):
             out[f"random-mb/{k}/{kind}"] = d
     return out
 

@@ -3,10 +3,20 @@ from fractions import Fraction
 
 import pytest
 
-from fixedprice import RationalLP, solve_lp
+from fixedprice import RationalLP, build_bm_lp, build_mechanism_lp, solve_lp
+from fixedprice.extensions import build_multibuyer_lp
 from fixedprice.errors import LPInfeasibleError, LPUnboundedError
 from fixedprice.lp import EQ, GE, LE, _Tableau
 from fixedprice.rational import format_rational, parse_rational, round_to_rational
+
+from .helpers import (
+    four_item_clash,
+    random_instance,
+    random_two_buyer,
+    reference_pivot,
+    robust_menu_instance,
+    two_buyer_two_item,
+)
 
 
 class TestRationalParsing:
@@ -232,3 +242,43 @@ class TestSimplex:
         assert "max: 1 x" in text
         assert "cap: 1/3 x <= 1/6" in text
         assert "bound: 0 <= x <= 1/2" in text
+
+
+def _pivot_path(lp, pivot, monkeypatch):
+    """Solve ``lp`` with ``pivot`` as ``_Tableau._pivot``; returns each pivot
+    as (row, column, p != d) and the solution or the error type."""
+    path = []
+
+    def recording(tab, r, c, hit):
+        path.append((r, c, abs(tab.rows[r][c]) != tab.denom))
+        pivot(tab, r, c, hit)
+
+    monkeypatch.setattr(_Tableau, "_pivot", recording)
+    try:
+        sol = solve_lp(lp)
+        return path, (sol.value, sol.assignment)
+    except (LPInfeasibleError, LPUnboundedError) as exc:
+        return path, type(exc)
+
+
+class TestPivotPath:
+    def test_in_place_pivot_takes_the_reference_path(self, monkeypatch):
+        # The in-place pivot must take the same (row, column) pivots as the
+        # rebuild-every-row reference and reach the same vertex, on pivots
+        # with p == d and p != d alike.
+        rng = random.Random(202)
+        lps = [_mixed_problem(rng, planted=k % 2 == 0) for k in range(120)]
+        rng = random.Random(303)
+        instances = [four_item_clash(), robust_menu_instance()] + [
+            random_instance(rng, n_max=5, max_lists=8) for _ in range(4)]
+        for inst in instances:
+            lps += [build_mechanism_lp(inst), build_bm_lp(inst)]
+        for mb in [two_buyer_two_item()] + [random_two_buyer(rng) for _ in range(3)]:
+            lps += [build_multibuyer_lp(mb, mode)[0] for mode in ("dsic", "bic")]
+        in_place = _Tableau._pivot
+        kinds = set()
+        for k, lp in enumerate(lps):
+            path, result = _pivot_path(lp, in_place, monkeypatch)
+            assert (path, result) == _pivot_path(lp, reference_pivot, monkeypatch), k
+            kinds.update(rescaled for _, _, rescaled in path)
+        assert kinds == {False, True}

@@ -41,6 +41,7 @@ from .helpers import (
     equal_weight_chain_params,
     four_item_clash,
     history_monotone_tree,
+    min_rule_policy_bruteforce,
     prefix_graph_tiers,
     random_history_monotone_instance,
     random_instance,
@@ -171,6 +172,22 @@ class TestBruteForce:
         instances += [random_tied_instance(random.Random(seed)) for seed in range(60)]
         for inst in instances:
             assert optimal_policy_bruteforce(inst) == reference_policy_bruteforce(inst)
+
+    def test_all_zero_prices_give_the_empty_policy(self):
+        # Every one of the 20^4 tuples ties; the fewest stop entries is none.
+        items = "ABCD"
+        dist = gen_mnl(items, MnlParams({"A": 1, "B": 2, "C": 3, "D": 4}, Fraction(1)))
+        policy, value = optimal_policy_bruteforce(Instance(items, {j: 0 for j in items}, dist))
+        assert value == 0
+        assert policy == MonotoneStoppingPolicy({j: [] for j in items})
+
+    def test_tie_rule_matches_a_min_over_all_winners(self):
+        # Prices of 0 and 1 on 4 items leave many tuples tied at the optimum.
+        rng = random.Random(33)
+        for _ in range(4):
+            inst = random_instance(rng, n_min=4, n_max=4, max_lists=6)
+            inst = Instance(inst.items, {j: rng.choice([0, 1]) for j in inst.items}, inst.dist)
+            assert optimal_policy_bruteforce(inst) == min_rule_policy_bruteforce(inst)
 
     def test_chain_instances_have_assortment_optima(self):
         rng = random.Random(10)
