@@ -199,7 +199,7 @@ def _cmd_solve(args) -> dict:
     inst = parse_instance(args.instance)
     what = args.what
     if what == "assortment":
-        S, value = core.optimal_assortment(inst, cap=_cap(args, 20))
+        S, value = core.optimal_assortment(inst, cap=_cap(args, core.SUBSET_SEARCH_CAP))
         fields = {"assortment": sorted(map(str, S))}
     elif what == "mech":
         value, mech = mechanism_lp.solve_mechanism_lp(inst)
@@ -212,7 +212,8 @@ def _cmd_solve(args) -> dict:
         minimal = [sorted(map(str, S)) for S in ones if not any(T < S for T in ones)]
         fields = {"one_sets_minimal": sorted(minimal, key=lambda s: (len(s), s))}
     elif what == "topk":
-        k, S, value = lotteries.best_topk_lottery(inst, k=args.k, cap=_cap(args, 20))
+        k, S, value = lotteries.best_topk_lottery(
+            inst, k=args.k, cap=_cap(args, core.SUBSET_SEARCH_CAP))
         fields = {"k": k, "assortment": sorted(map(str, S))}
     else:  # policy
         policy, value = stopping.optimal_policy_bruteforce(
@@ -272,7 +273,7 @@ def _cmd_check(args) -> dict:
 
 def _cmd_compare(args) -> dict:
     inst = parse_instance(args.instance)
-    S, opt_s = core.optimal_assortment(inst, cap=_cap(args, 20))
+    S, opt_s = core.optimal_assortment(inst, cap=_cap(args, core.SUBSET_SEARCH_CAP))
     opt_x, _ = mechanism_lp.solve_mechanism_lp(inst)
     opt_bm, _ = mechanism_lp.solve_bm_lp(inst)
     values = {"opt_assortment": opt_s, "opt_mechanism": opt_x, "opt_bm": opt_bm}

@@ -35,6 +35,7 @@ from .rational import format_rational, lcm_of_denominators, parse_rational
 
 Item = Union[str, int]
 Assortment = frozenset
+SUBSET_SEARCH_CAP = 20  # items, for optimal_assortment and best_topk_lottery
 
 
 @dataclass(frozen=True)
@@ -304,7 +305,8 @@ class Instance:
             dist = ListDistribution(dist)
         unknown = set(dist.items) - set(items)
         if unknown:
-            raise InvalidInstanceError(f"listed items missing from universe: {unknown}")
+            raise InvalidInstanceError(
+                f"listed items missing from universe: {sorted(unknown, key=str)}")
         object.__setattr__(self, "items", items)
         object.__setattr__(self, "prices", prices)
         object.__setattr__(self, "dist", dist)
@@ -475,7 +477,7 @@ def _best_subsets(
 
 
 def optimal_assortment(
-    inst: Instance, cap: int = 20
+    inst: Instance, cap: int = SUBSET_SEARCH_CAP
 ) -> Tuple[Assortment, Fraction]:
     """Exhaustive maximum of assortment revenue over all subsets.
 
@@ -653,10 +655,11 @@ def instance_from_json(obj: dict, where: str = "") -> Instance:
         )
     items, prices = _parse_items(obj["items"], where + "items")
     pairs = _parse_lists(obj["lists"], where + "lists")
-    report = validate_distribution(pairs, items=items)
-    if not report.ok:
-        raise InvalidInstanceError("; ".join(report.messages()))
-    return Instance(items, prices, ListDistribution(pairs))
+    try:
+        dist = ListDistribution(pairs)
+    except InvalidDistributionError as exc:
+        raise InvalidInstanceError(str(exc)) from None
+    return Instance(items, prices, dist)
 
 
 def dump_instance(inst: Instance) -> str:

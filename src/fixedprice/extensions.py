@@ -138,7 +138,9 @@ def build_multibuyer_lp(
             if coefs:
                 lp.add_row(coefs, "<=", 1)
         for i, lst in enumerate(lsts):
-            if len(lst) > 0:
+            # A one-item list that no other buyer lists repeats its item's row.
+            shared = sum(lst.as_set() <= other.as_set() for other in lsts) > 1
+            if len(lst) > 1 or (len(lst) == 1 and shared):
                 lp.add_row({_xvar(i, j, pid): 1 for j in lst.entries}, "<=", 1)
 
     m = inst.num_buyers

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
-from .core import (Instance, Item, ListDistribution, _best_subsets,
+from .core import (SUBSET_SEARCH_CAP, Instance, Item, ListDistribution, _best_subsets,
                    _first_hits_revenue, _parse_at, _parse_rationals)
 from .errors import CapExceededError, GuaranteeViolationError, InvalidInstanceError
 from .mechanism_lp import Mechanism, _best_over_reports, _increments, mechanism_revenue
@@ -104,7 +104,7 @@ def topk_lottery_value(inst: Instance, k: int, S: Iterable[Item]) -> Fraction:
 
 
 def best_topk_lottery(
-    inst: Instance, k: Optional[int] = None, cap: int = 20
+    inst: Instance, k: Optional[int] = None, cap: int = SUBSET_SEARCH_CAP
 ) -> Tuple[int, frozenset, Fraction]:
     """Exhaustive best (k, S) lottery; fix ``k`` to restrict the search.
 

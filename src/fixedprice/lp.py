@@ -55,7 +55,6 @@ class RationalLP:
         self.variables: List[LPVariable] = []
         self._var_index: Dict[str, int] = {}
         self.rows: List[LPRow] = []
-        self._row_keys: set = set()
         self.objective: Dict[str, Fraction] = {}
 
     def add_variable(self, name: str, lo=0, hi=None) -> str:
@@ -69,9 +68,8 @@ class RationalLP:
         self.variables.append(LPVariable(name, lo, hi))
         return name
 
-    def add_row(self, coefs: Mapping[str, object], rel: str, rhs, label: str = "",
-                dedupe: bool = True) -> bool:
-        """Add a constraint row; returns False if an identical row was merged."""
+    def add_row(self, coefs: Mapping[str, object], rel: str, rhs, label: str = "") -> None:
+        """Append a constraint row; every row given is kept, copies included."""
         if rel not in (LE, GE, EQ):
             raise ValueError(f"unknown relation {rel!r}")
         cleaned = []
@@ -82,14 +80,7 @@ class RationalLP:
             if c != 0:
                 cleaned.append((name, c))
         cleaned.sort(key=lambda nc: self._var_index[nc[0]])
-        clean = tuple(cleaned)
-        rhs = parse_rational(rhs)
-        key = (clean, rel, rhs)
-        if dedupe and key in self._row_keys:
-            return False
-        self._row_keys.add(key)
-        self.rows.append(LPRow(clean, rel, rhs, label))
-        return True
+        self.rows.append(LPRow(tuple(cleaned), rel, parse_rational(rhs), label))
 
     def set_objective(self, coefs: Mapping[str, object]) -> None:
         for name in coefs:

@@ -7,19 +7,19 @@ items simultaneously for every k, which linearizes into the row family
 
     sum_{j in first k of l} x_j(l)  >=  sum_{j in (first k of l) ∩ l'} x_j(l')
 
-for all supported lists l, positions k, and alternative reports l'.  This
-module builds that LP, the monotone-set-function relaxation of its optimum
-(solved by a minimum cut), and the weaker assortment LP used for
-comparisons, plus the conversions between assortments, mechanisms, and
-monotone set functions.
+for all supported lists l, positions k, and reports l' != l that hold one
+of the first k entries of l.  This module builds that LP, the
+monotone-set-function relaxation of its optimum (solved by a minimum cut),
+and the weaker assortment LP used for comparisons, plus the conversions
+between assortments, mechanisms, and monotone set functions.
 
-The IC row family is enumerated in one place, ``_ic_rows``; its three
-consumers are ``build_mechanism_lp`` (the rows), ``verify_ic`` (the exact
-check of a given mechanism) and ``extensions.build_multibuyer_lp`` (the
-DSIC and BIC rows per buyer).  Likewise ``_inclusion_rows`` feeds both
-``build_bm_lp`` and ``containment_witness``, and ``_best_over_reports`` is
-the one definition of the best probability any report gives of landing in
-a set.
+The IC rows are enumerated in one place, ``_ic_rows``, which alone decides
+which rows exist; its consumers are ``build_mechanism_lp`` (the rows),
+``verify_ic`` (the exact check of a given mechanism) and
+``extensions.build_multibuyer_lp`` (the DSIC and BIC rows per buyer).
+Likewise ``_inclusion_rows`` feeds both ``build_bm_lp`` and
+``containment_witness``, and ``_best_over_reports`` is the one definition
+of the best probability any report gives of landing in a set.
 """
 
 from __future__ import annotations
@@ -105,18 +105,24 @@ def mechanism_revenue(inst: Instance, mech: Mechanism) -> Fraction:
 def _ic_rows(
     lst: RankedList, reports: Sequence[RankedList]
 ) -> Iterator[Tuple[int, Tuple[Item, ...], RankedList, Tuple[Item, ...]]]:
-    """The IC rows of truthful list ``lst``: ``(k, top, other, inside)`` for
-    each position k and each report ``other`` in ``reports``, where ``top``
-    is the first k entries of ``lst`` and ``inside`` the entries of ``other``
-    among them.  The row reads
+    """The IC rows of truthful list ``lst`` that can bind: ``(k, top, other,
+    inside)`` for each position k and report ``other != lst`` in ``reports``
+    that holds one of the first k entries ``top`` of ``lst``; ``inside`` is
+    the entries of ``other`` among them.  The row reads
 
         sum_{j in top} x_j(lst)  >=  sum_{j in inside} x_j(other).
+
+    The rows left out read 0 >= 0 or follow from x >= 0.  Under Bland's rule
+    they never pivot: any ratio test their slack could win ties with a basic
+    x_j of the row, whose column index is lower.
     """
     for k in range(1, len(lst) + 1):
         top = lst.entries[:k]
         top_set = set(top)
         for other in reports:
-            yield k, top, other, tuple(j for j in other.entries if j in top_set)
+            inside = tuple(j for j in other.entries if j in top_set)
+            if inside and other != lst:
+                yield k, top, other, inside
 
 
 def _ic_coefs(coefs: Dict[str, object], top_names: Iterable[str],
@@ -144,9 +150,9 @@ def _revenue_lp(inst: Instance) -> RationalLP:
 def build_mechanism_lp(inst: Instance) -> RationalLP:
     """LP over allocation variables with IC, sum-to-one, and nonnegativity rows.
 
-    IC rows are instantiated for every ordered (list, position, report)
-    triple; exact-duplicate rows (including the vacuous self-report rows)
-    collapse via hashing.
+    One sum-to-one row per nonempty list, then the IC rows of ``_ic_rows``:
+    one per (list l, position k, report l' != l) where l' holds one of the
+    first k entries of l.  No two rows are equal.
     """
     lp = _revenue_lp(inst)
     support = list(inst.dist.support.keys())
@@ -565,17 +571,19 @@ def build_bm_lp(inst: Instance) -> RationalLP:
 
     Selling an item never exceeds its inclusion probability, and anything
     sold below position k on a list is capped by that position's exclusion;
-    integer solutions are exactly assortments.
+    integer solutions are exactly assortments.  The cap at a list's last
+    position reads ``z <= 1``, z's own bound, and is left out.
     """
     lp = _revenue_lp(inst)
     for j in inst.items:
         lp.add_variable(_z_var(j), lo=0, hi=1)
     for lst in inst.dist.support:
         for x_items, z_item, z_coef, rhs, _ in _inclusion_rows(lst):
-            coefs: Dict[str, Fraction] = {_var(lst, j): Fraction(1) for j in x_items}
-            if z_item is not None:
-                coefs[_z_var(z_item)] = Fraction(z_coef)
-            lp.add_row(coefs, "<=", rhs)
+            if x_items:
+                coefs: Dict[str, Fraction] = {_var(lst, j): Fraction(1) for j in x_items}
+                if z_item is not None:
+                    coefs[_z_var(z_item)] = Fraction(z_coef)
+                lp.add_row(coefs, "<=", rhs)
     return lp
 
 

@@ -26,6 +26,8 @@ from fixedprice import (
     policy_revenue,
 )
 from fixedprice.core import Prefix, _list_key
+from fixedprice.lp import RationalLP
+from fixedprice.mechanism_lp import _ic_coefs, _revenue_lp, _var
 from fixedprice.rational import coerce_rational
 from fixedprice.stopping import (
     ConditionReport,
@@ -527,3 +529,31 @@ def reference_pivot(tab, r: int, c: int, hit=None) -> None:
         rhs[i] = (rhs[i] * p - f * pb) // d
     tab.basis[r] = c
     tab.denom = p
+
+
+def reference_mechanism_lp(inst: Instance) -> RationalLP:
+    """The mechanism LP with a row for every (list l, position k, report l'),
+    the self-report and the reports sharing no item with the top k included,
+    where a row equal to an earlier one is dropped through a set of row keys.
+    ``build_mechanism_lp`` must reach the same value and vertex."""
+    lp = _revenue_lp(inst)
+    support = list(inst.dist.support)
+    seen = set()
+
+    def add(coefs, rel, rhs, label=""):
+        key = (frozenset((name, c) for name, c in coefs.items() if c != 0), rel, rhs)
+        if key not in seen:
+            seen.add(key)
+            lp.add_row(coefs, rel, rhs, label=label)
+
+    for lst in support:
+        if len(lst) > 0:
+            add({_var(lst, j): 1 for j in lst.entries}, "<=", 1,
+                label=f"one[{','.join(map(str, lst.entries))}]")
+        for k in range(1, len(lst) + 1):
+            top = lst.entries[:k]
+            for other in support:
+                inside = [j for j in other.entries if j in top]
+                add(_ic_coefs({}, (_var(lst, j) for j in top),
+                              (_var(other, j) for j in inside)), ">=", 0)
+    return lp

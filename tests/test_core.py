@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from fixedprice import core
 from fixedprice import (
     Instance,
     ListDistribution,
@@ -254,6 +255,17 @@ class TestInstanceJson:
         for text in ("{not json", "[" * 100000, "1" * 5000):
             with pytest.raises(InvalidInstanceError, match="malformed"):
                 load_instance(text)
+
+    def test_distribution_validated_once_per_load(self, monkeypatch):
+        inst = four_item_clash()
+        text = dump_instance(inst)
+        calls = []
+        validate = core.validate_distribution
+        monkeypatch.setattr(core, "validate_distribution",
+                            lambda *a, **kw: calls.append(1) or validate(*a, **kw))
+        loaded = load_instance(text)
+        assert len(calls) == 1
+        assert loaded.dist == inst.dist
 
     def test_unknown_item_rejected(self):
         obj = {

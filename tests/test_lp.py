@@ -90,7 +90,7 @@ def _mixed_problem(rng, planted: bool):
             total += w * rhs
         rows.append((combo, EQ, total))
     for coefs, rel, rhs in rows:
-        lp.add_row(coefs, rel, rhs, dedupe=False)
+        lp.add_row(coefs, rel, rhs)
     lp.set_objective({name: rational(-3, 3) for name in names})
     return lp
 
@@ -160,12 +160,18 @@ class TestSimplex:
         with pytest.raises(LPUnboundedError):
             solve_lp(lp)
 
-    def test_duplicate_rows_merge(self):
+    def test_duplicate_rows_kept(self):
         lp = RationalLP()
         lp.add_variable("x")
-        assert lp.add_row({"x": 1}, "<=", 1)
-        assert not lp.add_row({"x": 1}, "<=", 1)
-        assert lp.num_rows == 1
+        lp.add_variable("y", hi=3)
+        lp.add_row({"x": 1, "y": 1}, "<=", 4)
+        lp.set_objective({"x": 2, "y": 1})
+        once = solve_lp(lp)
+        assert lp.add_row({"x": 1, "y": 1}, "<=", 4) is None
+        assert lp.num_rows == 2 and lp.rows[0] == lp.rows[1]
+        twice = solve_lp(lp)
+        assert twice.value == once.value == 8
+        assert twice.assignment == once.assignment
 
     def test_degenerate_vertex(self):
         lp = RationalLP()

@@ -1,3 +1,6 @@
+import glob
+import json
+import os
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -12,10 +15,12 @@ from fixedprice import (
     SetFunction,
     assortment_revenue,
     assortment_to_mechanism,
+    build_bm_lp,
     build_mechanism_lp,
     build_set_function_lp,
     containment_witness,
     gen_mnl,
+    load_instance,
     mechanism_revenue,
     mechanism_to_set_function,
     optimal_assortment,
@@ -32,6 +37,7 @@ from fixedprice.errors import (
     IdentityCheckError,
     SubmodularityError,
 )
+from fixedprice.extensions import build_multibuyer_lp
 from fixedprice.lotteries import BudgetAdditiveParams, budget_additive_mechanism
 from fixedprice.mechanism_lp import (
     _max_weight_closure,
@@ -42,7 +48,13 @@ from fixedprice.mechanism_lp import (
     set_function_revenue,
 )
 
-from .helpers import four_item_clash, random_instance
+from .helpers import (
+    four_item_clash,
+    random_instance,
+    random_two_buyer,
+    reference_mechanism_lp,
+)
+from .test_golden_vertices import FIXTURES
 
 
 def full_support_instance(prices) -> Instance:
@@ -65,12 +77,14 @@ class TestMechanismLp:
         assert mech.probability(("1",), "1") == 1
 
     def test_row_count_order(self):
-        # all (list, k, report) triples are instantiated before dedupe
+        # one row per nonempty list, plus one per (l, k, l') with l' != l
+        # holding one of the first k entries of l
         inst = four_item_clash()
-        lp = build_mechanism_lp(inst)
-        n_lists = len(inst.dist.support)
-        pairs = sum(len(l) for l in inst.dist.support)
-        assert lp.num_rows <= pairs * n_lists + n_lists
+        support = list(inst.dist.support)
+        ic = sum(1 for l in support for k in range(1, len(l) + 1) for other in support
+                 if other != l and set(other.entries) & set(l.entries[:k]))
+        nonempty = sum(1 for l in support if len(l) > 0)
+        assert build_mechanism_lp(inst).num_rows == nonempty + ic == 42
 
     def test_optimum_beats_best_assortment_here(self):
         inst = four_item_clash()
@@ -83,6 +97,60 @@ class TestMechanismLp:
 
         value, _ = solve_mechanism_lp(robust_menu_instance())
         assert value == Fraction(21, 16)
+
+    def test_same_vertex_as_the_deduplicated_full_family(self):
+        # Leaving out the rows that cannot bind keeps every Bland pivot, so
+        # the value and the vertex are those of the LP with every
+        # (list, position, report) row, copies dropped.
+        instances = []
+        for path in sorted(glob.glob(os.path.join(FIXTURES, "*.json"))):
+            with open(path) as fh:
+                obj = json.load(fh)
+            if "lists" in obj:
+                instances.append(load_instance(json.dumps(obj)))
+        instances += [random_instance(random.Random(f"golden/{k}"), n_max=5, max_lists=8)
+                      for k in range(10)]
+        rng = random.Random(41)
+        instances += [random_instance(rng) for _ in range(100)]
+        for k, inst in enumerate(instances):
+            sol, ref = solve_lp(build_mechanism_lp(inst)), solve_lp(reference_mechanism_lp(inst))
+            assert (sol.value, sol.assignment) == (ref.value, ref.assignment), k
+
+
+def _rows_that_cannot_bind(lp):
+    """Rows of ``lp`` that are empty, equal to an earlier row, read
+    ``sum c_j x_j >= 0`` with every c_j > 0 (implied by x >= 0), or restate
+    one variable's upper bound."""
+    hi = {v.name: v.hi for v in lp.variables}
+    seen, bad = set(), []
+    for row in lp.rows:
+        key = (row.coefs, row.rel, row.rhs)
+        implied = (row.rel == ">=" and row.rhs == 0 and all(c > 0 for _, c in row.coefs))
+        if len(row.coefs) == 1 and row.rel == "<=":
+            ((name, c),) = row.coefs
+            implied |= c > 0 and hi[name] is not None and c * hi[name] <= row.rhs
+        if not row.coefs or key in seen or implied:
+            bad.append(row)
+        seen.add(key)
+    return bad
+
+
+class TestBuilderRows:
+    def test_single_buyer_builders(self):
+        rng = random.Random(17)
+        instances = [four_item_clash()] + [
+            random_instance(rng, n_max=5, max_lists=8) for _ in range(60)]
+        for inst in instances:
+            for build in (build_mechanism_lp, build_bm_lp, build_set_function_lp):
+                assert _rows_that_cannot_bind(build(inst)) == [], build.__name__
+
+    def test_multibuyer_builders(self):
+        rng = random.Random(19)
+        for _ in range(30):
+            mb = random_two_buyer(rng)
+            for mode in ("dsic", "bic"):
+                lp, _ = build_multibuyer_lp(mb, mode)
+                assert _rows_that_cannot_bind(lp) == [], mode
 
 
 def lp_holds_at(lp, point) -> bool:
@@ -126,6 +194,15 @@ class TestVerifyIc:
                     assert ok == lp_holds_at(lp, point)
                     outcomes.append(ok)
         assert outcomes.count(True) >= 40 and outcomes.count(False) >= 40
+
+    def test_negative_entry_reported_as_nonneg(self):
+        # x_A(A) < 0 breaks no IC row that can bind; "nonneg" reports it.
+        inst = Instance("AB", {"A": 1, "B": 1},
+                        ListDistribution({("A",): Fraction(1, 2), ("B",): Fraction(1, 2)}))
+        mech = Mechanism({("A",): {"A": Fraction(-1, 2)}, ("B",): {}}, validate=False)
+        report = verify_ic(inst, mech)
+        assert not report.ok
+        assert [v.kind for v in report.violations] == ["nonneg"]
 
     def test_top2_lottery_passes(self):
         inst = four_item_clash()
