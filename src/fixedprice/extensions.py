@@ -135,12 +135,14 @@ def build_multibuyer_lp(
                 for i, lst in enumerate(lsts)
                 if j in lst.as_set()
             }
-            if coefs:
+            # An item only one buyer lists is capped by that buyer's list row.
+            if len(coefs) > 1:
                 lp.add_row(coefs, "<=", 1)
         for i, lst in enumerate(lsts):
-            # A one-item list that no other buyer lists repeats its item's row.
+            # A one-item list that another buyer lists is capped by the
+            # item's row.
             shared = sum(lst.as_set() <= other.as_set() for other in lsts) > 1
-            if len(lst) > 1 or (len(lst) == 1 and shared):
+            if len(lst) > 1 or (len(lst) == 1 and not shared):
                 lp.add_row({_xvar(i, j, pid): 1 for j in lst.entries}, "<=", 1)
 
     m = inst.num_buyers

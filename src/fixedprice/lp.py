@@ -1,13 +1,20 @@
 """Exact rational linear programming via a sparse two-phase simplex.
 
 The solver keeps an integer tableau with a shared denominator (fraction-free
-"integer pivoting"), uses Bland's anti-cycling rule, and returns a basic
-(vertex) optimal solution with exact rational values.  The LPs of this
-package have a few nonzeros per row, so each tableau row is a map of its
-nonzero entries.  A pivot rewrites, in place, only the pivot row's columns
-of the rows with a nonzero in the pivot column; the other entries change
-only when the pivot element differs from the shared denominator, and then
-by their ratio.
+"integer pivoting") and returns a basic (vertex) optimal solution with exact
+rational values.  The LPs of this package have a few nonzeros per row, so
+each tableau row is a map of its nonzero entries.  A pivot rewrites, in
+place, only the pivot row's columns of the rows with a nonzero in the pivot
+column; the other entries change only when the pivot element differs from
+the shared denominator, and then by their ratio.
+
+Every phase of every LP uses one pricing rule: Dantzig's largest improving
+objective entry (lowest column on ties), switching to Bland's smallest index
+after ``_DEGENERATE_LIMIT`` consecutive degenerate pivots, which keeps
+Bland's guarantee against cycling.  The answer does not depend on the pivot
+path: after phase 2 the lex phases move to the lexicographically smallest
+optimal vertex in variable order, a point fixed by the feasible set, the
+objective and the variable order alone.
 """
 
 from __future__ import annotations
@@ -16,12 +23,18 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from .errors import LPInfeasibleError, LPUnboundedError
 from .rational import format_rational, parse_rational
 
 LE, GE, EQ = "<=", ">=", "=="
+
+# Consecutive degenerate pivots (pivot row rhs 0) after which the entering
+# column is Bland's smallest index, until a pivot moves the point.  The
+# mechanism LPs' longest degenerate runs under Dantzig's rule stay below it;
+# a small limit measured worse than Bland alone.
+_DEGENERATE_LIMIT = 500
 
 
 @dataclass(frozen=True)
@@ -130,6 +143,11 @@ class _Tableau:
     row.  A pivot on (r, c) edits the rows in place: a row with a nonzero in
     column c changes in row r's columns only, and every other entry and rhs
     changes only when the pivot element p differs from ``denom``, by p / denom.
+
+    A column enters when its objective entry is positive; an objective row
+    has one scale, so its raw integers compare exactly.  ``banned`` holds
+    the columns the lex phases fix at 0: they stay nonbasic, because the
+    entering choice skips them.
     """
 
     def __init__(self, lp: RationalLP):
@@ -143,6 +161,7 @@ class _Tableau:
         self.rows: List[Dict[int, int]] = []
         self.rhs: List[int] = []
         self.basis: List[int] = []
+        self.banned: Set[int] = set()
         obj1: Dict[int, Fraction] = {}
         value1 = Fraction(0)
 
@@ -245,7 +264,8 @@ class _Tableau:
         self.denom = p
 
     def _ratio_leave(self, c: int, hit: List[int]) -> Optional[int]:
-        """Bland leaving row for entering column ``c``; None if unbounded."""
+        """Leaving row for entering column ``c`` by the ratio test, the lowest
+        basic column on ties (Bland's leaving rule); None if unbounded."""
         best, best_b, best_a = None, 0, 0
         m, rhs, rows = self.m, self.rhs, self.rows
         for i in hit:
@@ -261,17 +281,50 @@ class _Tableau:
 
     def _run(self, obj: int, phase_one: bool) -> None:
         """Pivot on objective row ``obj`` until no column improves it."""
+        banned, degenerate = self.banned, 0
         while True:
-            enter = min((j for j, x in self.rows[obj].items() if x > 0), default=None)
-            if enter is None:
+            improving = [(x, -j) for j, x in self.rows[obj].items()
+                         if x > 0 and j not in banned]
+            if not improving:
                 return
+            # Dantzig: the largest entry, lowest column on ties; Bland: the
+            # lowest column.
+            if degenerate < _DEGENERATE_LIMIT:
+                enter = -max(improving)[1]
+            else:
+                enter = -max(neg_j for _, neg_j in improving)
             hit = [i for i, row in enumerate(self.rows) if enter in row]
             leave = self._ratio_leave(enter, hit)
             if leave is None:
                 if phase_one:
                     raise AssertionError("phase-1 objective cannot be unbounded")
                 raise LPUnboundedError("objective is unbounded above")
+            degenerate = degenerate + 1 if self.rhs[leave] == 0 else 0
             self._pivot(leave, enter, hit)
+
+    def _lex_min(self) -> None:
+        """From an optimal basis, move to the lexicographically smallest
+        optimal vertex in structural-variable order.
+
+        A nonbasic column with a negative objective entry is 0 on the
+        optimal face, so it is banned.  Then each structural variable in
+        turn is minimised over what is left: a nonbasic one is already 0
+        and is banned; a basic one, in row r, is minimised by the objective
+        row r without its own column (its entry there is the positive
+        ``denom``), and the columns that row prices negative are banned.
+        """
+        m, basis, banned = self.m, self.basis, self.banned
+        banned.update(j for j, x in self.rows[m].items() if x < 0)
+        for k in range(len(self.lo)):
+            if k not in basis:
+                banned.add(k)
+                continue
+            r = basis.index(k)
+            obj = dict(self.rows[r])
+            del obj[k]
+            self.rows[m], self.rhs[m] = obj, self.rhs[r]
+            self._run(m, phase_one=False)
+            banned.update(j for j, x in self.rows[m].items() if x < 0)
 
     def _drive_out_artificials(self) -> None:
         for i in range(self.m):
@@ -295,13 +348,12 @@ class _Tableau:
                 raise LPInfeasibleError("no feasible point exists")
             self._drive_out_artificials()
             del self.rows[m + 1], self.rhs[m + 1]
-            # The artificials are the highest-numbered columns, so deleting
-            # them leaves Bland's choices and the pivot path as they were.
             # A redundant row keeps its artificial basic and becomes empty.
             first_art = min(self.art_cols)
             self.rows = [{j: x for j, x in row.items() if j < first_art}
                          for row in self.rows]
         self._run(m, phase_one=False)
+        self._lex_min()
 
         values = [Fraction(0)] * len(self.lo)
         for i in range(m):

@@ -112,9 +112,9 @@ def _ic_rows(
 
         sum_{j in top} x_j(lst)  >=  sum_{j in inside} x_j(other).
 
-    The rows left out read 0 >= 0 or follow from x >= 0.  Under Bland's rule
-    they never pivot: any ratio test their slack could win ties with a basic
-    x_j of the row, whose column index is lower.
+    The rows left out read 0 >= 0 or follow from x >= 0, so leaving them out
+    keeps the feasible set, and with it the lexicographically smallest
+    optimal vertex that ``solve_lp`` returns.
     """
     for k in range(1, len(lst) + 1):
         top = lst.entries[:k]

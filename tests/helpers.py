@@ -26,7 +26,7 @@ from fixedprice import (
     policy_revenue,
 )
 from fixedprice.core import Prefix, _list_key
-from fixedprice.lp import RationalLP
+from fixedprice.lp import EQ, RationalLP, solve_lp
 from fixedprice.mechanism_lp import _ic_coefs, _revenue_lp, _var
 from fixedprice.rational import coerce_rational
 from fixedprice.stopping import (
@@ -529,6 +529,27 @@ def reference_pivot(tab, r: int, c: int, hit=None) -> None:
         rhs[i] = (rhs[i] * p - f * pb) // d
     tab.basis[r] = c
     tab.denom = p
+
+
+def reference_lexmin(lp: RationalLP) -> Dict[str, Fraction]:
+    """The lexicographically smallest optimal point of ``lp`` in variable
+    order, one value at a time: fix the objective at its optimum with an
+    ``==`` row, then minimise each variable in turn and fix it with an
+    ``==`` row.  It reads only optimal values, never a vertex, so it does
+    not depend on the pivot path."""
+    work = RationalLP()
+    for var in lp.variables:
+        work.add_variable(var.name, var.lo, var.hi)
+    for row in lp.rows:
+        work.add_row(dict(row.coefs), row.rel, row.rhs)
+    work.set_objective(lp.objective)
+    work.add_row(lp.objective, EQ, solve_lp(work).value)
+    point = {}
+    for var in lp.variables:
+        work.set_objective({var.name: -1})
+        point[var.name] = -solve_lp(work).value
+        work.add_row({var.name: 1}, EQ, point[var.name])
+    return point
 
 
 def reference_mechanism_lp(inst: Instance) -> RationalLP:

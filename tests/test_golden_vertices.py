@@ -1,10 +1,13 @@
 """Pinned optimal vertices of the exact LP solvers.
 
-The simplex uses Bland's rule, so every LP has one deterministic pivot path
-and returns one vertex; where the optimum is not unique, a change to the
-pivot path shows up as a different vertex.  ``golden_vertices.json`` holds a
+Every LP solve returns the lexicographically smallest optimal vertex in the
+LP's variable order, a point fixed by the feasible set, the objective and
+the variable order: the pivot rule, the pivot path and rows that cannot move
+the optimal face leave it unchanged.  ``golden_vertices.json`` holds a
 sha256 digest of the value and the sorted ``(name, value)`` vertex of each
-solve below.  After a deliberate change of the pivot path, re-record it with
+solve below, so a digest changes only when an LP's feasible set, objective
+or variable order changes.  After such a deliberate change, re-record it
+with
 
     PYTHONPATH=src python -m tests.test_golden_vertices
 """
@@ -24,6 +27,7 @@ from fixedprice import (
     solve_multibuyer_lp,
     solve_set_function_lp,
 )
+from fixedprice import lp as lp_module
 from fixedprice.extensions import multibuyer_from_json
 from fixedprice.rational import format_rational
 
@@ -60,27 +64,30 @@ def _multibuyer_digests(inst):
         yield mode, _digest(value, sol.assignment.items())
 
 
-def compute_digests() -> dict:
-    out = {}
+def golden_instances():
+    """``(key, instance, multibuyer)`` for every golden case: the fixtures,
+    then seeded random single-buyer and two-buyer instances."""
     for path in sorted(glob.glob(os.path.join(FIXTURES, "*.json"))):
         name = os.path.splitext(os.path.basename(path))[0]
         with open(path) as fh:
             obj = json.load(fh)
         if "lists" in obj:
-            cases = _single_buyer_digests(load_instance(json.dumps(obj)))
+            yield f"fixture/{name}", load_instance(json.dumps(obj)), False
         elif "buyers" in obj:
-            cases = _multibuyer_digests(multibuyer_from_json(obj))
-        else:
-            continue
-        for kind, d in cases:
-            out[f"fixture/{name}/{kind}"] = d
+            yield f"fixture/{name}", multibuyer_from_json(obj), True
     for k in range(10):
-        inst = random_instance(random.Random(f"golden/{k}"), n_max=5, max_lists=8)
-        for kind, d in _single_buyer_digests(inst):
-            out[f"random/{k}/{kind}"] = d
+        yield (f"random/{k}",
+               random_instance(random.Random(f"golden/{k}"), n_max=5, max_lists=8), False)
     for k in range(4):
-        for kind, d in _multibuyer_digests(random_two_buyer(random.Random(f"golden-mb/{k}"))):
-            out[f"random-mb/{k}/{kind}"] = d
+        yield f"random-mb/{k}", random_two_buyer(random.Random(f"golden-mb/{k}")), True
+
+
+def compute_digests() -> dict:
+    out = {}
+    for key, inst, multibuyer in golden_instances():
+        cases = _multibuyer_digests(inst) if multibuyer else _single_buyer_digests(inst)
+        for kind, d in cases:
+            out[f"{key}/{kind}"] = d
     return out
 
 
@@ -95,6 +102,14 @@ def test_golden_vertices_unchanged(digests):
     assert sorted(digests) == sorted(golden)
     changed = [key for key in golden if digests[key] != golden[key]]
     assert not changed, f"optimal vertex changed for {changed}"
+
+
+def test_golden_vertices_do_not_depend_on_the_pivot_rule(digests, monkeypatch):
+    # With the limit at 0 every pivot takes Bland's smallest index, a path
+    # through other bases than Dantzig's; the lex phases end both at the
+    # same vertex.
+    monkeypatch.setattr(lp_module, "_DEGENERATE_LIMIT", 0)
+    assert compute_digests() == digests
 
 
 if __name__ == "__main__":

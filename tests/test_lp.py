@@ -3,20 +3,28 @@ from fractions import Fraction
 
 import pytest
 
-from fixedprice import RationalLP, build_bm_lp, build_mechanism_lp, solve_lp
+from fixedprice import (
+    RationalLP,
+    build_bm_lp,
+    build_mechanism_lp,
+    build_set_function_lp,
+    solve_lp,
+)
 from fixedprice.extensions import build_multibuyer_lp
 from fixedprice.errors import LPInfeasibleError, LPUnboundedError
-from fixedprice.lp import EQ, GE, LE, _Tableau
+from fixedprice.lp import _DEGENERATE_LIMIT, EQ, GE, LE, _Tableau
 from fixedprice.rational import format_rational, parse_rational, round_to_rational
 
 from .helpers import (
     four_item_clash,
     random_instance,
     random_two_buyer,
+    reference_lexmin,
     reference_pivot,
     robust_menu_instance,
     two_buyer_two_item,
 )
+from .test_golden_vertices import golden_instances
 
 
 class TestRationalParsing:
@@ -288,3 +296,55 @@ class TestPivotPath:
             assert (path, result) == _pivot_path(lp, reference_pivot, monkeypatch), k
             kinds.update(rescaled for _, _, rescaled in path)
         assert kinds == {False, True}
+
+
+class TestLexMin:
+    def test_feasible_mixed_problems(self):
+        rng = random.Random(202)
+        solved = 0
+        for k in range(120):
+            lp = _mixed_problem(rng, planted=k % 2 == 0)
+            try:
+                sol = solve_lp(lp)
+            except LPInfeasibleError:
+                continue
+            assert sol.assignment == reference_lexmin(lp), (k, lp.to_text())
+            solved += 1
+        assert solved >= 20
+
+    def test_golden_lps(self):
+        for key, inst, multibuyer in golden_instances():
+            if multibuyer:
+                lps = [build_multibuyer_lp(inst, mode)[0] for mode in ("dsic", "bic")]
+            else:
+                lps = [build(inst) for build in
+                       (build_mechanism_lp, build_bm_lp, build_set_function_lp)]
+            for lp in lps:
+                assert solve_lp(lp).assignment == reference_lexmin(lp), key
+
+    def test_cycling_lp_ends_through_the_bland_fallback(self, monkeypatch):
+        # Chvatal's example: from the slack basis, Dantzig's rule with the
+        # lowest column on ties cycles through six degenerate bases.  After
+        # _DEGENERATE_LIMIT of them Bland's rule must finish the solve.
+        lp = RationalLP()
+        names = ["x1", "x2", "x3", "x4"]
+        for name in names:
+            lp.add_variable(name)
+        half = Fraction(1, 2)
+        lp.add_row({"x1": half, "x2": -11 * half, "x3": -5 * half, "x4": 9}, LE, 0)
+        lp.add_row({"x1": half, "x2": -3 * half, "x3": -half, "x4": 1}, LE, 0)
+        lp.add_row({"x1": 1}, LE, 1)
+        lp.set_objective({"x1": 10, "x2": -57, "x3": -9, "x4": -24})
+        degenerate = []
+        pivot = _Tableau._pivot
+
+        def counted(tab, r, c, hit):
+            degenerate.append(tab.rhs[r] == 0)
+            if len(degenerate) > 5000:
+                raise AssertionError("the simplex cycles")
+            pivot(tab, r, c, hit)
+
+        monkeypatch.setattr(_Tableau, "_pivot", counted)
+        sol = solve_lp(lp)
+        assert sol.value == 1 and [sol[name] for name in names] == [1, 0, 1, 0]
+        assert all(degenerate[:_DEGENERATE_LIMIT + 1])

@@ -99,8 +99,8 @@ class TestMechanismLp:
         assert value == Fraction(21, 16)
 
     def test_same_vertex_as_the_deduplicated_full_family(self):
-        # Leaving out the rows that cannot bind keeps every Bland pivot, so
-        # the value and the vertex are those of the LP with every
+        # Leaving out the rows that cannot bind keeps the feasible set, so
+        # the value and the lex-min vertex are those of the LP with every
         # (list, position, report) row, copies dropped.
         instances = []
         for path in sorted(glob.glob(os.path.join(FIXTURES, "*.json"))):
@@ -135,6 +135,26 @@ def _rows_that_cannot_bind(lp):
     return bad
 
 
+def _implied_one_variable_rows(lp):
+    """One-variable ``c x <= b`` rows of ``lp`` (c > 0) that another ``<=``
+    row with nonnegative coefficients implies through x >= 0 for every
+    variable: ``a x + ... <= b'`` with b' / a <= b / c."""
+    assert all(v.lo == 0 for v in lp.variables)
+    bad = []
+    for k, row in enumerate(lp.rows):
+        if len(row.coefs) != 1 or row.rel != "<=":
+            continue
+        ((name, c),) = row.coefs
+        for i, other in enumerate(lp.rows):
+            coefs = dict(other.coefs)
+            if (c > 0 and i != k and other.rel == "<=" and coefs.get(name, 0) > 0
+                    and all(a >= 0 for a in coefs.values())
+                    and other.rhs * c <= row.rhs * coefs[name]):
+                bad.append(row)
+                break
+    return bad
+
+
 class TestBuilderRows:
     def test_single_buyer_builders(self):
         rng = random.Random(17)
@@ -151,6 +171,7 @@ class TestBuilderRows:
             for mode in ("dsic", "bic"):
                 lp, _ = build_multibuyer_lp(mb, mode)
                 assert _rows_that_cannot_bind(lp) == [], mode
+                assert _implied_one_variable_rows(lp) == [], mode
 
 
 def lp_holds_at(lp, point) -> bool:
