@@ -14,19 +14,31 @@ and the weaker assortment LP used for comparisons, plus the conversions
 between assortments, mechanisms, and monotone set functions.
 
 The IC rows are enumerated in one place, ``_ic_rows``, which alone decides
-which rows exist; its consumers are ``build_mechanism_lp`` (the rows),
-``verify_ic`` (the exact check of a given mechanism) and
-``extensions.build_multibuyer_lp`` (the DSIC and BIC rows per buyer).
-Likewise ``_inclusion_rows`` feeds both ``build_bm_lp`` and
-``containment_witness``, and ``_best_over_reports`` is the one definition
-of the best probability any report gives of landing in a set.
+which rows exist; its consumers are ``build_mechanism_lp`` (the full LP),
+``verify_ic`` (the exact check of a given mechanism, in integers) and
+``extensions.build_multibuyer_lp`` (the DSIC and BIC rows per buyer), and
+``_add_ic_row`` alone writes an IC row of the mechanism LP.  Likewise
+``_inclusion_rows`` feeds both ``build_bm_lp`` and ``containment_witness``,
+and ``_best_over_reports`` is the one definition of the best probability
+any report gives of landing in a set.
+
+``solve_mechanism_lp`` does not build the full LP, whose IC rows grow with
+the square of the support while an optimal vertex needs few of them.  It
+generates rows (Dantzig, Fulkerson and Johnson 1954): starting from the
+sum-to-one rows, each round solves the LP, runs ``verify_ic`` on the
+mechanism read off the vertex, and appends the row of every IC violation.
+It stops when ``verify_ic`` reports nothing, so its answer has passed the
+full exact check.  ``solve_lp`` returns the lexicographically smallest
+optimal vertex, and the last LP relaxes the full one while its vertex is
+feasible for the full one, so the value and the vertex are those of
+``solve_lp(build_mechanism_lp(inst))``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .core import (
@@ -147,25 +159,36 @@ def _revenue_lp(inst: Instance) -> RationalLP:
     return lp
 
 
+def _add_ic_row(lp: RationalLP, lst: RankedList, k: int, other: RankedList) -> None:
+    """Append to ``lp`` the IC row of truthful list ``lst``, position ``k``
+    and report ``other``, one of the rows ``_ic_rows`` yields."""
+    top = lst.entries[:k]
+    coefs = _ic_coefs({}, (_var(lst, j) for j in top),
+                      (_var(other, j) for j in other.entries if j in top))
+    lp.add_row(coefs, ">=", 0)
+
+
+def _add_sum_row(lp: RationalLP, lst: RankedList) -> None:
+    """Append to ``lp`` the sum-to-one row of the nonempty list ``lst``."""
+    lp.add_row({_var(lst, j): 1 for j in lst.entries}, "<=", 1,
+               label=f"one[{','.join(map(str, lst.entries))}]")
+
+
 def build_mechanism_lp(inst: Instance) -> RationalLP:
     """LP over allocation variables with IC, sum-to-one, and nonnegativity rows.
 
-    One sum-to-one row per nonempty list, then the IC rows of ``_ic_rows``:
-    one per (list l, position k, report l' != l) where l' holds one of the
-    first k entries of l.  No two rows are equal.
+    For each list, its sum-to-one row if it is nonempty, then its IC rows of
+    ``_ic_rows``: one per (list l, position k, report l' != l) where l'
+    holds one of the first k entries of l.  No two rows are equal.
+    ``solve_mechanism_lp`` solves this LP with only the IC rows it needs.
     """
     lp = _revenue_lp(inst)
     support = list(inst.dist.support.keys())
     for lst in support:
         if len(lst) > 0:
-            lp.add_row(
-                {_var(lst, j): 1 for j in lst.entries}, "<=", 1,
-                label=f"one[{','.join(map(str, lst.entries))}]",
-            )
-        for _, top, other, inside in _ic_rows(lst, support):
-            coefs = _ic_coefs({}, (_var(lst, j) for j in top),
-                              (_var(other, j) for j in inside))
-            lp.add_row(coefs, ">=", 0)
+            _add_sum_row(lp, lst)
+        for k, _, other, _ in _ic_rows(lst, support):
+            _add_ic_row(lp, lst, k, other)
     return lp
 
 
@@ -178,10 +201,32 @@ def mechanism_from_solution(inst: Instance, sol: LPSolution) -> Mechanism:
 
 
 def solve_mechanism_lp(inst: Instance) -> Tuple[Fraction, Mechanism]:
-    """Optimal IC mechanism value and a vertex mechanism attaining it."""
-    lp = build_mechanism_lp(inst)
-    sol = solve_lp(lp)
-    return sol.value, mechanism_from_solution(inst, sol)
+    """Optimal IC mechanism value and the vertex mechanism ``solve_lp``
+    returns for ``build_mechanism_lp(inst)``, found by row generation.
+
+    The loop starts from the sum-to-one rows alone.  Each round solves the
+    LP, reads the mechanism off its vertex and runs ``verify_ic`` on it,
+    then appends the IC row of every ``"ic"`` violation; it stops when
+    ``verify_ic`` reports nothing.  A row already in the LP holds at its
+    optimum, so every round adds a new row and the loop ends.  The last LP
+    relaxes the full one and its optimum is feasible for the full one, so
+    the two LPs share the optimal value, the full LP's optimal face lies in
+    the last LP's, and the lexicographically smallest point of the larger
+    face, which ``solve_lp`` returns, is that of the smaller one too.
+    """
+    lp = _revenue_lp(inst)
+    for lst in inst.dist.support:
+        if len(lst) > 0:
+            _add_sum_row(lp, lst)
+    while True:
+        sol = solve_lp(lp)
+        mech = mechanism_from_solution(inst, sol)
+        violations = verify_ic(inst, mech).violations
+        if not violations:
+            return sol.value, mech
+        # The LP's own rows and bounds rule out every kind but "ic".
+        for v in violations:
+            _add_ic_row(lp, RankedList(v.lst), v.k, RankedList(v.other))
 
 
 @dataclass(frozen=True)
@@ -203,11 +248,21 @@ class ICReport:
 
 
 def verify_ic(inst: Instance, mech: Mechanism) -> ICReport:
-    """Exact check of every IC, sum-to-one, and nonnegativity constraint."""
+    """Exact check of every IC, sum-to-one, and nonnegativity constraint.
+
+    The sums compare integers: the allocations scaled by the lcm of their
+    denominators; a Fraction is built only to word a violation."""
     violations: List[ICViolation] = []
     support = list(inst.dist.support.keys())
+    reports = [lst for lst in support if lst in mech.alloc]
+    scale = lcm_of_denominators(x for lst in reports for x in mech.alloc[lst].values())
+    alloc = {
+        lst: {j: x.numerator * (scale // x.denominator)
+              for j, x in mech.alloc[lst].items()}
+        for lst in reports
+    }
     for lst in support:
-        if lst not in mech.alloc:
+        if lst not in alloc:
             violations.append(
                 ICViolation("missing", lst.entries, "no allocation for this list")
             )
@@ -225,28 +280,26 @@ def verify_ic(inst: Instance, mech: Mechanism) -> ICReport:
                 violations.append(
                     ICViolation("nonneg", lst.entries, f"x[{j!r}] = {x} < 0")
                 )
-        total = sum(row.values(), Fraction(0))
-        if total > 1:
+        total = sum(alloc[lst].values())
+        if total > scale:
             violations.append(
                 ICViolation(
-                    "sum", lst.entries, f"allocations sum to {format_rational(total)}"
+                    "sum", lst.entries,
+                    f"allocations sum to {format_rational(Fraction(total, scale))}",
                 )
             )
-    reports = [lst for lst in support if lst in mech.alloc]
     for lst in reports:
-        top_mass = [Fraction(0)]
-        for j in lst.entries:
-            top_mass.append(top_mass[-1] + mech.probability(lst, j))
+        top_mass = [0, *accumulate(alloc[lst].get(j, 0) for j in lst.entries)]
         for k, _, other, inside in _ic_rows(lst, reports):
             lhs = top_mass[k]
-            rhs = sum((mech.probability(other, j) for j in inside), Fraction(0))
+            rhs = sum(alloc[other].get(j, 0) for j in inside)
             if lhs < rhs:
                 violations.append(
                     ICViolation(
                         "ic",
                         lst.entries,
-                        f"top-{k} probability {format_rational(lhs)} < "
-                        f"{format_rational(rhs)} via report {other.entries}",
+                        f"top-{k} probability {format_rational(Fraction(lhs, scale))} < "
+                        f"{format_rational(Fraction(rhs, scale))} via report {other.entries}",
                         k=k,
                         other=other.entries,
                     )

@@ -27,8 +27,16 @@ from fixedprice import (
 )
 from fixedprice.core import Prefix, _list_key
 from fixedprice.lp import EQ, RationalLP, solve_lp
-from fixedprice.mechanism_lp import _ic_coefs, _revenue_lp, _var
-from fixedprice.rational import coerce_rational
+from fixedprice.mechanism_lp import (
+    ICReport,
+    ICViolation,
+    Mechanism,
+    _ic_coefs,
+    _ic_rows,
+    _revenue_lp,
+    _var,
+)
+from fixedprice.rational import coerce_rational, format_rational
 from fixedprice.stopping import (
     ConditionReport,
     ConditionWitness,
@@ -578,3 +586,57 @@ def reference_mechanism_lp(inst: Instance) -> RationalLP:
                 add(_ic_coefs({}, (_var(lst, j) for j in top),
                               (_var(other, j) for j in inside)), ">=", 0)
     return lp
+
+
+def reference_verify_ic(inst: Instance, mech: Mechanism) -> ICReport:
+    """The exact IC check in Fraction arithmetic: each row's sides are sums
+    of Fractions.  ``verify_ic``, which compares integers, must return an
+    equal report."""
+    violations: List[ICViolation] = []
+    support = list(inst.dist.support.keys())
+    for lst in support:
+        if lst not in mech.alloc:
+            violations.append(
+                ICViolation("missing", lst.entries, "no allocation for this list")
+            )
+            continue
+        row = mech.alloc[lst]
+        off_list = set(row) - lst.as_set()
+        if off_list:
+            violations.append(
+                ICViolation(
+                    "off-list", lst.entries, f"allocates off-list items {off_list}"
+                )
+            )
+        for j, x in row.items():
+            if x < 0:
+                violations.append(
+                    ICViolation("nonneg", lst.entries, f"x[{j!r}] = {x} < 0")
+                )
+        total = sum(row.values(), Fraction(0))
+        if total > 1:
+            violations.append(
+                ICViolation(
+                    "sum", lst.entries, f"allocations sum to {format_rational(total)}"
+                )
+            )
+    reports = [lst for lst in support if lst in mech.alloc]
+    for lst in reports:
+        top_mass = [Fraction(0)]
+        for j in lst.entries:
+            top_mass.append(top_mass[-1] + mech.probability(lst, j))
+        for k, _, other, inside in _ic_rows(lst, reports):
+            lhs = top_mass[k]
+            rhs = sum((mech.probability(other, j) for j in inside), Fraction(0))
+            if lhs < rhs:
+                violations.append(
+                    ICViolation(
+                        "ic",
+                        lst.entries,
+                        f"top-{k} probability {format_rational(lhs)} < "
+                        f"{format_rational(rhs)} via report {other.entries}",
+                        k=k,
+                        other=other.entries,
+                    )
+                )
+    return ICReport(tuple(violations))

@@ -19,6 +19,7 @@ from fixedprice import (
     build_mechanism_lp,
     build_set_function_lp,
     containment_witness,
+    dump_instance,
     gen_mnl,
     load_instance,
     mechanism_revenue,
@@ -37,6 +38,7 @@ from fixedprice.errors import (
     IdentityCheckError,
     SubmodularityError,
 )
+from fixedprice import mechanism_lp
 from fixedprice.extensions import build_multibuyer_lp
 from fixedprice.lotteries import BudgetAdditiveParams, budget_additive_mechanism
 from fixedprice.mechanism_lp import (
@@ -44,15 +46,22 @@ from fixedprice.mechanism_lp import (
     _set_var,
     _var,
     mechanism_from_json,
+    mechanism_from_solution,
     mechanism_to_json,
     set_function_revenue,
 )
 
 from .helpers import (
+    ITEM_POOL,
+    condition_violation_minimal,
     four_item_clash,
+    history_monotone_tree,
     random_instance,
     random_two_buyer,
     reference_mechanism_lp,
+    reference_verify_ic,
+    robust_menu_instance,
+    singleton_mixture,
 )
 from .test_golden_vertices import FIXTURES
 
@@ -93,8 +102,6 @@ class TestMechanismLp:
         assert verify_ic(inst, mech).ok
 
     def test_known_robust_instance_value(self):
-        from .helpers import robust_menu_instance
-
         value, _ = solve_mechanism_lp(robust_menu_instance())
         assert value == Fraction(21, 16)
 
@@ -102,12 +109,7 @@ class TestMechanismLp:
         # Leaving out the rows that cannot bind keeps the feasible set, so
         # the value and the lex-min vertex are those of the LP with every
         # (list, position, report) row, copies dropped.
-        instances = []
-        for path in sorted(glob.glob(os.path.join(FIXTURES, "*.json"))):
-            with open(path) as fh:
-                obj = json.load(fh)
-            if "lists" in obj:
-                instances.append(load_instance(json.dumps(obj)))
+        instances = _fixture_instances()
         instances += [random_instance(random.Random(f"golden/{k}"), n_max=5, max_lists=8)
                       for k in range(10)]
         rng = random.Random(41)
@@ -115,6 +117,74 @@ class TestMechanismLp:
         for k, inst in enumerate(instances):
             sol, ref = solve_lp(build_mechanism_lp(inst)), solve_lp(reference_mechanism_lp(inst))
             assert (sol.value, sol.assignment) == (ref.value, ref.assignment), k
+
+
+def _mnl_urn(n: int) -> Instance:
+    """The MNL urn on n items with weights 1..n, w0 = 1 and prices n..1."""
+    items = ITEM_POOL[:n]
+    dist = gen_mnl(items, MnlParams({j: i + 1 for i, j in enumerate(items)}, 1))
+    return Instance(items, {j: n - i for i, j in enumerate(items)}, dist)
+
+
+def _fixture_instances():
+    instances = []
+    for path in sorted(glob.glob(os.path.join(FIXTURES, "*.json"))):
+        with open(path) as fh:
+            obj = json.load(fh)
+        if "lists" in obj:
+            instances.append(load_instance(json.dumps(obj)))
+    return instances
+
+
+def _full_solve(inst):
+    sol = solve_lp(build_mechanism_lp(inst))
+    return sol.value, mechanism_from_solution(inst, sol)
+
+
+class TestLazyRows:
+    """``solve_mechanism_lp`` adds IC rows only as ``verify_ic`` finds them
+    violated, yet returns the full LP's value and lex-min vertex."""
+
+    def test_equals_the_full_lp(self):
+        instances = _fixture_instances()
+        rng = random.Random(43)
+        instances += [random_instance(rng, n_max=6, max_lists=12) for _ in range(80)]
+        for n in (3, 4):
+            urn = _mnl_urn(n)
+            # dump_instance writes the lists in another order, which is the
+            # LP's variable order and so picks the lex-min vertex.
+            from_file = load_instance(dump_instance(urn))
+            assert list(from_file.dist.support) != list(urn.dist.support)
+            instances += [urn, from_file]
+        for k, inst in enumerate(instances):
+            assert solve_mechanism_lp(inst) == _full_solve(inst), k
+
+    def test_each_round_adds_new_rows_of_the_full_lp(self, monkeypatch):
+        # Checked as each round's LP is solved, so a wrong row fails here
+        # instead of being found violated again round after round.
+        full, rounds = set(), []
+
+        def checking_solve_lp(lp):
+            rows = [(row.coefs, row.rel, row.rhs) for row in lp.rows]
+            assert set(rows) <= full
+            assert len(set(rows)) == len(rows)
+            if rounds:
+                previous = rounds[-1]
+                assert rows[:len(previous)] == previous and len(rows) > len(previous)
+            rounds.append(rows)
+            return solve_lp(lp)
+
+        monkeypatch.setattr(mechanism_lp, "solve_lp", checking_solve_lp)
+        rng = random.Random(47)
+        instances = _fixture_instances() + [_mnl_urn(3)] + [
+            random_instance(rng, n_max=6, max_lists=12) for _ in range(40)]
+        most_rounds = 0
+        for inst in instances:
+            full = {(row.coefs, row.rel, row.rhs) for row in build_mechanism_lp(inst).rows}
+            rounds.clear()
+            solve_mechanism_lp(inst)
+            most_rounds = max(most_rounds, len(rounds))
+        assert most_rounds >= 3
 
 
 def _rows_that_cannot_bind(lp):
@@ -215,6 +285,36 @@ class TestVerifyIc:
                     assert ok == lp_holds_at(lp, point)
                     outcomes.append(ok)
         assert outcomes.count(True) >= 40 and outcomes.count(False) >= 40
+
+    def test_equals_the_fraction_reference(self):
+        # Random allocations, some negative, off-list, missing or summing
+        # past 1, on helper instances; the integer check must give the same
+        # violations in the same order with the same text.
+        rng = random.Random(37)
+        instances = [four_item_clash(), condition_violation_minimal(),
+                     history_monotone_tree(), robust_menu_instance(), singleton_mixture()]
+        instances += [random_instance(rng, n_max=5, max_lists=8) for _ in range(200)]
+        kinds = set()
+        for inst in instances:
+            for base in (solve_mechanism_lp(inst)[1], None):
+                alloc = {}
+                for lst in inst.dist.support:
+                    if rng.random() < 0.05:
+                        continue
+                    if base is not None:
+                        row = dict(base.alloc[lst])
+                    else:
+                        row = {j: Fraction(rng.randint(-1, 6), rng.choice([1, 2, 3, 7, 12]))
+                               for j in lst.entries if rng.random() < 0.8}
+                    off = [j for j in inst.items if j not in lst.as_set()]
+                    if off and rng.random() < 0.05:
+                        row[rng.choice(off)] = Fraction(1, rng.choice([2, 5]))
+                    alloc[lst] = row
+                mech = Mechanism(alloc, validate=False)
+                report = verify_ic(inst, mech)
+                assert report == reference_verify_ic(inst, mech)
+                kinds.update(v.kind for v in report.violations)
+        assert kinds == {"ic", "sum", "nonneg", "missing", "off-list"}
 
     def test_negative_entry_reported_as_nonneg(self):
         # x_A(A) < 0 breaks no IC row that can bind; "nonneg" reports it.
