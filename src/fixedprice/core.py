@@ -10,10 +10,11 @@ A distribution's prefix trie (``PrefixNode``) is its one prefix
 representation: every prefix walk here and in ``stopping`` reads it.  The
 first-hit walk ``_first_hits`` serves choice probabilities, assortment
 revenue and the top-k lottery value.  ``_preorder`` scales the trie to
-integers in pre-order for the two exhaustive searches: ``_best_subsets``
+integers in pre-order for the two exact searches: ``_best_subsets``
 serves ``optimal_assortment`` and ``lotteries.best_topk_lottery``, every k
 from one trie walk per subset, and ``stopping.optimal_policy_bruteforce``
-folds the revenue of every policy up the same nodes.
+folds a revenue bound up the same nodes at each step of its branch and
+bound.
 """
 
 from __future__ import annotations

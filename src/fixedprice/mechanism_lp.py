@@ -168,25 +168,27 @@ def _add_ic_row(lp: RationalLP, lst: RankedList, k: int, other: RankedList) -> N
     lp.add_row(coefs, ">=", 0)
 
 
-def _add_sum_row(lp: RationalLP, lst: RankedList) -> None:
-    """Append to ``lp`` the sum-to-one row of the nonempty list ``lst``."""
-    lp.add_row({_var(lst, j): 1 for j in lst.entries}, "<=", 1,
-               label=f"one[{','.join(map(str, lst.entries))}]")
+def _sum_rows_lp(inst: Instance) -> RationalLP:
+    """``_revenue_lp(inst)`` with the sum-to-one row of every nonempty list."""
+    lp = _revenue_lp(inst)
+    for lst in inst.dist.support:
+        if len(lst) > 0:
+            lp.add_row({_var(lst, j): 1 for j in lst.entries}, "<=", 1,
+                       label=f"one[{','.join(map(str, lst.entries))}]")
+    return lp
 
 
 def build_mechanism_lp(inst: Instance) -> RationalLP:
     """LP over allocation variables with IC, sum-to-one, and nonnegativity rows.
 
-    For each list, its sum-to-one row if it is nonempty, then its IC rows of
-    ``_ic_rows``: one per (list l, position k, report l' != l) where l'
-    holds one of the first k entries of l.  No two rows are equal.
+    The sum-to-one row of every nonempty list, then for each list its IC
+    rows of ``_ic_rows``: one per (list l, position k, report l' != l) where
+    l' holds one of the first k entries of l.  No two rows are equal.
     ``solve_mechanism_lp`` solves this LP with only the IC rows it needs.
     """
-    lp = _revenue_lp(inst)
+    lp = _sum_rows_lp(inst)
     support = list(inst.dist.support.keys())
     for lst in support:
-        if len(lst) > 0:
-            _add_sum_row(lp, lst)
         for k, _, other, _ in _ic_rows(lst, support):
             _add_ic_row(lp, lst, k, other)
     return lp
@@ -214,10 +216,7 @@ def solve_mechanism_lp(inst: Instance) -> Tuple[Fraction, Mechanism]:
     the last LP's, and the lexicographically smallest point of the larger
     face, which ``solve_lp`` returns, is that of the smaller one too.
     """
-    lp = _revenue_lp(inst)
-    for lst in inst.dist.support:
-        if len(lst) > 0:
-            _add_sum_row(lp, lst)
+    lp = _sum_rows_lp(inst)
     while True:
         sol = solve_lp(lp)
         mech = mechanism_from_solution(inst, sol)

@@ -132,43 +132,33 @@ def policy_revenue(inst: Instance, policy: MonotoneStoppingPolicy) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Brute-force optimal monotone policy
+# Exact optimal monotone policy
 # ---------------------------------------------------------------------------
-
-
-def _monotone_masks(k: int) -> List[int]:
-    """All monotone boolean functions on k ground elements, as bitmaps over
-    the 2^k subsets (bit h = value on subset-with-bitmask h), ascending.  A
-    mask is monotone iff adding any one element e to a 1-subset gives a
-    1-subset: shifted by 2^e, its 1-bits on the subsets without e stay
-    1-bits."""
-    masks = range(1 << (1 << k))
-    for e in range(k):
-        without = sum(1 << h for h in range(1 << k) if not h >> e & 1)
-        masks = [m for m in masks if not (m & without) << (1 << e) & ~m]
-    return list(masks)
 
 
 def optimal_policy_bruteforce(
     inst: Instance, cap: int = POLICY_ITEM_CAP
 ) -> Tuple[MonotoneStoppingPolicy, Fraction]:
-    """Exhaustive maximum over all tuples of monotone per-item stop rules.
+    """Exact maximum over all tuples of monotone per-item stop rules.
 
     Ties prefer fewer stop entries, then the lexicographically smallest
-    function bitmaps in item order.  The item cap is at most
+    function bitmaps in item order (bit h: the rule on the history whose
+    bits are the item's other items in order).  The item cap is at most
     ``POLICY_ITEM_CAP``, whatever ``cap`` asks: the count of monotone
     boolean functions grows doubly exponentially (Dedekind numbers), 20 per
     item at n = 4 but 168 per item at n = 5.
 
-    The revenue of every tuple comes from one walk of the trie scaled to
-    integers (``core._preorder``), in reverse pre-order.  A node's value is
-    ``b·w + (1 − b)·(sum of its children's values)``: ``w`` is its weight and
-    ``b`` the stop bits of its item's rules on its history, the entries
-    above it, laid along that item's axis.  One running sum per depth holds
-    the values of the nodes seen there whose parent is not yet reached.
+    A depth-first integer branch and bound (Land and Doig 1960) on one stop
+    bit per (item, history) that the trie of ``core._preorder`` realizes.
+    Setting a bit sets it on the item's realized supersets, clearing it
+    clears the subsets.  The bound folds the trie once in reverse pre-order:
+    a node gives its weight if its bit is set, its children's sum if clear,
+    the larger if open.  Up-closing an optimal tuple's realized 1-bits keeps
+    its revenue and grows no stop-entry count or bitmap, so the tie rule's
+    winner is an up-closure.  Those of the set bits bound every completion's
+    from below, so a node whose (bound, count, bitmaps) cannot beat the best
+    so far is cut.
     """
-    import numpy as np  # imported here so that importing the package skips it
-
     items = tuple(sorted(inst.items, key=str))
     n = len(items)
     if n > min(cap, POLICY_ITEM_CAP):
@@ -178,48 +168,57 @@ def optimal_policy_bruteforce(
         )
     if not items:
         return MonotoneStoppingPolicy({}), Fraction(0)
-    masks = _monotone_masks(n - 1)
-    n_masks = len(masks)
     positions, weights, depths, _, scale = _preorder(inst, items)
-    # No revenue exceeds the scale times the largest price.  Below 2^60 it
-    # fits machine integers; beyond, numpy works on Python integers, which
-    # is exact but an order of magnitude slower.
-    dtype = np.int64 if scale * max(inst.prices[j] for j in items) < 2**60 else object
-
-    # stop_bits[m, h] = stop decision of mask m on history bitmap h, whose
-    # bits are the item's n - 1 others in order.
-    stop_bits = np.array([[mask >> h & 1 for h in range(1 << (n - 1))] for mask in masks],
-                         dtype=dtype)
     above = [0] * (n + 1)  # above[d]: item bits of the first d entries of the path
-    histories = []  # each node's history bitmap: above[d - 1] with bit p dropped
-    for p, d in zip(positions, depths):
-        histories.append(above[d - 1] & ((1 << p) - 1) | above[d - 1] >> (p + 1) << p)
+    bit_of: Dict[Tuple[int, int], int] = {}  # (position, history), in pre-order -> bit
+    nodes = []  # (depth, bit, weight) of each node, in pre-order
+    for p, d, w in zip(positions, depths, weights):
+        # The history bitmap is above[d - 1] with the node's own bit p dropped.
+        h = above[d - 1] & ((1 << p) - 1) | above[d - 1] >> (p + 1) << p
         above[d] = above[d - 1] | 1 << p
-    sums = [0] * (n + 2)  # sums[d]: values of depth-d nodes awaiting their parent
-    for i in reversed(range(len(positions))):
-        shape = [1] * n
-        shape[positions[i]] = n_masks
-        b = stop_bits[:, histories[i]].reshape(shape)
-        d = depths[i]
-        sums[d] = sums[d] + b * weights[i] + (1 - b) * sums[d + 1]
-        sums[d + 1] = 0
-    rev = np.broadcast_to(sums[1], (n_masks,) * n)
-    best_flat = int(rev.max())
-    winners = np.argwhere(rev == best_flat)
-    best_value = Fraction(best_flat, scale)
-    # The masks ascend and argwhere lists the winners in C order, so the
-    # first winner with the fewest stop entries also has the smallest masks.
-    ones = np.array([bin(mask).count("1") for mask in masks])
-    tallies = ones[winners].sum(axis=1)
-    best_choice = winners[int(np.argmin(tallies))]
+        nodes.append((d, bit_of.setdefault((p, h), len(bit_of)), w))
+    bits = list(bit_of)
+    # sup[b], sub[b]: bit b and those of its item on larger or smaller
+    # realized histories, which setting b to 1 or to 0 fixes the same way.
+    sup = [sum(1 << c for c, (q, g) in enumerate(bits) if q == p and g & h == h)
+           for p, h in bits]
+    sub = [sum(1 << c for c, (q, g) in enumerate(bits) if q == p and g | h == h)
+           for p, h in bits]
+    histories = range(1 << (n - 1))
+    best = (0, 0, (0,) * n)  # (revenue, -stop entries, -bitmaps): larger is better
 
+    def search(ones: int, zeros: int, masks: Tuple[int, ...]) -> None:
+        nonlocal best
+        open_bits = (1 << len(bits)) - 1 & ~(ones | zeros)
+        target = (open_bits & -open_bits).bit_length() - 1  # the first open bit
+        lean = 0  # over target's nodes: weight minus their children's bound
+        sums = [0] * (n + 2)  # sums[d]: bounds of depth-d nodes awaiting their parent
+        for d, b, w in reversed(nodes):
+            go, sums[d + 1] = sums[d + 1], 0
+            sums[d] += w if ones >> b & 1 else go if zeros >> b & 1 else max(w, go)
+            lean += w - go if b == target else 0
+        key = (sums[1], -sum(m.bit_count() for m in masks), tuple(-m for m in masks))
+        if key <= best:
+            return
+        if not open_bits:
+            best = key
+            return
+        p, h = bits[target]
+        grown = list(masks)  # masks: each item's up-closure of its set bits
+        grown[p] |= sum(1 << g for g in histories if g & h == h)
+        branches = [(ones | sup[target], zeros, tuple(grown)),
+                    (ones, zeros | sub[target], masks)]
+        for args in branches if lean > 0 else reversed(branches):  # 1 first if it leans so
+            search(*args)
+
+    search(0, 0, (0,) * n)
+    revenue, _, negated = best
     generators: Dict[Item, List[FrozenSet[Item]]] = {}
     for i, j in enumerate(items):
         others = items[:i] + items[i + 1:]
-        mask = masks[best_choice[i]]
         generators[j] = [frozenset(others[p] for p in range(n - 1) if h >> p & 1)
-                         for h in range(1 << (n - 1)) if mask >> h & 1]
-    return MonotoneStoppingPolicy(generators), best_value
+                         for h in histories if -negated[i] >> h & 1]
+    return MonotoneStoppingPolicy(generators), Fraction(revenue, scale)
 
 
 # ---------------------------------------------------------------------------

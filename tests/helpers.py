@@ -9,6 +9,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from fixedprice import (
     Instance,
     ListDistribution,
@@ -25,7 +27,7 @@ from fixedprice import (
     mix_with_singletons,
     policy_revenue,
 )
-from fixedprice.core import Prefix, _list_key
+from fixedprice.core import Prefix, _list_key, _preorder
 from fixedprice.lp import EQ, RationalLP, solve_lp
 from fixedprice.mechanism_lp import (
     ICReport,
@@ -40,7 +42,6 @@ from fixedprice.rational import coerce_rational, format_rational
 from fixedprice.stopping import (
     ConditionReport,
     ConditionWitness,
-    _monotone_masks,
     _reversal,
 )
 
@@ -442,6 +443,19 @@ def reference_history_monotone(dist: ListDistribution, tol=0) -> ConditionReport
     return ConditionReport(True)
 
 
+def monotone_masks(k: int) -> List[int]:
+    """All monotone boolean functions on k ground elements, as bitmaps over
+    the 2^k subsets (bit h = value on subset-with-bitmask h), ascending.  A
+    mask is monotone iff adding any one element e to a 1-subset gives a
+    1-subset: shifted by 2^e, its 1-bits on the subsets without e stay
+    1-bits."""
+    masks = range(1 << (1 << k))
+    for e in range(k):
+        without = sum(1 << h for h in range(1 << k) if not h >> e & 1)
+        masks = [m for m in masks if not (m & without) << (1 << e) & ~m]
+    return list(masks)
+
+
 def _policy_of_masks(items, choice) -> MonotoneStoppingPolicy:
     """The policy in which ``items[i]`` stops on a history iff bit h of
     ``choice[i]`` is set, h being the history's bitmap over the item's other
@@ -463,7 +477,7 @@ def reference_policy_bruteforce(inst: Instance) -> Tuple[MonotoneStoppingPolicy,
     fewest stop entries, then the smallest masks in item order."""
     items = sorted(inst.items, key=str)
     best = None
-    for choice in product(_monotone_masks(max(len(items) - 1, 0)), repeat=len(items)):
+    for choice in product(monotone_masks(max(len(items) - 1, 0)), repeat=len(items)):
         policy = _policy_of_masks(items, choice)
         value = policy_revenue(inst, policy)
         key = (-value, sum(bin(mask).count("1") for mask in choice), choice)
@@ -477,11 +491,9 @@ def min_rule_policy_bruteforce(inst: Instance) -> Tuple[MonotoneStoppingPolicy, 
     ``min`` over every maximising tuple, as ``optimal_policy_bruteforce``
     once did.  Revenue tensors are summed list by list, entry by entry, in
     integers; fast enough for 4 items with prices that tie many tuples."""
-    import numpy as np
-
     items = sorted(inst.items, key=str)
     n = len(items)
-    masks = _monotone_masks(n - 1)
+    masks = monotone_masks(n - 1)
     scale = (math.lcm(*(p.denominator for p in inst.dist.support.values()))
              * math.lcm(*(Fraction(p).denominator for p in inst.prices.values())))
     rev = np.zeros((len(masks),) * n, dtype=np.int64)
@@ -500,6 +512,66 @@ def min_rule_policy_bruteforce(inst: Instance) -> Tuple[MonotoneStoppingPolicy, 
     choice = min((tuple(masks[mi] for mi in row) for row in np.argwhere(rev == best)),
                  key=lambda ch: (sum(bin(mask).count("1") for mask in ch), ch))
     return _policy_of_masks(items, choice), Fraction(int(best), scale)
+
+
+def tensor_policy_bruteforce(inst: Instance) -> Tuple[MonotoneStoppingPolicy, Fraction]:
+    """The monotone-policy search as one numpy tensor with a cell per tuple
+    of monotone masks (20^4 at 4 items), as ``optimal_policy_bruteforce``
+    once did, with the same tie rule.
+
+    The revenue of every tuple comes from one walk of the trie scaled to
+    integers (``core._preorder``), in reverse pre-order.  A node's value is
+    ``b·w + (1 − b)·(sum of its children's values)``: ``w`` is its weight and
+    ``b`` the stop bits of its item's rules on its history, the entries
+    above it, laid along that item's axis.  One running sum per depth holds
+    the values of the nodes seen there whose parent is not yet reached.
+    """
+    items = tuple(sorted(inst.items, key=str))
+    n = len(items)
+    if not items:
+        return MonotoneStoppingPolicy({}), Fraction(0)
+    masks = monotone_masks(n - 1)
+    n_masks = len(masks)
+    positions, weights, depths, _, scale = _preorder(inst, items)
+    # No revenue exceeds the scale times the largest price.  Below 2^60 it
+    # fits machine integers; beyond, numpy works on Python integers, which
+    # is exact but an order of magnitude slower.
+    dtype = np.int64 if scale * max(inst.prices[j] for j in items) < 2**60 else object
+
+    # stop_bits[m, h] = stop decision of mask m on history bitmap h, whose
+    # bits are the item's n - 1 others in order.
+    stop_bits = np.array([[mask >> h & 1 for h in range(1 << (n - 1))] for mask in masks],
+                         dtype=dtype)
+    above = [0] * (n + 1)  # above[d]: item bits of the first d entries of the path
+    histories = []  # each node's history bitmap: above[d - 1] with bit p dropped
+    for p, d in zip(positions, depths):
+        histories.append(above[d - 1] & ((1 << p) - 1) | above[d - 1] >> (p + 1) << p)
+        above[d] = above[d - 1] | 1 << p
+    sums = [0] * (n + 2)  # sums[d]: values of depth-d nodes awaiting their parent
+    for i in reversed(range(len(positions))):
+        shape = [1] * n
+        shape[positions[i]] = n_masks
+        b = stop_bits[:, histories[i]].reshape(shape)
+        d = depths[i]
+        sums[d] = sums[d] + b * weights[i] + (1 - b) * sums[d + 1]
+        sums[d + 1] = 0
+    rev = np.broadcast_to(sums[1], (n_masks,) * n)
+    best_flat = int(rev.max())
+    winners = np.argwhere(rev == best_flat)
+    best_value = Fraction(best_flat, scale)
+    # The masks ascend and argwhere lists the winners in C order, so the
+    # first winner with the fewest stop entries also has the smallest masks.
+    ones = np.array([bin(mask).count("1") for mask in masks])
+    tallies = ones[winners].sum(axis=1)
+    best_choice = winners[int(np.argmin(tallies))]
+
+    generators: Dict[str, List[frozenset]] = {}
+    for i, j in enumerate(items):
+        others = items[:i] + items[i + 1:]
+        mask = masks[best_choice[i]]
+        generators[j] = [frozenset(others[p] for p in range(n - 1) if h >> p & 1)
+                         for h in range(1 << (n - 1)) if mask >> h & 1]
+    return MonotoneStoppingPolicy(generators), best_value
 
 
 def reference_pivot(tab, r: int, c: int, hit=None) -> None:

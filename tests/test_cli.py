@@ -764,19 +764,29 @@ class TestMain:
         assert exc.value.code == 0 and "--what" in capsys.readouterr().out
 
     @staticmethod
-    def _cli_import_loads(module: str) -> bool:
+    def _python(code: str) -> subprocess.CompletedProcess:
+        """Run ``code`` in a fresh interpreter that imports this package."""
         src = os.path.dirname(os.path.dirname(os.path.abspath(fixedprice.__file__)))
-        code = f"import sys, fixedprice.cli; print({module!r} in sys.modules)"
-        done = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-            capture_output=True, text=True, check=True,
+            capture_output=True, text=True,
         )
+
+    def _cli_import_loads(self, module: str) -> bool:
+        done = self._python(f"import sys, fixedprice.cli; print({module!r} in sys.modules)")
+        done.check_returncode()
         return done.stdout.strip() == "True"
 
-    def test_import_leaves_numpy_unloaded(self):
-        # numpy serves only the brute-force policy search, so a CLI process
-        # that does not search policies never pays for importing it.
-        assert not self._cli_import_loads("numpy")
+    def test_policy_search_runs_without_numpy(self):
+        # No code path needs numpy: with its import blocked, the policy
+        # search still solves the clash fixture.
+        argv = ["solve", "--what", "policy", "--instance", fixture("four_item_clash.json")]
+        done = self._python("import sys; sys.modules['numpy'] = None; import fixedprice.cli; "
+                            f"sys.exit(fixedprice.cli.main({argv!r}))")
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout)
+        assert report["value"] == "3/2"
+        assert report["policy"]["A"] == [["B"], ["C"], ["D"]]
 
     def test_import_leaves_mpmath_unloaded(self):
         # mpmath serves only the nested-logit generators.

@@ -34,7 +34,7 @@ from fixedprice.errors import (
     PrefixOverlapError,
     UnrealizablePrefixError,
 )
-from fixedprice.stopping import _future_classes, _monotone_masks
+from fixedprice.stopping import _future_classes
 
 from .helpers import (
     condition_violation_minimal,
@@ -42,6 +42,7 @@ from .helpers import (
     four_item_clash,
     history_monotone_tree,
     min_rule_policy_bruteforce,
+    monotone_masks,
     prefix_graph_tiers,
     random_history_monotone_instance,
     random_instance,
@@ -52,6 +53,7 @@ from .helpers import (
     reference_history_monotone,
     reference_policy_bruteforce,
     singleton_mixture,
+    tensor_policy_bruteforce,
 )
 
 
@@ -121,7 +123,7 @@ class TestBruteForce:
                        for sup in subsets if sup & h == h)
 
         expected = [mask for mask in range(1 << (1 << k)) if monotone(mask)]
-        assert _monotone_masks(k) == expected
+        assert monotone_masks(k) == expected
         assert len(expected) == count  # Dedekind numbers
 
     def test_mixture_instance_monotone_optimum_is_one(self):
@@ -143,8 +145,8 @@ class TestBruteForce:
         assert value == 0 and policy.generators == {}
 
     def test_huge_prices_give_the_same_policy(self):
-        # Prices past 2^60 leave machine integers; the search must still be
-        # exact and break ties the same way.
+        # Prices past 2^60: the search must still be exact and break ties
+        # the same way.
         inst = four_item_clash()
         policy, value = optimal_policy_bruteforce(inst)
         big = Instance(inst.items, {j: p * 2**62 for j, p in inst.prices.items()},
@@ -189,6 +191,25 @@ class TestBruteForce:
             inst = Instance(inst.items, {j: rng.choice([0, 1]) for j in inst.items}, inst.dist)
             assert optimal_policy_bruteforce(inst) == min_rule_policy_bruteforce(inst)
 
+    def test_matches_the_tensor_search_on_mnl_urns(self):
+        # The 4-item urns of the benchmark: weights 1-5, w0 1-4, prices in halves.
+        items = "ABCD"
+        for seed in range(20):
+            rng = random.Random(seed)
+            params = MnlParams({j: rng.randint(1, 5) for j in items}, rng.randint(1, 4))
+            prices = {j: Fraction(rng.randint(2, 10), 2) for j in items}
+            inst = Instance(items, prices, gen_mnl(items, params))
+            assert optimal_policy_bruteforce(inst) == tensor_policy_bruteforce(inst)
+
+    @pytest.mark.parametrize("top", [1, 2, 5])
+    def test_matches_the_tensor_search_on_random_supports(self, top):
+        # Prices in 0..top; with few price levels many tuples tie.
+        rng = random.Random(top)
+        for _ in range(12):
+            inst = random_instance(rng, n_min=4, n_max=4, max_lists=24)
+            inst = Instance(inst.items, {j: rng.randint(0, top) for j in inst.items}, inst.dist)
+            assert optimal_policy_bruteforce(inst) == tensor_policy_bruteforce(inst)
+
     def test_chain_instances_have_assortment_optima(self):
         rng = random.Random(10)
         for _ in range(8):
@@ -212,8 +233,8 @@ class TestBruteForce:
             assert policy_revenue(inst, policy) == value
 
     def test_huge_denominators_use_exact_fallback(self):
-        # revenue numerators past 2^60 take the object-dtype path, which
-        # must agree with evaluating every policy directly
+        # revenue numerators past 2^60 must agree with evaluating every
+        # policy directly
         eps = Fraction(1, 10**40)
         inst = Instance(
             "AB",
