@@ -8,13 +8,21 @@ place, only the pivot row's columns of the rows with a nonzero in the pivot
 column; the other entries change only when the pivot element differs from
 the shared denominator, and then by their ratio.
 
-Every phase of every LP uses one pricing rule: Dantzig's largest improving
-objective entry (lowest column on ties), switching to Bland's smallest index
-after ``_DEGENERATE_LIMIT`` consecutive degenerate pivots, which keeps
-Bland's guarantee against cycling.  The answer does not depend on the pivot
+Every primal phase of every LP uses one pricing rule: Dantzig's largest
+improving objective entry (lowest column on ties), switching to Bland's
+smallest index after ``_DEGENERATE_LIMIT`` consecutive degenerate pivots,
+which keeps Bland's guarantee against cycling.  The answer does not depend on the pivot
 path: after phase 2 the lex phases move to the lexicographically smallest
 optimal vertex in variable order, a point fixed by the feasible set, the
 objective and the variable order alone.
+
+A row-generation loop can grow an optimized tableau instead of solving each
+larger LP anew: appended inequality rows are written in the current basis,
+each with a new basic slack that is negative where the vertex violates the
+row, and the dual simplex (Lemke 1954) pivots them feasible while the
+objective row stays optimal, with the same fallback to Bland's rule.  The
+lex phases then run again, so the vertex is the one a cold solve of the
+grown LP returns.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .errors import LPInfeasibleError, LPUnboundedError
 from .rational import format_rational, parse_rational
@@ -132,22 +140,32 @@ class _Tableau:
 
     Row ``i`` is a ``{column: int}`` map of its nonzero entries plus
     ``rhs[i]``; rows ``0 .. m-1`` are the constraints, row ``m`` the
-    objective and row ``m + 1`` (present during phase 1 only) the phase-1
-    objective.  Constraint row ``i`` is ``denom`` times the true tableau
-    row, times the lcm of its canonical row's denominators until the row
-    first serves as pivot row; ``denom`` is the previous pivot element and
-    stays positive.  Only a pivoted row can hold a structural basic
-    variable, so its value is ``rhs / denom``.  Columns are the structural
-    variables, one slack per inequality, then one artificial per ``>=`` or
-    ``==`` row; after phase 1 the artificial columns are deleted from every
-    row.  A pivot on (r, c) edits the rows in place: a row with a nonzero in
-    column c changes in row r's columns only, and every other entry and rhs
-    changes only when the pivot element p differs from ``denom``, by p / denom.
+    objective and row ``m + 1`` (present only during phase 1 and the lex
+    phases) the phase-1 objective or the lex phases' scratch objective.
+    Constraint row ``i`` is ``denom`` times the true tableau row, times the
+    lcm of its canonical row's denominators until the row first serves as
+    pivot row; ``denom`` is the previous pivot element and stays positive.
+    Only a pivoted row can hold a structural basic variable, so its value
+    is ``rhs / denom``.  Columns are the structural variables, one slack per
+    inequality, then one artificial per ``>=`` or ``==`` row, then one slack
+    per row that ``add_rows`` appends; after phase 1 the artificial columns
+    are deleted from every row.  A pivot on (r, c) edits the rows in place:
+    a row with a nonzero in column c changes in row r's columns only, and
+    every other entry and rhs changes only when the pivot element p differs
+    from ``denom``, by p / denom.
 
     A column enters when its objective entry is positive; an objective row
     has one scale, so its raw integers compare exactly.  ``banned`` holds
     the columns the lex phases fix at 0: they stay nonbasic, because the
-    entering choice skips them.
+    entering choice skips them.  The lex phases price in the scratch row,
+    so row ``m`` keeps the reduced costs of an optimal basis, none positive.
+
+    An optimized tableau takes more inequality rows (``add_rows``): each is
+    written in the current basis with a new slack column, basic in it, and
+    ``reoptimize`` restores feasibility with the dual simplex, which keeps
+    row ``m`` free of positive entries, before the lex phases run again.
+    So a row-generation loop keeps one tableau instead of solving each grown
+    LP from the start, and reaches the same vertex.
     """
 
     def __init__(self, lp: RationalLP):
@@ -212,6 +230,7 @@ class _Tableau:
 
         self.m = len(self.rows)
         self.art_cols = set(range(n + n_slack, art_at))
+        self.next_col = art_at
         self._add_objective(
             {index[name]: c for name, c in lp.objective.items()}, Fraction(0)
         )
@@ -302,6 +321,59 @@ class _Tableau:
             degenerate = degenerate + 1 if self.rhs[leave] == 0 else 0
             self._pivot(leave, enter, hit)
 
+    def _dual_run(self) -> None:
+        """Dual simplex from a basis whose objective row ``m`` prices no
+        column positive, until no constraint row has a negative rhs.
+
+        The leaving row is the one whose violated bound lies farthest from
+        the vertex in the space of the nonbasic variables: the largest
+        rhs² over the squared norm of its nonbasic entries, both read in one
+        row, so the row's scale cancels.  The entering column keeps every
+        objective entry at most 0: the least ratio of objective entry to
+        the row's negative entry, the lowest column on ties.  A row with a
+        negative rhs and no negative entry has no point with every variable
+        at least 0.  After ``_DEGENERATE_LIMIT`` consecutive pivots that
+        leave the objective as it was (the entering column priced at 0),
+        the leaving row is the one with the lowest basic column, Bland's
+        rule for the dual, until a pivot moves the objective.
+        """
+        m, rows, rhs, basis = self.m, self.rows, self.rhs, self.basis
+        norms: Dict[int, int] = {}  # row -> squared norm, while the row is unchanged
+        degenerate = 0
+        while True:
+            infeasible = [i for i in range(m) if rhs[i] < 0]
+            if not infeasible:
+                return
+            if degenerate < _DEGENERATE_LIMIT:
+                leave, best_b, best_w = None, 0, 1
+                for i in infeasible:
+                    w = norms.get(i)
+                    if w is None:
+                        own = basis[i]
+                        w = norms[i] = sum(x * x for j, x in rows[i].items() if j != own)
+                    b = rhs[i] * rhs[i]
+                    if b * best_w > best_b * w:
+                        leave, best_b, best_w = i, b, w
+            else:
+                leave = min(infeasible, key=basis.__getitem__)
+            obj = rows[m]
+            enter, best_f, best_a = None, 0, 0
+            for j, a in sorted(rows[leave].items()):
+                if a < 0:
+                    f = obj.get(j, 0)
+                    if enter is None or f * best_a < best_f * a:
+                        enter, best_f, best_a = j, f, a
+            if enter is None:
+                raise LPInfeasibleError("no feasible point exists")
+            degenerate = degenerate + 1 if best_f == 0 else 0
+            hit = [i for i, row in enumerate(rows) if enter in row]
+            d = self.denom
+            self._pivot(leave, enter, hit)
+            if self.denom != d:
+                norms.clear()  # every row changed scale
+            for i in hit:
+                norms.pop(i, None)
+
     def _lex_min(self) -> None:
         """From an optimal basis, move to the lexicographically smallest
         optimal vertex in structural-variable order.
@@ -309,22 +381,27 @@ class _Tableau:
         A nonbasic column with a negative objective entry is 0 on the
         optimal face, so it is banned.  Then each structural variable in
         turn is minimised over what is left: a nonbasic one is already 0
-        and is banned; a basic one, in row r, is minimised by the objective
-        row r without its own column (its entry there is the positive
-        ``denom``), and the columns that row prices negative are banned.
+        and is banned; a basic one, in row r, is minimised by the scratch
+        objective row ``m + 1``, a copy of row r without its own column (its
+        entry there is the positive ``denom``), and the columns that row
+        prices negative are banned.  The pivots enter only columns that row
+        ``m`` prices at 0, so they leave row ``m`` optimal.
         """
-        m, basis, banned = self.m, self.basis, self.banned
-        banned.update(j for j, x in self.rows[m].items() if x < 0)
+        m, basis, banned, rows, rhs = self.m, self.basis, self.banned, self.rows, self.rhs
+        banned.update(j for j, x in rows[m].items() if x < 0)
+        rows.append({})
+        rhs.append(0)
         for k in range(len(self.lo)):
             if k not in basis:
                 banned.add(k)
                 continue
             r = basis.index(k)
-            obj = dict(self.rows[r])
+            obj = dict(rows[r])
             del obj[k]
-            self.rows[m], self.rhs[m] = obj, self.rhs[r]
-            self._run(m, phase_one=False)
-            banned.update(j for j, x in self.rows[m].items() if x < 0)
+            rows[m + 1], rhs[m + 1] = obj, rhs[r]
+            self._run(m + 1, phase_one=False)
+            banned.update(j for j, x in rows[m + 1].items() if x < 0)
+        del rows[m + 1], rhs[m + 1]
 
     def _drive_out_artificials(self) -> None:
         for i in range(self.m):
@@ -340,7 +417,8 @@ class _Tableau:
             self._pivot(i, pivot_col,
                         [k for k, row in enumerate(self.rows) if pivot_col in row])
 
-    def solve(self) -> LPSolution:
+    def optimize(self) -> None:
+        """Phases 1 and 2, then the lex phases; call once, on a new tableau."""
         m = self.m
         if self.art_cols:
             self._run(m + 1, phase_one=True)
@@ -355,13 +433,73 @@ class _Tableau:
         self._run(m, phase_one=False)
         self._lex_min()
 
-        values = [Fraction(0)] * len(self.lo)
-        for i in range(m):
-            if self.basis[i] < len(values):
-                values[self.basis[i]] = Fraction(self.rhs[i], self.denom)
+    def add_rows(self, rows: Sequence[Tuple[Mapping[int, Fraction], str, Fraction]]) -> None:
+        """Append inequality rows ``(coefs, rel, rhs)`` to an optimized
+        tableau, with ``coefs`` keyed by structural column and int or
+        Fraction data; ``reoptimize`` then moves to the lex-min optimum of
+        the grown LP.  ``self.lp`` does not get the rows.
+
+        A row, shifted to lower bounds 0, turned to ``<=`` and scaled by the
+        lcm of its denominators to integers ``a``, gets a new slack column.
+        A structural basic column c sits in a pivoted row R(c), whose entry
+        in c is ``denom``, so the stored row ``denom·a − Σ a_c·R(c)`` is 0 in
+        every basic column but its own slack: ``denom`` times the row in the
+        current basis, as a constraint row that has not been a pivot row is
+        kept.
+        Its rhs is negative when the current vertex violates the row.
+        """
+        n, d, lo = len(self.lo), self.denom, self.lo
+        basic_row = {c: i for i, c in enumerate(self.basis) if c < n}
+        shift = any(lo)
+        new_rows, new_rhs = [], []
+        for coefs, rel, rhs in rows:
+            if rel not in (LE, GE):
+                raise ValueError(f"an added row must be an inequality, not {rel!r}")
+            if shift:
+                rhs -= sum((c * lo[j] for j, c in coefs.items()), Fraction(0))
+            sign = -1 if rel == GE else 1
+            mult = math.lcm(rhs.denominator, *(c.denominator for c in coefs.values()))
+            row = {self.next_col: d * mult}
+            b = sign * d * rhs.numerator * (mult // rhs.denominator)
+            for j, c in coefs.items():
+                a = sign * c.numerator * (mult // c.denominator)
+                row[j] = row.get(j, 0) + d * a
+                i = basic_row.get(j)
+                if i is not None:
+                    for k, y in self.rows[i].items():
+                        row[k] = row.get(k, 0) - a * y
+                    b -= a * self.rhs[i]
+            new_rows.append({j: x for j, x in row.items() if x})
+            new_rhs.append(b)
+            self.basis.append(self.next_col)
+            self.next_col += 1
+        # Constraint rows stay before the objective row m.
+        self.rows[self.m:self.m] = new_rows
+        self.rhs[self.m:self.m] = new_rhs
+        self.m += len(new_rows)
+
+    def reoptimize(self) -> None:
+        """After ``add_rows``: the dual simplex from the last optimal basis,
+        then the lex phases with no column banned."""
+        self.banned.clear()
+        self._dual_run()
+        self._lex_min()
+
+    def vertex(self) -> List[int]:
+        """The structural variables at the current vertex, less their lower
+        bounds, times ``denom``."""
+        n = len(self.lo)
+        values = [0] * n
+        for i in range(self.m):
+            if self.basis[i] < n:
+                values[self.basis[i]] = self.rhs[i]
+        return values
+
+    def solve(self) -> LPSolution:
+        self.optimize()
         assignment = {
-            var.name: values[idx] + var.lo
-            for idx, var in enumerate(self.lp.variables)
+            var.name: Fraction(x, self.denom) + var.lo
+            for x, var in zip(self.vertex(), self.lp.variables)
         }
         value = sum(
             (c * assignment[name] for name, c in self.lp.objective.items()),

@@ -13,24 +13,29 @@ monotone-set-function relaxation of its optimum (solved by a minimum cut),
 and the weaker assortment LP used for comparisons, plus the conversions
 between assortments, mechanisms, and monotone set functions.
 
-The IC rows are enumerated in one place, ``_ic_rows``, which alone decides
-which rows exist; its consumers are ``build_mechanism_lp`` (the full LP),
-``verify_ic`` (the exact check of a given mechanism, in integers) and
+The IC rows are defined in one place, ``_ic_rows``, which decides which
+rows exist; its consumers are ``build_mechanism_lp`` (the full LP) and
 ``extensions.build_multibuyer_lp`` (the DSIC and BIC rows per buyer), and
-``_add_ic_row`` alone writes an IC row of the mechanism LP.  Likewise
+``_add_ic_row`` alone writes an IC row of the mechanism LP.  ``_ic_plan``
+lays the same rows out, in the same order, for the one integer pass that
+finds the violated ones, ``_ic_violations``; ``verify_ic`` (the exact check
+of a given mechanism) and ``solve_mechanism_lp`` both run it.  Likewise
 ``_inclusion_rows`` feeds both ``build_bm_lp`` and ``containment_witness``,
 and ``_best_over_reports`` is the one definition of the best probability
 any report gives of landing in a set.
 
 ``solve_mechanism_lp`` does not build the full LP, whose IC rows grow with
 the square of the support while an optimal vertex needs few of them.  It
-generates rows (Dantzig, Fulkerson and Johnson 1954): starting from the
-sum-to-one rows, each round solves the LP, runs ``verify_ic`` on the
-mechanism read off the vertex, and appends the row of every IC violation.
-It stops when ``verify_ic`` reports nothing, so its answer has passed the
-full exact check.  ``solve_lp`` returns the lexicographically smallest
-optimal vertex, and the last LP relaxes the full one while its vertex is
-feasible for the full one, so the value and the vertex are those of
+generates rows (Dantzig, Fulkerson and Johnson 1954) on one simplex
+tableau: starting from the sum-to-one rows, each round reads the vertex as
+integers, runs the integer pass on it, appends the row of every IC
+violation to the tableau in its current basis and restores the optimum
+with the dual simplex (Lemke 1954).  It stops when the pass finds nothing,
+so its answer has passed the exact IC check of ``verify_ic``, whose other
+rows the LP itself enforces.  The tableau moves to the lexicographically
+smallest optimal vertex after every round, as ``solve_lp`` does, and the
+last LP relaxes the full one while its vertex is feasible for the full
+one, so the value and the vertex are those of
 ``solve_lp(build_mechanism_lp(inst))``.
 """
 
@@ -58,7 +63,7 @@ from .errors import (
     InvalidMechanismError,
     SubmodularityError,
 )
-from .lp import LPSolution, RationalLP, solve_lp
+from .lp import GE, LPSolution, RationalLP, _Tableau, solve_lp
 from .rational import format_rational, lcm_of_denominators, parse_rational
 
 
@@ -137,6 +142,68 @@ def _ic_rows(
                 yield k, top, other, inside
 
 
+_Walk = Tuple[int, int, List[Optional[int]]]
+
+
+def _ic_plan(reports: Sequence[RankedList]) -> List[Tuple[range, List[_Walk]]]:
+    """The rows of ``_ic_rows`` over ``reports``, laid out for ``_ic_violations``.
+
+    Allocations sit in one vector that holds each list's entries in turn,
+    the order of the allocation variables in ``_revenue_lp``.  Entry l of
+    the plan is ``(own, walks)``: ``own`` is the range of list l's
+    positions in the vector, and ``walks`` has one ``(o, first, cols)`` per
+    other list o that holds one of l's entries, in ``reports`` order:
+    ``cols[p]`` is where x(o) of l's entry p sits, or None when o does not
+    hold it, and ``first`` is the first p where it does.  A list that shares
+    no entry with l has no walk: its rows read 0 >= 0.
+    """
+    starts = [0, *accumulate(len(lst) for lst in reports)]
+    holders: Dict[Item, List[Tuple[int, int]]] = {}
+    for o, other in enumerate(reports):
+        for p, j in enumerate(other.entries, starts[o]):
+            holders.setdefault(j, []).append((o, p))
+    plan = []
+    for l, lst in enumerate(reports):
+        walks: Dict[int, Tuple[int, List[Optional[int]]]] = {}  # o -> (first, cols)
+        for p, j in enumerate(lst.entries):
+            for o, col in holders[j]:
+                if o != l:
+                    if o not in walks:
+                        walks[o] = (p, [None] * len(lst))
+                    walks[o][1][p] = col
+        plan.append((range(starts[l], starts[l + 1]),
+                     [(o, first, cols) for o, (first, cols) in sorted(walks.items())]))
+    return plan
+
+
+def _ic_violations(
+    plan: List[Tuple[range, List[_Walk]]], x: Sequence[int]
+) -> Iterator[Tuple[int, int, int, int, int, List[int]]]:
+    """Every row of ``plan`` (``_ic_plan``) that the allocation vector ``x``
+    violates, as ``(l, k, o, lhs, rhs, inside)``: list l's top-k mass
+    ``lhs`` is below the mass ``rhs`` that report o puts on those k
+    entries, and ``inside`` is where those entries of o sit in ``x``.
+
+    One cumulative walk over k per (list, report) pair; the rows come in
+    ``_ic_rows``' order: list by list, then k, then report.
+    """
+    for l, (own, walks) in enumerate(plan):
+        top = list(accumulate(x[c] for c in own))
+        found = []
+        for o, first, cols in walks:
+            rhs = 0
+            for k in range(first, len(top)):
+                c = cols[k]
+                if c is not None:
+                    rhs += x[c]
+                if top[k] < rhs:
+                    found.append((k + 1, o, top[k], rhs,
+                                  [c for c in cols[:k + 1] if c is not None]))
+        found.sort()
+        for row in found:
+            yield (l, *row)
+
+
 def _ic_coefs(coefs: Dict[str, object], top_names: Iterable[str],
               inside_names: Iterable[str], weight=1) -> Dict[str, object]:
     """Add ``weight`` times one IC row, given by its variable names, to ``coefs``."""
@@ -206,26 +273,40 @@ def solve_mechanism_lp(inst: Instance) -> Tuple[Fraction, Mechanism]:
     """Optimal IC mechanism value and the vertex mechanism ``solve_lp``
     returns for ``build_mechanism_lp(inst)``, found by row generation.
 
-    The loop starts from the sum-to-one rows alone.  Each round solves the
-    LP, reads the mechanism off its vertex and runs ``verify_ic`` on it,
-    then appends the IC row of every ``"ic"`` violation; it stops when
-    ``verify_ic`` reports nothing.  A row already in the LP holds at its
-    optimum, so every round adds a new row and the loop ends.  The last LP
-    relaxes the full one and its optimum is feasible for the full one, so
-    the two LPs share the optimal value, the full LP's optimal face lies in
-    the last LP's, and the lexicographically smallest point of the larger
-    face, which ``solve_lp`` returns, is that of the smaller one too.
+    The loop keeps one ``_Tableau``, built from the sum-to-one rows alone.
+    Each round reads the vertex as integers over the tableau's shared
+    denominator, finds the IC rows it violates in one integer pass
+    (``_ic_violations``, the pass ``verify_ic`` runs), appends them to the
+    tableau in its current basis and restores the lex-min optimum with the
+    dual simplex; it stops when no row is violated.  A row already in the
+    LP holds at its optimum, so every round adds a new row and the loop
+    ends.  Each round's vertex is the lex-min optimum of the rows so far,
+    the point a new ``solve_lp`` of them would return.  The last LP relaxes
+    the full one and its optimum is feasible for the full one, so the two
+    LPs share the optimal value, the full LP's optimal face lies in the
+    last LP's, and the lexicographically smallest point of the larger face
+    is that of the smaller one too.
     """
-    lp = _sum_rows_lp(inst)
+    support = list(inst.dist.support)
+    plan = _ic_plan(support)
+    tab = _Tableau(_sum_rows_lp(inst))
+    tab.optimize()
     while True:
-        sol = solve_lp(lp)
-        mech = mechanism_from_solution(inst, sol)
-        violations = verify_ic(inst, mech).violations
-        if not violations:
-            return sol.value, mech
-        # The LP's own rows and bounds rule out every kind but "ic".
-        for v in violations:
-            _add_ic_row(lp, RankedList(v.lst), v.k, RankedList(v.other))
+        x = tab.vertex()
+        cuts = [(_ic_coefs({}, plan[l][0][:k], inside), GE, 0)
+                for l, k, _, _, _, inside in _ic_violations(plan, x)]
+        if not cuts:
+            break
+        tab.add_rows(cuts)
+        tab.reoptimize()
+    zero = Fraction(0)
+    values = [Fraction(v, tab.denom) if v else zero for v in x]
+    alloc = {lst: {j: values[c] for j, c in zip(lst.entries, own)}
+             for lst, (own, _) in zip(support, plan)}
+    value = sum((prob * inst.prices[j] * values[c]
+                 for (lst, prob), (own, _) in zip(inst.dist.support.items(), plan)
+                 for j, c in zip(lst.entries, own) if x[c]), zero)
+    return value, Mechanism(alloc)
 
 
 @dataclass(frozen=True)
@@ -287,22 +368,19 @@ def verify_ic(inst: Instance, mech: Mechanism) -> ICReport:
                     f"allocations sum to {format_rational(Fraction(total, scale))}",
                 )
             )
-    for lst in reports:
-        top_mass = [0, *accumulate(alloc[lst].get(j, 0) for j in lst.entries)]
-        for k, _, other, inside in _ic_rows(lst, reports):
-            lhs = top_mass[k]
-            rhs = sum(alloc[other].get(j, 0) for j in inside)
-            if lhs < rhs:
-                violations.append(
-                    ICViolation(
-                        "ic",
-                        lst.entries,
-                        f"top-{k} probability {format_rational(Fraction(lhs, scale))} < "
-                        f"{format_rational(Fraction(rhs, scale))} via report {other.entries}",
-                        k=k,
-                        other=other.entries,
-                    )
-                )
+    x = [alloc[lst].get(j, 0) for lst in reports for j in lst.entries]
+    for l, k, o, lhs, rhs, _ in _ic_violations(_ic_plan(reports), x):
+        other = reports[o].entries
+        violations.append(
+            ICViolation(
+                "ic",
+                reports[l].entries,
+                f"top-{k} probability {format_rational(Fraction(lhs, scale))} < "
+                f"{format_rational(Fraction(rhs, scale))} via report {other}",
+                k=k,
+                other=other,
+            )
+        )
     return ICReport(tuple(violations))
 
 

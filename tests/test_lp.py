@@ -10,6 +10,7 @@ from fixedprice import (
     build_set_function_lp,
     solve_lp,
 )
+from fixedprice import lp as lp_module
 from fixedprice.extensions import build_multibuyer_lp
 from fixedprice.errors import LPInfeasibleError, LPUnboundedError
 from fixedprice.lp import _DEGENERATE_LIMIT, EQ, GE, LE, _Tableau
@@ -348,3 +349,197 @@ class TestLexMin:
         sol = solve_lp(lp)
         assert sol.value == 1 and [sol[name] for name in names] == [1, 0, 1, 0]
         assert all(degenerate[:_DEGENERATE_LIMIT + 1])
+
+
+def _warm_vertex(tab, lp):
+    return {var.name: Fraction(x, tab.denom) + var.lo
+            for x, var in zip(tab.vertex(), lp.variables)}
+
+
+def _restart(tab, lp, rows):
+    """Append ``rows`` (name-keyed ``(coefs, rel, rhs)``) to ``lp`` and to
+    the optimized tableau ``tab`` of ``lp``, and reoptimize; returns the
+    warm vertex and a cold ``solve_lp`` of the grown LP (or, for either,
+    the error type)."""
+    index = lp._var_index
+    tab.add_rows([({index[name]: c for name, c in coefs.items()}, rel, rhs)
+                  for coefs, rel, rhs in rows])
+    for coefs, rel, rhs in rows:
+        lp.add_row(coefs, rel, rhs)
+    try:
+        tab.reoptimize()
+        warm = _warm_vertex(tab, lp)
+    except LPInfeasibleError:
+        warm = LPInfeasibleError
+    try:
+        cold = solve_lp(lp).assignment
+    except LPInfeasibleError:
+        cold = LPInfeasibleError
+    return warm, cold
+
+
+def _lhs(coefs, x):
+    return sum((c * x[name] for name, c in dict(coefs).items()), Fraction(0))
+
+
+def _tight_rows(lp, x):
+    """The rows of ``lp`` that hold with equality at ``x``, as row triples."""
+    return [(dict(row.coefs), row.rel, row.rhs) for row in lp.rows
+            if _lhs(row.coefs, x) == row.rhs]
+
+
+def _record_dual_pivots(monkeypatch):
+    """Record each pivot on a row with a negative rhs, which only the dual
+    simplex takes, as whether row m prices its column at 0: a degenerate
+    dual pivot, which leaves the objective value where it was."""
+    kinds = []
+    pivot = _Tableau._pivot
+
+    def recording(tab, r, c, hit):
+        if tab.rhs[r] < 0:
+            kinds.append(tab.rows[tab.m].get(c, 0) == 0)
+        pivot(tab, r, c, hit)
+
+    monkeypatch.setattr(_Tableau, "_pivot", recording)
+    return kinds
+
+
+class TestWarmRestart:
+    """``add_rows`` and ``reoptimize`` on an optimal tableau reach the
+    vertex that a cold ``solve_lp`` of the grown LP returns: the lex-min
+    optimum of ``reference_lexmin``."""
+
+    def test_dual_degenerate_restart(self, monkeypatch):
+        # max x + y on x + y <= 2 has the optimal face x + y = 2, whose
+        # lex-min point is (0, 2).  The cut y <= 1 leaves y's row with a
+        # negative rhs, and the dual simplex enters x, which row m prices
+        # at 0: a degenerate dual pivot to (1, 1).
+        kinds = _record_dual_pivots(monkeypatch)
+        lp = RationalLP()
+        lp.add_variable("x")
+        lp.add_variable("y")
+        lp.add_row({"x": 1, "y": 1}, LE, 2)
+        lp.set_objective({"x": 1, "y": 1})
+        tab = _Tableau(lp)
+        tab.optimize()
+        assert _warm_vertex(tab, lp) == {"x": 0, "y": 2}
+        warm, cold = _restart(tab, lp, [({"y": Fraction(1)}, LE, Fraction(1))])
+        assert warm == cold == reference_lexmin(lp) == {"x": 1, "y": 1}
+        assert kinds == [True]
+
+    def test_random_le_lps(self, monkeypatch):
+        # Boxes and "<=" rows with rhs >= 0 keep 0 feasible, so a cut
+        # a x <= b with 0 <= b < a x* removes the vertex x* and keeps the LP
+        # feasible.  Some rounds also repeat a row that is tight at x*.
+        kinds = _record_dual_pivots(monkeypatch)
+        rng = random.Random(404)
+        rounds = repeats = 0
+        for _ in range(40):
+            n = rng.randint(2, 5)
+            names = [f"x{i}" for i in range(n)]
+            lp = RationalLP()
+            for name in names:
+                lp.add_variable(name, lo=0, hi=rng.randint(1, 4))
+            for _ in range(rng.randint(1, 5)):
+                lp.add_row({name: Fraction(rng.randint(-3, 3)) for name in names},
+                           LE, Fraction(rng.randint(0, 6)))
+            lp.set_objective({name: Fraction(rng.randint(-1, 3)) for name in names})
+            tab = _Tableau(lp)
+            tab.optimize()
+            x = _warm_vertex(tab, lp)
+            assert x == solve_lp(lp).assignment
+            for _ in range(3):
+                cuts = []
+                for _ in range(20):
+                    coefs = {name: Fraction(rng.randint(-2, 3)) for name in names}
+                    at_x = _lhs(coefs, x)
+                    if at_x > 0:
+                        b = at_x * Fraction(rng.randint(0, 3), 4)
+                        if rng.random() < 0.5:
+                            cuts.append((coefs, LE, b))
+                        else:
+                            cuts.append(({name: -c for name, c in coefs.items()}, GE, -b))
+                    if len(cuts) == 2:
+                        break
+                if not cuts:
+                    break
+                tight = _tight_rows(lp, x)
+                if tight and rng.random() < 0.5:
+                    cuts.insert(rng.randint(0, len(cuts)), rng.choice(tight))
+                    repeats += 1
+                warm, cold = _restart(tab, lp, cuts)
+                assert warm == cold == reference_lexmin(lp), lp.to_text()
+                x = warm
+                rounds += 1
+        assert rounds >= 60 and repeats >= 15
+        assert True in kinds and False in kinds
+
+    def test_mixed_problems(self):
+        # Nonzero lower bounds, ">=" and "==" rows (phase 1, and artificials
+        # left basic in redundant rows); a cut may empty the LP, and then
+        # both solves must say so.
+        rng = random.Random(505)
+        outcomes = {"optimal": 0, "infeasible": 0}
+        for _ in range(60):
+            lp = _mixed_problem(rng, planted=True)
+            tab = _Tableau(lp)
+            try:
+                tab.optimize()
+            except LPInfeasibleError:
+                continue
+            x = _warm_vertex(tab, lp)
+            names = [var.name for var in lp.variables]
+            coefs = {name: Fraction(rng.randint(-3, 3)) for name in names}
+            rel = rng.choice((LE, GE))
+            cut = _lhs(coefs, x) + (Fraction(-1) if rel == LE else Fraction(1))
+            warm, cold = _restart(tab, lp, [(coefs, rel, cut * Fraction(rng.randint(1, 3), 2))])
+            assert warm == cold, lp.to_text()
+            if warm is LPInfeasibleError:
+                outcomes["infeasible"] += 1
+            else:
+                assert warm == reference_lexmin(lp), lp.to_text()
+                outcomes["optimal"] += 1
+        assert min(outcomes.values()) >= 10, outcomes
+
+    @pytest.mark.parametrize("limit", [_DEGENERATE_LIMIT, 0])
+    def test_mechanism_lps(self, monkeypatch, limit):
+        # Start from the sum-to-one rows and a random part of the IC rows,
+        # then append the violated rows of the rest, with a few rows that
+        # hold and a repeat of a tight row, until none is violated.  With
+        # the limit at 0 both simplex methods take Bland's rule throughout.
+        monkeypatch.setattr(lp_module, "_DEGENERATE_LIMIT", limit)
+        kinds = _record_dual_pivots(monkeypatch)
+        rng = random.Random(606)
+        rounds = 0
+        for _ in range(30):
+            inst = random_instance(rng, n_min=3, n_max=5, max_lists=8)
+            full = build_mechanism_lp(inst)
+            lp = RationalLP()
+            for var in full.variables:
+                lp.add_variable(var.name, var.lo, var.hi)
+            lp.set_objective(full.objective)
+            rest = []
+            for row in full.rows:
+                if row.rel == LE or rng.random() < 0.1:
+                    lp.add_row(dict(row.coefs), row.rel, row.rhs)
+                else:
+                    rest.append((dict(row.coefs), row.rel, row.rhs))
+            tab = _Tableau(lp)
+            tab.optimize()
+            x = _warm_vertex(tab, lp)
+            while True:
+                violated = [row for row in rest if _lhs(row[0], x) < row[2]]
+                if not violated:
+                    break
+                holding = [row for row in rest if row not in violated]
+                batch = violated + rng.sample(holding, min(2, len(holding)))
+                batch.append(rng.choice(_tight_rows(lp, x)))
+                rng.shuffle(batch)
+                rest = [row for row in rest if row not in batch]
+                warm, cold = _restart(tab, lp, batch)
+                assert warm == cold == reference_lexmin(lp)
+                x = warm
+                rounds += 1
+            assert x == solve_lp(full).assignment
+        assert rounds >= 20
+        assert True in kinds and False in kinds

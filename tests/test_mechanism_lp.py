@@ -38,9 +38,9 @@ from fixedprice.errors import (
     IdentityCheckError,
     SubmodularityError,
 )
-from fixedprice import mechanism_lp
 from fixedprice.extensions import build_multibuyer_lp
 from fixedprice.lotteries import BudgetAdditiveParams, budget_additive_mechanism
+from fixedprice.lp import _Tableau
 from fixedprice.mechanism_lp import (
     _max_weight_closure,
     _set_var,
@@ -142,7 +142,7 @@ def _full_solve(inst):
 
 
 class TestLazyRows:
-    """``solve_mechanism_lp`` adds IC rows only as ``verify_ic`` finds them
+    """``solve_mechanism_lp`` adds IC rows only as its integer pass finds them
     violated, yet returns the full LP's value and lex-min vertex."""
 
     def test_equals_the_full_lp(self):
@@ -160,21 +160,26 @@ class TestLazyRows:
             assert solve_mechanism_lp(inst) == _full_solve(inst), k
 
     def test_each_round_adds_new_rows_of_the_full_lp(self, monkeypatch):
-        # Checked as each round's LP is solved, so a wrong row fails here
-        # instead of being found violated again round after round.
+        # Checked as each round's rows are appended to the tableau, so a
+        # wrong row fails here instead of being found violated again round
+        # after round.
         full, rounds = set(), []
+        add_rows = _Tableau.add_rows
 
-        def checking_solve_lp(lp):
-            rows = [(row.coefs, row.rel, row.rhs) for row in lp.rows]
+        def checking_add_rows(tab, new_rows):
+            names = [var.name for var in tab.lp.variables]
+            new = [(tuple((names[j], c) for j, c in sorted(coefs.items())), rel, rhs)
+                   for coefs, rel, rhs in new_rows]
+            if not rounds:
+                rounds.append([(row.coefs, row.rel, row.rhs) for row in tab.lp.rows])
+            rows = rounds[-1] + new
             assert set(rows) <= full
             assert len(set(rows)) == len(rows)
-            if rounds:
-                previous = rounds[-1]
-                assert rows[:len(previous)] == previous and len(rows) > len(previous)
+            assert new
             rounds.append(rows)
-            return solve_lp(lp)
+            add_rows(tab, new_rows)
 
-        monkeypatch.setattr(mechanism_lp, "solve_lp", checking_solve_lp)
+        monkeypatch.setattr(_Tableau, "add_rows", checking_add_rows)
         rng = random.Random(47)
         instances = _fixture_instances() + [_mnl_urn(3)] + [
             random_instance(rng, n_max=6, max_lists=12) for _ in range(40)]
