@@ -38,7 +38,7 @@ from .errors import (
     UnsupportedShapeError,
 )
 from .lp import LPSolution, RationalLP, solve_lp
-from .mechanism_lp import Mechanism, _ic_coefs, _ic_rows, verify_ic
+from .mechanism_lp import Mechanism, _ic_all_rows, _ic_coefs, _ic_plan, verify_ic
 from .rational import format_rational, parse_rational
 
 PROFILE_CAP = 10**5
@@ -106,6 +106,9 @@ def build_multibuyer_lp(
 ) -> Tuple[RationalLP, Dict]:
     """Profile-indexed allocation LP under DSIC or BIC truthfulness.
 
+    Buyer i's IC rows are the rows of ``mechanism_lp._ic_plan`` over buyer
+    i's lists, in its order: under DSIC one per profile of the other
+    buyers, under BIC their sum weighted by the profile's probability.
     Returns the LP plus the bookkeeping needed to read the solution back
     (profile list and variable namer).
     """
@@ -148,24 +151,27 @@ def build_multibuyer_lp(
     m = inst.num_buyers
     for i in range(m):
         lists_i = [lst for lst, _ in _support_by_entries(inst.buyers[i])]
+        # The item at each position of _ic_plan's allocation vector.
+        items_i = [j for lst in lists_i for j in lst.entries]
         # (lists of the other buyers, their joint probability) per profile
         other_profiles = list(_joint(inst.buyers[:i] + inst.buyers[i + 1:]))
-        for lst_i in lists_i:
-            for _, top, other_lst_i, inside in _ic_rows(lst_i, lists_i):
-                # DSIC: one row per profile of the others; BIC: their
-                # probability-weighted sum.
-                merged: Dict[str, Fraction] = {}
-                for rest, prob_others in other_profiles:
-                    pid_true = profile_id[rest[:i] + (lst_i,) + rest[i:]]
-                    pid_lie = profile_id[rest[:i] + (other_lst_i,) + rest[i:]]
-                    true_names = [_xvar(i, j, pid_true) for j in top]
-                    lie_names = [_xvar(i, j, pid_lie) for j in inside]
-                    if mode == "dsic":
-                        lp.add_row(_ic_coefs({}, true_names, lie_names), ">=", 0)
-                    else:
-                        _ic_coefs(merged, true_names, lie_names, weight=prob_others)
-                if mode == "bic":
-                    lp.add_row(merged, ">=", 0)
+        for l, k, o, inside in _ic_all_rows(_ic_plan(lists_i)):
+            top = lists_i[l].entries[:k]
+            lie = [items_i[c] for c in inside]
+            # DSIC: one row per profile of the others; BIC: their
+            # probability-weighted sum.
+            merged: Dict[str, Fraction] = {}
+            for rest, prob_others in other_profiles:
+                pid_true = profile_id[rest[:i] + (lists_i[l],) + rest[i:]]
+                pid_lie = profile_id[rest[:i] + (lists_i[o],) + rest[i:]]
+                true_names = [_xvar(i, j, pid_true) for j in top]
+                lie_names = [_xvar(i, j, pid_lie) for j in lie]
+                if mode == "dsic":
+                    lp.add_row(_ic_coefs({}, true_names, lie_names), ">=", 0)
+                else:
+                    _ic_coefs(merged, true_names, lie_names, weight=prob_others)
+            if mode == "bic":
+                lp.add_row(merged, ">=", 0)
 
     meta = {"profiles": profiles, "var": _xvar}
     return lp, meta

@@ -172,6 +172,7 @@ class _Tableau:
         self.lp = lp
         n = len(lp.variables)
         self.lo = [v.lo for v in lp.variables]
+        self.shift = any(self.lo)
         index = lp._var_index
         n_slack = (sum(row.rel != EQ for row in lp.rows)
                    + sum(v.hi is not None for v in lp.variables))
@@ -183,50 +184,39 @@ class _Tableau:
         obj1: Dict[int, Fraction] = {}
         value1 = Fraction(0)
 
-        # Shift every variable to start at 0; upper bounds become rows.
-        # Canonical orientation: "<=" with rhs >= 0 takes a slack basis;
-        # ">=" with rhs > 0 takes surplus + artificial; "==" an artificial.
+        # Upper bounds become rows.  After _int_row, an inequality with
+        # rhs >= 0 takes a slack basis; one with rhs < 0 is negated into a
+        # ">=" row with surplus + artificial; "==" takes an artificial.  The
+        # slack and artificial entries are +-1 times the row's scale mult.
         constraints = itertools.chain(
             (([(index[name], c) for name, c in row.coefs], row.rel, row.rhs)
              for row in lp.rows),
             (([(idx, Fraction(1))], LE, v.hi)
              for idx, v in enumerate(lp.variables) if v.hi is not None),
         )
-        shift = any(self.lo)
         for coefs, rel, rhs in constraints:
-            if shift:
-                rhs -= sum((c * self.lo[idx] for idx, c in coefs), Fraction(0))
-            sign = 1
-            if rel == GE:
-                sign, rhs, rel = -1, -rhs, LE
-            if rhs < 0:
-                sign, rhs = -sign, -rhs
-                rel = GE if rel == LE else EQ
-            if sign < 0:
-                coefs = [(idx, -c) for idx, c in coefs]
-            # Scale the row by the lcm of its own denominators; slack and
-            # artificial entries are +-1, so they become +-mult.
-            mult = math.lcm(rhs.denominator, *(c.denominator for _, c in coefs))
-            ints = {idx: c.numerator * (mult // c.denominator) for idx, c in coefs}
-            if rel == LE:
+            ints, b, mult = self._int_row(coefs, rel, rhs)
+            if rel != EQ and b >= 0:
                 ints[slack_at] = mult
                 self.basis.append(slack_at)
                 slack_at += 1
             else:
+                if b < 0:
+                    ints, b = {j: -a for j, a in ints.items()}, -b
                 # Phase-1 objective: maximize -sum(artificials), priced out
                 # over this row so its basic artificial has zero cost.
-                for idx, c in coefs:
-                    obj1[idx] = obj1.get(idx, 0) + c
-                if rel == GE:
+                for j, a in ints.items():
+                    obj1[j] = obj1.get(j, 0) + Fraction(a, mult)
+                if rel != EQ:
                     ints[slack_at] = -mult
                     obj1[slack_at] = Fraction(-1)
                     slack_at += 1
                 ints[art_at] = mult
                 self.basis.append(art_at)
                 art_at += 1
-                value1 += rhs
+                value1 += Fraction(b, mult)
             self.rows.append(ints)
-            self.rhs.append(rhs.numerator * (mult // rhs.denominator))
+            self.rhs.append(b)
 
         self.m = len(self.rows)
         self.art_cols = set(range(n + n_slack, art_at))
@@ -238,13 +228,27 @@ class _Tableau:
             self._add_objective(obj1, value1)
         self.denom = 1
 
+    def _int_row(self, coefs, rel, rhs) -> Tuple[Dict[int, int], int, int]:
+        """``(ints, b, mult)``: the row ``sum c·x_j  rel  rhs`` over columns
+        ``(j, c)`` as integers ``ints`` and ``b``, ``mult`` times the row,
+        ``mult`` the lcm of its denominators.  A constraint is first shifted
+        to lower bounds 0 and, if ``>=``, negated to read ``<=``; an
+        objective row (``rel`` None) is only scaled."""
+        sign = 1
+        if rel is not None:
+            if self.shift:
+                rhs -= sum((c * self.lo[j] for j, c in coefs), Fraction(0))
+            if rel == GE:
+                sign = -1
+        mult = math.lcm(rhs.denominator, *(c.denominator for _, c in coefs))
+        ints = {j: sign * c.numerator * (mult // c.denominator) for j, c in coefs}
+        return ints, sign * rhs.numerator * (mult // rhs.denominator), mult
+
     def _add_objective(self, coefs: Dict[int, Fraction], value: Fraction) -> None:
         """Append an objective row, scaled by the lcm of its denominators."""
-        mult = math.lcm(value.denominator, *(c.denominator for c in coefs.values()))
-        self.rows.append(
-            {j: c.numerator * (mult // c.denominator) for j, c in coefs.items() if c}
-        )
-        self.rhs.append(value.numerator * (mult // value.denominator))
+        ints, b, _ = self._int_row([(j, c) for j, c in coefs.items() if c], None, value)
+        self.rows.append(ints)
+        self.rhs.append(b)
 
     # -- pivoting ----------------------------------------------------------
 
@@ -439,8 +443,8 @@ class _Tableau:
         Fraction data; ``reoptimize`` then moves to the lex-min optimum of
         the grown LP.  ``self.lp`` does not get the rows.
 
-        A row, shifted to lower bounds 0, turned to ``<=`` and scaled by the
-        lcm of its denominators to integers ``a``, gets a new slack column.
+        A row, written as integers ``a`` by ``_int_row`` (shifted to lower
+        bounds 0, turned to ``<=``, scaled), gets a new slack column.
         A structural basic column c sits in a pivoted row R(c), whose entry
         in c is ``denom``, so the stored row ``denom·a − Σ a_c·R(c)`` is 0 in
         every basic column but its own slack: ``denom`` times the row in the
@@ -448,21 +452,16 @@ class _Tableau:
         kept.
         Its rhs is negative when the current vertex violates the row.
         """
-        n, d, lo = len(self.lo), self.denom, self.lo
+        n, d = len(self.lo), self.denom
         basic_row = {c: i for i, c in enumerate(self.basis) if c < n}
-        shift = any(lo)
         new_rows, new_rhs = [], []
         for coefs, rel, rhs in rows:
             if rel not in (LE, GE):
                 raise ValueError(f"an added row must be an inequality, not {rel!r}")
-            if shift:
-                rhs -= sum((c * lo[j] for j, c in coefs.items()), Fraction(0))
-            sign = -1 if rel == GE else 1
-            mult = math.lcm(rhs.denominator, *(c.denominator for c in coefs.values()))
+            ints, b, mult = self._int_row(coefs.items(), rel, rhs)
             row = {self.next_col: d * mult}
-            b = sign * d * rhs.numerator * (mult // rhs.denominator)
-            for j, c in coefs.items():
-                a = sign * c.numerator * (mult // c.denominator)
+            b *= d
+            for j, a in ints.items():
                 row[j] = row.get(j, 0) + d * a
                 i = basic_row.get(j)
                 if i is not None:

@@ -13,16 +13,12 @@ monotone-set-function relaxation of its optimum (solved by a minimum cut),
 and the weaker assortment LP used for comparisons, plus the conversions
 between assortments, mechanisms, and monotone set functions.
 
-The IC rows are defined in one place, ``_ic_rows``, which decides which
-rows exist; its consumers are ``build_mechanism_lp`` (the full LP) and
-``extensions.build_multibuyer_lp`` (the DSIC and BIC rows per buyer), and
-``_add_ic_row`` alone writes an IC row of the mechanism LP.  ``_ic_plan``
-lays the same rows out, in the same order, for the one integer pass that
-finds the violated ones, ``_ic_violations``; ``verify_ic`` (the exact check
-of a given mechanism) and ``solve_mechanism_lp`` both run it.  Likewise
-``_inclusion_rows`` feeds both ``build_bm_lp`` and ``containment_witness``,
-and ``_best_over_reports`` is the one definition of the best probability
-any report gives of landing in a set.
+``_ic_plan`` alone decides which IC rows exist; the full LP, the DSIC and
+BIC rows of ``extensions``, the separation in ``solve_mechanism_lp`` and
+``verify_ic`` all read it.  Likewise ``_inclusion_rows`` feeds both
+``build_bm_lp`` and ``containment_witness``, and ``_best_over_reports`` is
+the one definition of the best probability any report gives of landing in
+a set.
 
 ``solve_mechanism_lp`` does not build the full LP, whose IC rows grow with
 the square of the support while an optimal vertex needs few of them.  It
@@ -119,34 +115,17 @@ def mechanism_revenue(inst: Instance, mech: Mechanism) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _ic_rows(
-    lst: RankedList, reports: Sequence[RankedList]
-) -> Iterator[Tuple[int, Tuple[Item, ...], RankedList, Tuple[Item, ...]]]:
-    """The IC rows of truthful list ``lst`` that can bind: ``(k, top, other,
-    inside)`` for each position k and report ``other != lst`` in ``reports``
-    that holds one of the first k entries ``top`` of ``lst``; ``inside`` is
-    the entries of ``other`` among them.  The row reads
-
-        sum_{j in top} x_j(lst)  >=  sum_{j in inside} x_j(other).
-
-    The rows left out read 0 >= 0 or follow from x >= 0, so leaving them out
-    keeps the feasible set, and with it the lexicographically smallest
-    optimal vertex that ``solve_lp`` returns.
-    """
-    for k in range(1, len(lst) + 1):
-        top = lst.entries[:k]
-        top_set = set(top)
-        for other in reports:
-            inside = tuple(j for j in other.entries if j in top_set)
-            if inside and other != lst:
-                yield k, top, other, inside
-
-
 _Walk = Tuple[int, int, List[Optional[int]]]
+_Plan = List[Tuple[range, List[_Walk]]]
 
 
-def _ic_plan(reports: Sequence[RankedList]) -> List[Tuple[range, List[_Walk]]]:
-    """The rows of ``_ic_rows`` over ``reports``, laid out for ``_ic_violations``.
+def _ic_plan(reports: Sequence[RankedList]) -> _Plan:
+    """The IC rows of ``reports`` that can bind, laid out for one walk per
+    (list, report) pair: the row of list l, position k and report o (the
+    module docstring's family) exists when o != l holds one of l's first k
+    entries.  The rows left out read 0 >= 0 or follow from x >= 0, so
+    leaving them out keeps the feasible set, and with it the
+    lexicographically smallest optimal vertex that ``solve_lp`` returns.
 
     Allocations sit in one vector that holds each list's entries in turn,
     the order of the allocation variables in ``_revenue_lp``.  Entry l of
@@ -154,8 +133,9 @@ def _ic_plan(reports: Sequence[RankedList]) -> List[Tuple[range, List[_Walk]]]:
     positions in the vector, and ``walks`` has one ``(o, first, cols)`` per
     other list o that holds one of l's entries, in ``reports`` order:
     ``cols[p]`` is where x(o) of l's entry p sits, or None when o does not
-    hold it, and ``first`` is the first p where it does.  A list that shares
-    no entry with l has no walk: its rows read 0 >= 0.
+    hold it, and ``first`` is the first p where it does, so o's rows are
+    those of the positions k > ``first``.  A list that shares no entry with
+    l has no walk.
     """
     starts = [0, *accumulate(len(lst) for lst in reports)]
     holders: Dict[Item, List[Tuple[int, int]]] = {}
@@ -176,8 +156,19 @@ def _ic_plan(reports: Sequence[RankedList]) -> List[Tuple[range, List[_Walk]]]:
     return plan
 
 
+def _ic_all_rows(plan: _Plan) -> Iterator[Tuple[int, int, int, List[int]]]:
+    """Every row of ``plan`` (``_ic_plan``) as ``(l, k, o, inside)``, list
+    by list, then k, then report; ``inside`` is where the entries of report
+    o among list l's first k sit in the allocation vector."""
+    for l, (own, walks) in enumerate(plan):
+        for k in range(len(own)):
+            for o, first, cols in walks:
+                if first <= k:
+                    yield l, k + 1, o, [c for c in cols[:k + 1] if c is not None]
+
+
 def _ic_violations(
-    plan: List[Tuple[range, List[_Walk]]], x: Sequence[int]
+    plan: _Plan, x: Sequence[int]
 ) -> Iterator[Tuple[int, int, int, int, int, List[int]]]:
     """Every row of ``plan`` (``_ic_plan``) that the allocation vector ``x``
     violates, as ``(l, k, o, lhs, rhs, inside)``: list l's top-k mass
@@ -185,7 +176,7 @@ def _ic_violations(
     entries, and ``inside`` is where those entries of o sit in ``x``.
 
     One cumulative walk over k per (list, report) pair; the rows come in
-    ``_ic_rows``' order: list by list, then k, then report.
+    ``_ic_all_rows``' order.
     """
     for l, (own, walks) in enumerate(plan):
         top = list(accumulate(x[c] for c in own))
@@ -226,15 +217,6 @@ def _revenue_lp(inst: Instance) -> RationalLP:
     return lp
 
 
-def _add_ic_row(lp: RationalLP, lst: RankedList, k: int, other: RankedList) -> None:
-    """Append to ``lp`` the IC row of truthful list ``lst``, position ``k``
-    and report ``other``, one of the rows ``_ic_rows`` yields."""
-    top = lst.entries[:k]
-    coefs = _ic_coefs({}, (_var(lst, j) for j in top),
-                      (_var(other, j) for j in other.entries if j in top))
-    lp.add_row(coefs, ">=", 0)
-
-
 def _sum_rows_lp(inst: Instance) -> RationalLP:
     """``_revenue_lp(inst)`` with the sum-to-one row of every nonempty list."""
     lp = _revenue_lp(inst)
@@ -248,16 +230,17 @@ def _sum_rows_lp(inst: Instance) -> RationalLP:
 def build_mechanism_lp(inst: Instance) -> RationalLP:
     """LP over allocation variables with IC, sum-to-one, and nonnegativity rows.
 
-    The sum-to-one row of every nonempty list, then for each list its IC
-    rows of ``_ic_rows``: one per (list l, position k, report l' != l) where
-    l' holds one of the first k entries of l.  No two rows are equal.
+    The sum-to-one row of every nonempty list, then every IC row of
+    ``_ic_plan`` in its order: one per (list l, position k, report l' != l)
+    where l' holds one of the first k entries of l.  No two rows are equal.
     ``solve_mechanism_lp`` solves this LP with only the IC rows it needs.
     """
     lp = _sum_rows_lp(inst)
-    support = list(inst.dist.support.keys())
-    for lst in support:
-        for k, _, other, _ in _ic_rows(lst, support):
-            _add_ic_row(lp, lst, k, other)
+    names = [var.name for var in lp.variables]
+    plan = _ic_plan(list(inst.dist.support))
+    for l, k, _, inside in _ic_all_rows(plan):
+        lp.add_row(_ic_coefs({}, (names[c] for c in plan[l][0][:k]),
+                             (names[c] for c in inside)), ">=", 0)
     return lp
 
 

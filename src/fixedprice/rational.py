@@ -23,7 +23,10 @@ MAX_DECIMAL_EXPONENT = 4300
 
 
 def parse_rational(value: RationalLike) -> Fraction:
-    """Parse a JSON-style rational (int, "a/b", or exact decimal string)."""
+    """Parse a JSON-style rational (int, "a/b", or exact decimal string);
+    a Fraction comes back as it is."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, bool):
         raise ValueError(f"not a rational: {value!r}")
     if isinstance(value, (int, Fraction)):

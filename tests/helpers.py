@@ -34,7 +34,6 @@ from fixedprice.mechanism_lp import (
     ICViolation,
     Mechanism,
     _ic_coefs,
-    _ic_rows,
     _revenue_lp,
     _var,
 )
@@ -662,8 +661,10 @@ def reference_mechanism_lp(inst: Instance) -> RationalLP:
 
 def reference_verify_ic(inst: Instance, mech: Mechanism) -> ICReport:
     """The exact IC check in Fraction arithmetic: each row's sides are sums
-    of Fractions.  ``verify_ic``, which compares integers, must return an
-    equal report."""
+    of Fractions, and the rows are listed here, every position and report
+    but the list itself and the reports holding none of its top k, rather
+    than read from ``_ic_plan``.  ``verify_ic``, which compares integers,
+    must return an equal report."""
     violations: List[ICViolation] = []
     support = list(inst.dist.support.keys())
     for lst in support:
@@ -697,18 +698,22 @@ def reference_verify_ic(inst: Instance, mech: Mechanism) -> ICReport:
         top_mass = [Fraction(0)]
         for j in lst.entries:
             top_mass.append(top_mass[-1] + mech.probability(lst, j))
-        for k, _, other, inside in _ic_rows(lst, reports):
-            lhs = top_mass[k]
-            rhs = sum((mech.probability(other, j) for j in inside), Fraction(0))
-            if lhs < rhs:
-                violations.append(
-                    ICViolation(
-                        "ic",
-                        lst.entries,
-                        f"top-{k} probability {format_rational(lhs)} < "
-                        f"{format_rational(rhs)} via report {other.entries}",
-                        k=k,
-                        other=other.entries,
+        for k in range(1, len(lst) + 1):
+            for other in reports:
+                inside = [j for j in other.entries if j in lst.entries[:k]]
+                if other == lst or not inside:
+                    continue
+                lhs = top_mass[k]
+                rhs = sum((mech.probability(other, j) for j in inside), Fraction(0))
+                if lhs < rhs:
+                    violations.append(
+                        ICViolation(
+                            "ic",
+                            lst.entries,
+                            f"top-{k} probability {format_rational(lhs)} < "
+                            f"{format_rational(rhs)} via report {other.entries}",
+                            k=k,
+                            other=other.entries,
+                        )
                     )
-                )
     return ICReport(tuple(violations))

@@ -37,6 +37,17 @@ class TestMultiBuyerLp:
         assert v_dsic == Fraction(16, 9)
         assert v_bic == Fraction(16, 9)
 
+    def test_rows_past_the_first_position_bind(self):
+        # With only the k = 1 IC rows both modes reach 28/5 here.
+        inst = MultiBuyerInstance("ABC", {"A": 1, "B": 4, "C": 3}, [
+            {("B",): Fraction(2, 5), ("C", "A"): Fraction(2, 5),
+             ("A", "B", "C"): Fraction(1, 5)},
+            {("A",): Fraction(2, 7), ("B",): Fraction(3, 14), ("C",): Fraction(2, 7),
+             ("B", "A", "C"): Fraction(3, 14)},
+        ])
+        assert solve_multibuyer_lp(inst, "dsic")[0] == Fraction(187, 35)
+        assert solve_multibuyer_lp(inst, "bic")[0] == Fraction(571, 105)
+
     def test_single_buyer_reduces_to_mechanism_lp(self):
         rng = random.Random(24)
         for _ in range(5):

@@ -118,6 +118,19 @@ class TestMechanismLp:
             sol, ref = solve_lp(build_mechanism_lp(inst)), solve_lp(reference_mechanism_lp(inst))
             assert (sol.value, sol.assignment) == (ref.value, ref.assignment), k
 
+    def test_ic_rows_are_the_reference_rows_that_can_bind(self):
+        # The ">=" rows of the full LP are, in order, the reference family's
+        # rows with a negative coefficient: the IC rows whose report shares
+        # an entry with the top k and is not the list itself.
+        instances = _fixture_instances()
+        rng = random.Random(43)
+        instances += [random_instance(rng, n_max=6, max_lists=12) for _ in range(40)]
+        for k, inst in enumerate(instances):
+            rows = [row for row in build_mechanism_lp(inst).rows if row.rel == ">="]
+            ref = [row for row in reference_mechanism_lp(inst).rows
+                   if row.rel == ">=" and any(c < 0 for _, c in row.coefs)]
+            assert rows == ref, k
+
 
 def _mnl_urn(n: int) -> Instance:
     """The MNL urn on n items with weights 1..n, w0 = 1 and prices n..1."""
