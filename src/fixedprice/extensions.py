@@ -4,6 +4,9 @@ Multi-buyer: each of m buyers draws an independent ranked list; one copy of
 each item exists.  The LP allocates items per reported profile under either
 dominant-strategy (per-profile) or Bayesian (in-expectation) truthfulness,
 feasibility resting on the integrality of bipartite matching.
+``solve_multibuyer_lp`` generates the IC rows on one tableau with the
+single-buyer separation pass of ``mechanism_lp`` and returns the value and
+vertex of the full LP that ``build_multibuyer_lp`` writes.
 
 Robust menus: a menu is a set of randomized allocation vectors including the
 zero entry; a buyer with some cardinal utility consistent with their ranked
@@ -14,6 +17,7 @@ could justify choosing ("exposable" entries, certified by a small exact LP).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -37,9 +41,10 @@ from .errors import (
     InvalidMechanismError,
     UnsupportedShapeError,
 )
-from .lp import LPSolution, RationalLP, solve_lp
-from .mechanism_lp import Mechanism, _ic_all_rows, _ic_coefs, _ic_plan, verify_ic
-from .rational import format_rational, parse_rational
+from .lp import GE, LE, LPSolution, RationalLP, _solve_by_rows, solve_lp
+from .mechanism_lp import (Mechanism, _ic_all_rows, _ic_coefs, _ic_plan, _ic_violations,
+                           verify_ic)
+from .rational import format_rational, lcm_of_denominators, parse_rational
 
 PROFILE_CAP = 10**5
 
@@ -101,6 +106,63 @@ def _xvar(i: int, j: Item, profile_id: int) -> str:
     return f"X[{i}][{j}][{profile_id}]"
 
 
+def _multibuyer_lp(inst: MultiBuyerInstance, mode: str, cap: int):
+    """``(lp, profiles, buyers)``: the profile-indexed LP with its capacity
+    rows and no IC row, and per buyer i ``(plan, groups)``, the
+    ``_ic_plan`` of i's lists and the groups each of its rows sums over.  A
+    group holds ``(weight, cols)`` pairs, ``cols`` mapping i's allocation
+    vector to LP columns under one profile of the others: under DSIC one
+    group per profile, weight 1; under BIC one group of all, each weighted
+    by its probability."""
+    mode = mode.lower()
+    if mode not in ("dsic", "bic"):
+        raise InvalidInstanceError(f"unknown mode {mode!r}")
+    sizes = math.prod(len(b.support) for b in inst.buyers)
+    if sizes > cap:
+        raise CapExceededError("build_multibuyer_lp", sizes, cap, "profile space")
+
+    profiles = list(inst.profiles())
+    lp = RationalLP()
+    objective: Dict[int, Fraction] = {}
+    cols: Dict[Tuple, List[Dict[Item, int]]] = {}  # profile -> per buyer, item -> column
+    for pid, (lsts, prob) in enumerate(profiles):
+        cols[lsts] = at = [{j: lp.add_variable(_xvar(i, j, pid)) for j in lst.entries}
+                           for i, lst in enumerate(lsts)]
+        objective.update((c, prob * inst.prices[j]) for by_item in at
+                         for j, c in by_item.items())
+        for j in inst.items:
+            row = {at[i][j]: 1 for i, lst in enumerate(lsts) if j in lst.as_set()}
+            # An item only one buyer lists is capped by that buyer's list row.
+            if len(row) > 1:
+                lp.add_index_row(row, LE, 1)
+        for i, lst in enumerate(lsts):
+            # A one-item list that another buyer lists is capped by the
+            # item's row.
+            shared = sum(lst.as_set() <= other.as_set() for other in lsts) > 1
+            if len(lst) > 1 or (len(lst) == 1 and not shared):
+                lp.add_index_row(dict.fromkeys(at[i].values(), 1), LE, 1)
+    lp.set_index_objective(objective)
+
+    buyers = []
+    for i in range(inst.num_buyers):
+        lists_i = [lst for lst, _ in _support_by_entries(inst.buyers[i])]
+        group = [(prob, [cols[rest[:i] + (lst,) + rest[i:]][i][j]
+                         for lst in lists_i for j in lst.entries])
+                 for rest, prob in _joint(inst.buyers[:i] + inst.buyers[i + 1:])]
+        groups = [[(1, c)] for _, c in group] if mode == "dsic" else [group]
+        buyers.append((_ic_plan(lists_i), groups))
+    return lp, profiles, buyers
+
+
+def _group_row(group, top: Sequence[int], inside: Sequence[int]) -> Dict[int, object]:
+    """The IC row with ``top`` and ``inside`` (``_ic_plan`` positions)
+    summed over ``group``, by LP column."""
+    row: Dict[int, object] = {}
+    for weight, at in group:
+        _ic_coefs(row, (at[c] for c in top), (at[c] for c in inside), weight)
+    return row
+
+
 def build_multibuyer_lp(
     inst: MultiBuyerInstance, mode: str = "dsic", cap: int = PROFILE_CAP
 ) -> Tuple[RationalLP, Dict]:
@@ -112,76 +174,40 @@ def build_multibuyer_lp(
     Returns the LP plus the bookkeeping needed to read the solution back
     (profile list and variable namer).
     """
-    mode = mode.lower()
-    if mode not in ("dsic", "bic"):
-        raise InvalidInstanceError(f"unknown mode {mode!r}")
-    sizes = 1
-    for b in inst.buyers:
-        sizes *= len(b.support)
-    if sizes > cap:
-        raise CapExceededError("build_multibuyer_lp", sizes, cap, "profile space")
-
-    profiles = list(inst.profiles())
-    profile_id = {tuple(lsts): k for k, (lsts, _) in enumerate(profiles)}
-    lp = RationalLP()
-    objective: Dict[str, Fraction] = {}
-    for pid, (lsts, prob) in enumerate(profiles):
-        for i, lst in enumerate(lsts):
-            for j in lst.entries:
-                objective[lp.add_variable(_xvar(i, j, pid), lo=0)] = prob * inst.prices[j]
-    lp.set_objective(objective)
-
-    for pid, (lsts, _) in enumerate(profiles):
-        for j in inst.items:
-            coefs = {
-                _xvar(i, j, pid): 1
-                for i, lst in enumerate(lsts)
-                if j in lst.as_set()
-            }
-            # An item only one buyer lists is capped by that buyer's list row.
-            if len(coefs) > 1:
-                lp.add_row(coefs, "<=", 1)
-        for i, lst in enumerate(lsts):
-            # A one-item list that another buyer lists is capped by the
-            # item's row.
-            shared = sum(lst.as_set() <= other.as_set() for other in lsts) > 1
-            if len(lst) > 1 or (len(lst) == 1 and not shared):
-                lp.add_row({_xvar(i, j, pid): 1 for j in lst.entries}, "<=", 1)
-
-    m = inst.num_buyers
-    for i in range(m):
-        lists_i = [lst for lst, _ in _support_by_entries(inst.buyers[i])]
-        # The item at each position of _ic_plan's allocation vector.
-        items_i = [j for lst in lists_i for j in lst.entries]
-        # (lists of the other buyers, their joint probability) per profile
-        other_profiles = list(_joint(inst.buyers[:i] + inst.buyers[i + 1:]))
-        for l, k, o, inside in _ic_all_rows(_ic_plan(lists_i)):
-            top = lists_i[l].entries[:k]
-            lie = [items_i[c] for c in inside]
-            # DSIC: one row per profile of the others; BIC: their
-            # probability-weighted sum.
-            merged: Dict[str, Fraction] = {}
-            for rest, prob_others in other_profiles:
-                pid_true = profile_id[rest[:i] + (lists_i[l],) + rest[i:]]
-                pid_lie = profile_id[rest[:i] + (lists_i[o],) + rest[i:]]
-                true_names = [_xvar(i, j, pid_true) for j in top]
-                lie_names = [_xvar(i, j, pid_lie) for j in lie]
-                if mode == "dsic":
-                    lp.add_row(_ic_coefs({}, true_names, lie_names), ">=", 0)
-                else:
-                    _ic_coefs(merged, true_names, lie_names, weight=prob_others)
-            if mode == "bic":
-                lp.add_row(merged, ">=", 0)
-
-    meta = {"profiles": profiles, "var": _xvar}
-    return lp, meta
+    lp, profiles, buyers = _multibuyer_lp(inst, mode, cap)
+    for plan, groups in buyers:
+        for l, k, _, inside in _ic_all_rows(plan):
+            for group in groups:
+                lp.add_index_row(_group_row(group, plan[l][0][:k], inside), GE, 0)
+    return lp, {"profiles": profiles, "var": _xvar}
 
 
 def solve_multibuyer_lp(
     inst: MultiBuyerInstance, mode: str = "dsic", cap: int = PROFILE_CAP
 ) -> Tuple[Fraction, LPSolution]:
-    lp, _ = build_multibuyer_lp(inst, mode, cap)
-    sol = solve_lp(lp)
+    """The value and vertex ``solve_lp(build_multibuyer_lp(inst, mode)[0])``
+    returns, by row generation (``lp._solve_by_rows``) from the capacity
+    rows.  The separation is the single-buyer pass ``_ic_violations`` on
+    each group's weighted sum of buyer i's allocation (under BIC the interim
+    allocation), its weights scaled to integers, as in the rows it adds.
+    """
+    lp, _, buyers = _multibuyer_lp(inst, mode, cap)
+    scaled = []
+    for plan, groups in buyers:
+        for group in groups:
+            scale = lcm_of_denominators(w for w, _ in group)
+            scaled.append((plan, [(int(w * scale), at) for w, at in group]))
+
+    def separate(x: List[int]):
+        cuts = []
+        for plan, group in scaled:
+            interim = [sum(w * x[at[c]] for w, at in group)
+                       for c in range(len(group[0][1]))]
+            for l, k, _, _, _, inside in _ic_violations(plan, interim):
+                cuts.append((_group_row(group, plan[l][0][:k], inside), GE, 0))
+        return cuts
+
+    sol = _solve_by_rows(lp, separate)
     return sol.value, sol
 
 
@@ -369,32 +395,31 @@ def exposable_entries(inst: Instance, menu: Menu, lst) -> List[MenuEntry]:
     lst = lst if isinstance(lst, RankedList) else RankedList(tuple(lst))
     if inst.dist.probability(lst) == 0:
         raise InvalidInstanceError(f"list {lst.entries} is not in the support")
+    if not {j for entry in menu.entries for j, _ in entry.alloc} <= set(inst.items):
+        raise InvalidMechanismError("a menu entry allocates an item the instance lacks")
     bound = Fraction(len(inst.items) + 1)
     out = []
     for entry in menu.entries:
         lp = RationalLP()
-        for j in inst.items:
-            lp.add_variable(f"u[{j}]", lo=-bound, hi=bound)
-        lp.add_variable("u0", lo=-bound, hi=bound)
-        lp.add_variable("eps", lo=-1, hi=1)
-        chain = [f"u[{j}]" for j in lst.entries] + ["u0"]
-        for hi_var, lo_var in zip(chain, chain[1:]):
-            lp.add_row({hi_var: 1, lo_var: -1, "eps": -1}, ">=", 0)
+        u = {j: lp.add_variable(f"u[{j}]", lo=-bound, hi=bound) for j in inst.items}
+        u0 = lp.add_variable("u0", lo=-bound, hi=bound)
+        eps = lp.add_variable("eps", lo=-1, hi=1)
+        chain = [u[j] for j in lst.entries] + [u0]
+        for hi_col, lo_col in zip(chain, chain[1:]):
+            lp.add_index_row({hi_col: 1, lo_col: -1, eps: -1}, GE, 0)
         for j in inst.items:
             if j not in lst.as_set():
-                lp.add_row({"u0": 1, f"u[{j}]": -1, "eps": -1}, ">=", 0)
+                lp.add_index_row({u0: 1, u[j]: -1, eps: -1}, GE, 0)
         for other in menu.entries:
             if other.alloc == entry.alloc:
                 continue
-            coefs: Dict[str, Fraction] = {}
+            coefs: Dict[int, Fraction] = {u0: entry.no_purchase - other.no_purchase}
             for j, p in entry.alloc:
-                coefs[f"u[{j}]"] = coefs.get(f"u[{j}]", Fraction(0)) + p
-            coefs["u0"] = coefs.get("u0", Fraction(0)) + entry.no_purchase
+                coefs[u[j]] = coefs.get(u[j], 0) + p
             for j, p in other.alloc:
-                coefs[f"u[{j}]"] = coefs.get(f"u[{j}]", Fraction(0)) - p
-            coefs["u0"] = coefs.get("u0", Fraction(0)) - other.no_purchase
-            lp.add_row(coefs, ">=", 0)
-        lp.set_objective({"eps": 1})
+                coefs[u[j]] = coefs.get(u[j], 0) - p
+            lp.add_index_row(coefs, GE, 0)
+        lp.set_index_objective({eps: 1})
         sol = solve_lp(lp)
         if sol.value > 0:
             out.append(entry)

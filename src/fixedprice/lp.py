@@ -1,5 +1,9 @@
 """Exact rational linear programming via a sparse two-phase simplex.
 
+An LP (``RationalLP``) stores each row once, as ``(column, coefficient)``
+pairs in column order, which the tableau reads with no name lookup;
+variable names serve only the views by name and ``solve_lp``'s assignment.
+
 The solver keeps an integer tableau with a shared denominator (fraction-free
 "integer pivoting") and returns a basic (vertex) optimal solution with exact
 rational values.  The LPs of this package have a few nonzeros per row, so
@@ -16,13 +20,14 @@ path: after phase 2 the lex phases move to the lexicographically smallest
 optimal vertex in variable order, a point fixed by the feasible set, the
 objective and the variable order alone.
 
-A row-generation loop can grow an optimized tableau instead of solving each
-larger LP anew: appended inequality rows are written in the current basis,
-each with a new basic slack that is negative where the vertex violates the
-row, and the dual simplex (Lemke 1954) pivots them feasible while the
-objective row stays optimal, with the same fallback to Bland's rule.  The
-lex phases then run again, so the vertex is the one a cold solve of the
-grown LP returns.
+Row generation (``_solve_by_rows``) grows an optimized tableau instead of
+solving each larger LP anew: appended inequality rows are written in the
+current basis, each with a new basic slack that is negative where the
+vertex violates the row, and the dual simplex (Lemke 1954) pivots them
+feasible while the objective row stays optimal, with the same fallback to
+Bland's rule.  The lex phases then run again, so the vertex is the one a
+cold solve of the grown LP returns.  ``solve_lp`` is that loop with no row
+to add; the mechanism LP and the DSIC/BIC LPs each add their IC rows.
 """
 
 from __future__ import annotations
@@ -31,12 +36,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from .errors import LPInfeasibleError, LPUnboundedError
 from .rational import format_rational, parse_rational
 
 LE, GE, EQ = "<=", ">=", "=="
+
+Number = Union[int, Fraction]
 
 # Consecutive degenerate pivots (pivot row rhs 0) after which the entering
 # column is Bland's smallest index, until a pivot moves the point.  The
@@ -54,9 +61,9 @@ class LPVariable:
 
 @dataclass(frozen=True)
 class LPRow:
-    coefs: Tuple[Tuple[str, Fraction], ...]
+    coefs: Tuple[Tuple[str, Number], ...]
     rel: str
-    rhs: Fraction
+    rhs: Number
     label: str = ""
 
 
@@ -70,15 +77,23 @@ class LPSolution:
 
 
 class RationalLP:
-    """A maximization LP over named, bounded variables with exact data."""
+    """A maximization LP over named, bounded variables with exact data.
+
+    Rows and the objective are stored by column (a variable's index), rows
+    as ``(column, coefficient)`` pairs in column order, zeros dropped and
+    the builders' int data kept as int.  Names appear only in the ``rows``
+    and ``objective`` views and ``to_text()``; ``add_row`` and
+    ``set_objective`` take names, for hand-written LPs.
+    """
 
     def __init__(self):
         self.variables: List[LPVariable] = []
         self._var_index: Dict[str, int] = {}
-        self.rows: List[LPRow] = []
-        self.objective: Dict[str, Fraction] = {}
+        self._rows: List[Tuple[Tuple[Tuple[int, Number], ...], str, Number, str]] = []
+        self._objective: Dict[int, Number] = {}
 
-    def add_variable(self, name: str, lo=0, hi=None) -> str:
+    def add_variable(self, name: str, lo=0, hi=None) -> int:
+        """Append a variable; returns its column."""
         if name in self._var_index:
             raise ValueError(f"duplicate variable {name!r}")
         lo = parse_rational(lo)
@@ -87,27 +102,48 @@ class RationalLP:
             raise ValueError(f"variable {name!r} has empty bounds [{lo}, {hi}]")
         self._var_index[name] = len(self.variables)
         self.variables.append(LPVariable(name, lo, hi))
-        return name
+        return len(self.variables) - 1
 
-    def add_row(self, coefs: Mapping[str, object], rel: str, rhs, label: str = "") -> None:
-        """Append a constraint row; every row given is kept, copies included."""
+    def add_index_row(self, coefs: Mapping[int, Number], rel: str, rhs: Number,
+                      label: str = "") -> None:
+        """Append the row ``sum coefs[j]·x_j  rel  rhs`` over columns j, with
+        int or Fraction data; every row given is kept, copies included."""
         if rel not in (LE, GE, EQ):
             raise ValueError(f"unknown relation {rel!r}")
-        cleaned = []
-        for name, c in coefs.items():
-            if name not in self._var_index:
-                raise ValueError(f"row references unknown variable {name!r}")
-            c = parse_rational(c)
-            if c != 0:
-                cleaned.append((name, c))
-        cleaned.sort(key=lambda nc: self._var_index[nc[0]])
-        self.rows.append(LPRow(tuple(cleaned), rel, parse_rational(rhs), label))
+        row = sorted((j, c) for j, c in coefs.items() if c)
+        if row and not (row[0][0] >= 0 and row[-1][0] < len(self.variables)):
+            raise ValueError(f"row references unknown column in {row}")
+        self._rows.append((tuple(row), rel, rhs, label))
 
-    def set_objective(self, coefs: Mapping[str, object]) -> None:
+    def set_index_objective(self, coefs: Mapping[int, Number]) -> None:
+        """The objective ``sum coefs[j]·x_j`` over columns j."""
+        self._objective = dict(coefs)
+
+    def _by_column(self, coefs: Mapping[str, object], what: str) -> Dict[int, Fraction]:
         for name in coefs:
             if name not in self._var_index:
-                raise ValueError(f"objective references unknown variable {name!r}")
-        self.objective = {name: parse_rational(c) for name, c in coefs.items()}
+                raise ValueError(f"{what} references unknown variable {name!r}")
+        return {self._var_index[name]: parse_rational(c) for name, c in coefs.items()}
+
+    def add_row(self, coefs: Mapping[str, object], rel: str, rhs, label: str = "") -> None:
+        """``add_index_row`` for a row given by variable names."""
+        self.add_index_row(self._by_column(coefs, "row"), rel, parse_rational(rhs), label)
+
+    def set_objective(self, coefs: Mapping[str, object]) -> None:
+        """``set_index_objective`` for an objective given by variable names."""
+        self.set_index_objective(self._by_column(coefs, "objective"))
+
+    @property
+    def rows(self) -> Tuple[LPRow, ...]:
+        """The rows by variable name, in the order they were added."""
+        names = [var.name for var in self.variables]
+        return tuple(LPRow(tuple((names[j], c) for j, c in coefs), rel, rhs, label)
+                     for coefs, rel, rhs, label in self._rows)
+
+    @property
+    def objective(self) -> Dict[str, Number]:
+        """The objective coefficients by variable name."""
+        return {self.variables[j].name: c for j, c in self._objective.items()}
 
     @property
     def num_variables(self) -> int:
@@ -115,7 +151,7 @@ class RationalLP:
 
     @property
     def num_rows(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
 
     def to_text(self) -> str:
         """Plain-text rendering (exact rationals) for external cross-checks."""
@@ -173,8 +209,7 @@ class _Tableau:
         n = len(lp.variables)
         self.lo = [v.lo for v in lp.variables]
         self.shift = any(self.lo)
-        index = lp._var_index
-        n_slack = (sum(row.rel != EQ for row in lp.rows)
+        n_slack = (sum(rel != EQ for _, rel, _, _ in lp._rows)
                    + sum(v.hi is not None for v in lp.variables))
         slack_at, art_at = n, n + n_slack
         self.rows: List[Dict[int, int]] = []
@@ -189,9 +224,8 @@ class _Tableau:
         # ">=" row with surplus + artificial; "==" takes an artificial.  The
         # slack and artificial entries are +-1 times the row's scale mult.
         constraints = itertools.chain(
-            (([(index[name], c) for name, c in row.coefs], row.rel, row.rhs)
-             for row in lp.rows),
-            (([(idx, Fraction(1))], LE, v.hi)
+            ((coefs, rel, rhs) for coefs, rel, rhs, _ in lp._rows),
+            ((((idx, 1),), LE, v.hi)
              for idx, v in enumerate(lp.variables) if v.hi is not None),
         )
         for coefs, rel, rhs in constraints:
@@ -221,9 +255,7 @@ class _Tableau:
         self.m = len(self.rows)
         self.art_cols = set(range(n + n_slack, art_at))
         self.next_col = art_at
-        self._add_objective(
-            {index[name]: c for name, c in lp.objective.items()}, Fraction(0)
-        )
+        self._add_objective(lp._objective, Fraction(0))
         if self.art_cols:
             self._add_objective(obj1, value1)
         self.denom = 1
@@ -240,7 +272,8 @@ class _Tableau:
                 rhs -= sum((c * self.lo[j] for j, c in coefs), Fraction(0))
             if rel == GE:
                 sign = -1
-        mult = math.lcm(rhs.denominator, *(c.denominator for _, c in coefs))
+        # A list, as in ``lcm_of_denominators``.
+        mult = math.lcm(rhs.denominator, *[c.denominator for _, c in coefs])
         ints = {j: sign * c.numerator * (mult // c.denominator) for j, c in coefs}
         return ints, sign * rhs.numerator * (mult // rhs.denominator), mult
 
@@ -494,19 +527,39 @@ class _Tableau:
                 values[self.basis[i]] = self.rhs[i]
         return values
 
-    def solve(self) -> LPSolution:
-        self.optimize()
-        assignment = {
-            var.name: Fraction(x, self.denom) + var.lo
-            for x, var in zip(self.vertex(), self.lp.variables)
-        }
-        value = sum(
-            (c * assignment[name] for name, c in self.lp.objective.items()),
-            Fraction(0),
-        )
-        return LPSolution(value=value, assignment=assignment)
+    def solution(self) -> LPSolution:
+        """The current vertex by variable name and its objective value; a
+        zero entry is the lower bound itself, and no Fraction is built."""
+        lp, d = self.lp, self.denom
+        values = [Fraction(x, d) + var.lo if x else var.lo
+                  for x, var in zip(self.vertex(), lp.variables)]
+        value = sum((c * values[j] for j, c in lp._objective.items() if values[j]),
+                    Fraction(0))
+        return LPSolution(value, {var.name: x for var, x in zip(lp.variables, values)})
+
+
+def _solve_by_rows(lp: RationalLP, separate: Callable) -> LPSolution:
+    """Row generation (Dantzig, Fulkerson and Johnson 1954) on one tableau.
+
+    Solve ``lp``, then append the inequality rows ``(coefs by column, rel,
+    rhs)`` that ``separate`` finds violated by the vertex (given as
+    ``_Tableau.vertex()``) and restore the lex-min optimum with the dual
+    simplex, until it finds none.  A row in the LP holds at its optimum, so
+    each round adds new rows, and with finitely many the loop ends.  When
+    ``separate`` returns the violated rows of a larger LP, the last LP
+    relaxes it and its optimum is feasible there, so the two share the
+    optimal value and the lexicographically smallest point of the smaller
+    optimal face, the larger LP's: the answer is the larger LP's value and
+    vertex.
+    """
+    tab = _Tableau(lp)
+    tab.optimize()
+    while cuts := separate(tab.vertex()):
+        tab.add_rows(cuts)
+        tab.reoptimize()
+    return tab.solution()
 
 
 def solve_lp(lp: RationalLP) -> LPSolution:
     """Solve to a vertex optimum; raises on infeasible or unbounded input."""
-    return _Tableau(lp).solve()
+    return _solve_by_rows(lp, lambda x: ())

@@ -22,17 +22,15 @@ a set.
 
 ``solve_mechanism_lp`` does not build the full LP, whose IC rows grow with
 the square of the support while an optimal vertex needs few of them.  It
-generates rows (Dantzig, Fulkerson and Johnson 1954) on one simplex
-tableau: starting from the sum-to-one rows, each round reads the vertex as
-integers, runs the integer pass on it, appends the row of every IC
-violation to the tableau in its current basis and restores the optimum
-with the dual simplex (Lemke 1954).  It stops when the pass finds nothing,
-so its answer has passed the exact IC check of ``verify_ic``, whose other
-rows the LP itself enforces.  The tableau moves to the lexicographically
-smallest optimal vertex after every round, as ``solve_lp`` does, and the
-last LP relaxes the full one while its vertex is feasible for the full
-one, so the value and the vertex are those of
-``solve_lp(build_mechanism_lp(inst))``.
+starts from the sum-to-one rows and runs the row-generation loop of
+``lp._solve_by_rows`` (Dantzig, Fulkerson and Johnson 1954), which the
+DSIC and BIC solves of ``extensions`` share: each round the integer pass
+``_ic_violations`` reads the vertex, the row of every IC violation is
+appended to the tableau in its current basis, and the dual simplex (Lemke
+1954) restores the lexicographically smallest optimum.  It stops when the
+pass finds nothing, so its answer has passed the exact IC check of
+``verify_ic``, whose other rows the LP itself enforces, and the value and
+the vertex are those of ``solve_lp(build_mechanism_lp(inst))``.
 """
 
 from __future__ import annotations
@@ -59,7 +57,7 @@ from .errors import (
     InvalidMechanismError,
     SubmodularityError,
 )
-from .lp import GE, LPSolution, RationalLP, _Tableau, solve_lp
+from .lp import GE, LE, LPSolution, RationalLP, _solve_by_rows, solve_lp
 from .rational import format_rational, lcm_of_denominators, parse_rational
 
 
@@ -195,13 +193,13 @@ def _ic_violations(
             yield (l, *row)
 
 
-def _ic_coefs(coefs: Dict[str, object], top_names: Iterable[str],
-              inside_names: Iterable[str], weight=1) -> Dict[str, object]:
-    """Add ``weight`` times one IC row, given by its variable names, to ``coefs``."""
-    for name in top_names:
-        coefs[name] = coefs.get(name, 0) + weight
-    for name in inside_names:
-        coefs[name] = coefs.get(name, 0) - weight
+def _ic_coefs(coefs: Dict, top: Iterable, inside: Iterable, weight=1) -> Dict:
+    """Add ``weight`` times one IC row to ``coefs``: +weight on each key of
+    ``top`` (columns or names), -weight on each key of ``inside``."""
+    for key in top:
+        coefs[key] = coefs.get(key, 0) + weight
+    for key in inside:
+        coefs[key] = coefs.get(key, 0) - weight
     return coefs
 
 
@@ -209,21 +207,23 @@ def _revenue_lp(inst: Instance) -> RationalLP:
     """An LP with one allocation variable per (supported list, listed item)
     and the expected-revenue objective over them."""
     lp = RationalLP()
-    objective: Dict[str, Fraction] = {}
+    objective: Dict[int, Fraction] = {}
     for lst, prob in inst.dist.support.items():
         for j in lst.entries:
             objective[lp.add_variable(_var(lst, j), lo=0)] = prob * inst.prices[j]
-    lp.set_objective(objective)
+    lp.set_index_objective(objective)
     return lp
 
 
 def _sum_rows_lp(inst: Instance) -> RationalLP:
     """``_revenue_lp(inst)`` with the sum-to-one row of every nonempty list."""
     lp = _revenue_lp(inst)
+    col = 0
     for lst in inst.dist.support:
         if len(lst) > 0:
-            lp.add_row({_var(lst, j): 1 for j in lst.entries}, "<=", 1,
-                       label=f"one[{','.join(map(str, lst.entries))}]")
+            lp.add_index_row(dict.fromkeys(range(col, col + len(lst)), 1), LE, 1,
+                             label=f"one[{','.join(map(str, lst.entries))}]")
+        col += len(lst)
     return lp
 
 
@@ -236,11 +236,9 @@ def build_mechanism_lp(inst: Instance) -> RationalLP:
     ``solve_mechanism_lp`` solves this LP with only the IC rows it needs.
     """
     lp = _sum_rows_lp(inst)
-    names = [var.name for var in lp.variables]
     plan = _ic_plan(list(inst.dist.support))
     for l, k, _, inside in _ic_all_rows(plan):
-        lp.add_row(_ic_coefs({}, (names[c] for c in plan[l][0][:k]),
-                             (names[c] for c in inside)), ">=", 0)
+        lp.add_index_row(_ic_coefs({}, plan[l][0][:k], inside), GE, 0)
     return lp
 
 
@@ -254,42 +252,21 @@ def mechanism_from_solution(inst: Instance, sol: LPSolution) -> Mechanism:
 
 def solve_mechanism_lp(inst: Instance) -> Tuple[Fraction, Mechanism]:
     """Optimal IC mechanism value and the vertex mechanism ``solve_lp``
-    returns for ``build_mechanism_lp(inst)``, found by row generation.
-
-    The loop keeps one ``_Tableau``, built from the sum-to-one rows alone.
-    Each round reads the vertex as integers over the tableau's shared
-    denominator, finds the IC rows it violates in one integer pass
-    (``_ic_violations``, the pass ``verify_ic`` runs), appends them to the
-    tableau in its current basis and restores the lex-min optimum with the
-    dual simplex; it stops when no row is violated.  A row already in the
-    LP holds at its optimum, so every round adds a new row and the loop
-    ends.  Each round's vertex is the lex-min optimum of the rows so far,
-    the point a new ``solve_lp`` of them would return.  The last LP relaxes
-    the full one and its optimum is feasible for the full one, so the two
-    LPs share the optimal value, the full LP's optimal face lies in the
-    last LP's, and the lexicographically smallest point of the larger face
-    is that of the smaller one too.
-    """
+    returns for ``build_mechanism_lp(inst)``, by row generation
+    (``lp._solve_by_rows``) from the sum-to-one rows, with the integer pass
+    ``_ic_violations`` that ``verify_ic`` runs as the separation."""
     support = list(inst.dist.support)
     plan = _ic_plan(support)
-    tab = _Tableau(_sum_rows_lp(inst))
-    tab.optimize()
-    while True:
-        x = tab.vertex()
-        cuts = [(_ic_coefs({}, plan[l][0][:k], inside), GE, 0)
+
+    def separate(x: List[int]):
+        return [(_ic_coefs({}, plan[l][0][:k], inside), GE, 0)
                 for l, k, _, _, _, inside in _ic_violations(plan, x)]
-        if not cuts:
-            break
-        tab.add_rows(cuts)
-        tab.reoptimize()
-    zero = Fraction(0)
-    values = [Fraction(v, tab.denom) if v else zero for v in x]
+
+    sol = _solve_by_rows(_sum_rows_lp(inst), separate)
+    values = list(sol.assignment.values())
     alloc = {lst: {j: values[c] for j, c in zip(lst.entries, own)}
              for lst, (own, _) in zip(support, plan)}
-    value = sum((prob * inst.prices[j] * values[c]
-                 for (lst, prob), (own, _) in zip(inst.dist.support.items(), plan)
-                 for j, c in zip(lst.entries, own) if x[c]), zero)
-    return value, Mechanism(alloc)
+    return sol.value, Mechanism(alloc)
 
 
 @dataclass(frozen=True)
@@ -557,14 +534,13 @@ def build_set_function_lp(inst: Instance, cap: int = SET_FUNCTION_LP_CAP) -> Rat
     _check_set_function_cap(inst, cap)
     lp = RationalLP()
     universe = tuple(sorted(inst.items, key=str))
-    for combo in _subsets(universe):
-        lp.add_variable(_set_var(combo), lo=0, hi=1 if combo else 0)
-    for combo in _subsets(universe):
-        S = frozenset(combo)
+    col = {frozenset(combo): lp.add_variable(_set_var(combo), lo=0, hi=1 if combo else 0)
+           for combo in _subsets(universe)}
+    for S, c in col.items():
         for j in universe:
             if j not in S:
-                lp.add_row({_set_var(S): 1, _set_var(S | {j}): -1}, "<=", 0)
-    lp.set_objective({_set_var(T): w for T, w in _set_weights(inst).items()})
+                lp.add_index_row({c: 1, col[S | {j}]: -1}, LE, 0)
+    lp.set_index_objective({col[T]: w for T, w in _set_weights(inst).items()})
     return lp
 
 
@@ -688,15 +664,17 @@ def build_bm_lp(inst: Instance) -> RationalLP:
     position reads ``z <= 1``, z's own bound, and is left out.
     """
     lp = _revenue_lp(inst)
-    for j in inst.items:
-        lp.add_variable(_z_var(j), lo=0, hi=1)
+    z = {j: lp.add_variable(_z_var(j), lo=0, hi=1) for j in inst.items}
+    col = 0
     for lst in inst.dist.support:
+        x = {j: c for c, j in enumerate(lst.entries, col)}
+        col += len(lst)
         for x_items, z_item, z_coef, rhs, _ in _inclusion_rows(lst):
             if x_items:
-                coefs: Dict[str, Fraction] = {_var(lst, j): Fraction(1) for j in x_items}
+                coefs = dict.fromkeys((x[j] for j in x_items), 1)
                 if z_item is not None:
-                    coefs[_z_var(z_item)] = Fraction(z_coef)
-                lp.add_row(coefs, "<=", rhs)
+                    coefs[z[z_item]] = z_coef
+                lp.add_index_row(coefs, LE, rhs)
     return lp
 
 

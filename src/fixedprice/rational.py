@@ -65,7 +65,9 @@ def format_rational(value: Fraction) -> str:
 
 def lcm_of_denominators(values: Iterable[Fraction]) -> int:
     """The least common multiple of the denominators (1 for no values)."""
-    return math.lcm(*(v.denominator for v in values))
+    # A list, not a generator: *args from a generator is a resized tuple,
+    # which ends on another size's free list and so grows the free lists.
+    return math.lcm(*[v.denominator for v in values])
 
 
 def coerce_rational(value) -> Fraction:

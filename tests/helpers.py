@@ -138,6 +138,25 @@ def random_two_buyer(rng: random.Random) -> MultiBuyerInstance:
     return MultiBuyerInstance(items, {j: rng.randint(1, 4) for j in items}, buyers)
 
 
+def random_three_buyer(rng: random.Random) -> MultiBuyerInstance:
+    """Three buyers over items A, B, C, each with 2–4 random lists: the two
+    buyers of one ``random_two_buyer`` draw and the first of the next."""
+    a, b = random_two_buyer(rng), random_two_buyer(rng)
+    return MultiBuyerInstance(a.items, a.prices, a.buyers + b.buyers[:1])
+
+
+def deep_ic_two_buyer() -> MultiBuyerInstance:
+    """A two-buyer instance whose IC rows at positions k >= 2 bind: DSIC
+    gives 187/35 and BIC 571/105, and with the k = 1 rows alone both modes
+    give 28/5."""
+    return MultiBuyerInstance("ABC", {"A": 1, "B": 4, "C": 3}, [
+        {("B",): Fraction(2, 5), ("C", "A"): Fraction(2, 5),
+         ("A", "B", "C"): Fraction(1, 5)},
+        {("A",): Fraction(2, 7), ("B",): Fraction(3, 14), ("C",): Fraction(2, 7),
+         ("B", "A", "C"): Fraction(3, 14)},
+    ])
+
+
 def two_buyer_two_item() -> MultiBuyerInstance:
     third = Fraction(1, 3)
     return MultiBuyerInstance(

@@ -1,3 +1,5 @@
+import json
+import os
 import random
 from fractions import Fraction
 
@@ -14,15 +16,24 @@ from fixedprice import (
     mechanism_revenue,
     mechanism_to_menu,
     robust_revenue,
+    solve_lp,
     solve_mechanism_lp,
     solve_multibuyer_lp,
 )
 from fixedprice.errors import InvalidMechanismError, UnsupportedShapeError
-from fixedprice.extensions import menu_from_json, menu_to_json, multibuyer_from_json
+from fixedprice.extensions import (
+    build_multibuyer_lp,
+    menu_from_json,
+    menu_to_json,
+    multibuyer_from_json,
+)
 
 from .helpers import (
+    deep_ic_two_buyer,
     four_item_clash,
     random_instance,
+    random_three_buyer,
+    random_two_buyer,
     robust_menu_instance,
     seven_entry_menu,
     two_buyer_two_item,
@@ -97,6 +108,27 @@ class TestMultiBuyerLp:
                 best = max(best, value)
             v_dsic, _ = solve_multibuyer_lp(mb, "dsic")
             assert v_dsic >= best
+
+
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "fixtures")
+
+
+class TestLazyMultibuyer:
+    def test_equals_the_full_lp(self):
+        # solve_multibuyer_lp generates the IC rows on one tableau; its value
+        # and every vertex entry must be those of the full LP's solve.
+        with open(os.path.join(FIXTURES, "two_buyer_two_item.json")) as fh:
+            instances = [multibuyer_from_json(json.load(fh)), deep_ic_two_buyer()]
+        rng = random.Random(7)
+        instances += [random_two_buyer(rng) for _ in range(100)]
+        rng = random.Random(11)
+        instances += [random_three_buyer(rng) for _ in range(6)]
+        for k, inst in enumerate(instances):
+            for mode in ("dsic", "bic"):
+                value, sol = solve_multibuyer_lp(inst, mode)
+                full = solve_lp(build_multibuyer_lp(inst, mode)[0])
+                assert value == full.value, (k, mode)
+                assert sol.assignment == full.assignment, (k, mode)
 
 
 class TestFixedMechanisms:
@@ -194,6 +226,12 @@ class TestExposable:
         [only] = exposable_entries(inst, menu, lst)
         smaller = Menu([e for e in menu.entries if len(e.alloc) != 1])
         assert only in exposable_entries(inst, smaller, lst)
+
+    def test_entry_outside_the_instance_is_rejected(self):
+        inst = four_item_clash()
+        menu = Menu([MenuEntry({"Z": Fraction(1, 2)})])
+        with pytest.raises(InvalidMechanismError, match="lacks"):
+            exposable_entries(inst, menu, next(iter(inst.dist.support)))
 
 
 class TestRobustRevenue:

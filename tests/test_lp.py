@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from fixedprice.rational import format_rational, parse_rational, round_to_ration
 from .helpers import (
     four_item_clash,
     random_instance,
+    random_three_buyer,
     random_two_buyer,
     reference_lexmin,
     reference_pivot,
@@ -257,6 +259,76 @@ class TestSimplex:
         assert "max: 1 x" in text
         assert "cap: 1/3 x <= 1/6" in text
         assert "bound: 0 <= x <= 1/2" in text
+
+
+def _builder_texts():
+    """``to_text()`` of every LP builder on seeded instances."""
+    rng = random.Random(71)
+    singles = [four_item_clash(), robust_menu_instance()] + [
+        random_instance(rng, n_max=5, max_lists=8) for _ in range(30)]
+    for inst in singles:
+        for build in (build_mechanism_lp, build_bm_lp, build_set_function_lp):
+            yield build(inst).to_text()
+    rng = random.Random(73)
+    multis = [two_buyer_two_item()] + [random_two_buyer(rng) for _ in range(20)] + [
+        random_three_buyer(rng) for _ in range(3)]
+    for mb in multis:
+        for mode in ("dsic", "bic"):
+            yield build_multibuyer_lp(mb, mode)[0].to_text()
+
+
+class TestIndexRows:
+    """``RationalLP`` stores rows by column; names only render them."""
+
+    def _lp(self):
+        lp = RationalLP()
+        for name in ("x", "y", "z"):
+            lp.add_variable(name)
+        return lp
+
+    def test_unknown_column_or_relation_raises(self):
+        lp = self._lp()
+        for coefs, rel in (({3: 1}, LE), ({-1: 1}, LE), ({0: 1}, "<"), ({0: 1}, "=")):
+            with pytest.raises(ValueError):
+                lp.add_index_row(coefs, rel, 1)
+        with pytest.raises(ValueError):
+            lp.add_row({"w": 1}, LE, 1)
+        assert lp.num_rows == 0
+
+    def test_zeros_dropped_and_copies_kept(self):
+        lp = self._lp()
+        lp.add_index_row({2: 3, 0: 0, 1: Fraction(1, 2)}, GE, 1)
+        lp.add_index_row({1: Fraction(1, 2), 2: 3}, GE, 1)
+        lp.add_index_row({0: 0}, LE, 0)
+        assert lp._rows[0] == (((1, Fraction(1, 2)), (2, 3)), GE, 1, "")
+        assert lp.rows[0] == lp.rows[1] and lp.rows[2].coefs == ()
+        assert lp.num_rows == 3
+        assert type(lp._rows[0][0][1][1]) is int
+
+    def test_rows_view_equals_the_named_writer(self):
+        by_index, by_name = self._lp(), self._lp()
+        rows = [({2: 1, 0: -2}, LE, 4, "a"), ({1: Fraction(2, 3)}, GE, Fraction(1, 3), ""),
+                ({0: 1, 1: 1, 2: 1}, EQ, 2, "")]
+        names = "xyz"
+        for coefs, rel, rhs, label in rows:
+            by_index.add_index_row(coefs, rel, rhs, label)
+            by_name.add_row({names[j]: c for j, c in coefs.items()}, rel, rhs, label)
+        by_index.set_index_objective({0: 1, 2: 3})
+        by_name.set_objective({"x": 1, "z": 3})
+        assert by_index.rows == by_name.rows
+        assert by_index.rows[0].coefs == (("x", -2), ("z", 1))
+        assert by_index.objective == by_name.objective == {"x": 1, "z": 3}
+        assert by_index.to_text() == by_name.to_text()
+        assert solve_lp(by_index) == solve_lp(by_name)
+
+    def test_builder_text_is_pinned(self):
+        # Recorded when rows were still stored by name: storing them by
+        # column must not change one byte of any builder's text.
+        digest = hashlib.sha256()
+        for text in _builder_texts():
+            digest.update(text.encode())
+        assert digest.hexdigest() == (
+            "3e8c08c32f6cee86cb57cfd6ea1db9071750ce44f036de0b9591e15208d14478")
 
 
 def _pivot_path(lp, pivot, monkeypatch):
