@@ -1,4 +1,4 @@
-"""Exact rational linear programming via a sparse two-phase simplex.
+"""Exact rational linear programming via a sparse simplex.
 
 An LP (``RationalLP``) stores each row once, as ``(column, coefficient)``
 pairs in column order, which the tableau reads with no name lookup;
@@ -12,22 +12,27 @@ place, only the pivot row's columns of the rows with a nonzero in the pivot
 column; the other entries change only when the pivot element differs from
 the shared denominator, and then by their ratio.
 
-Every primal phase of every LP uses one pricing rule: Dantzig's largest
-improving objective entry (lowest column on ties), switching to Bland's
-smallest index after ``_DEGENERATE_LIMIT`` consecutive degenerate pivots,
-which keeps Bland's guarantee against cycling.  The answer does not depend on the pivot
-path: after phase 2 the lex phases move to the lexicographically smallest
-optimal vertex in variable order, a point fixed by the feasible set, the
-objective and the variable order alone.
+Every LP starts at the basis of its slacks, one per row (an ``==`` row is
+a ``<=`` and a ``>=`` row); a row with a negative rhs is violated there.
+The feasibility phase, the dual simplex (Lemke 1954) under a zero
+objective, pivots such rows feasible or finds that no point is; phase 2,
+the primal simplex, then optimizes.  Each primal phase prices by
+Dantzig's largest improving objective entry (lowest column on ties); it and
+the dual simplex switch to Bland's rule after ``_DEGENERATE_LIMIT``
+consecutive degenerate pivots, which keeps Bland's guarantee against
+cycling.  The answer does not depend on the pivot path: after phase 2 the
+lex phases move to the lexicographically smallest optimal vertex in
+variable order, a point fixed by the feasible set, the objective and the
+variable order alone.
 
 Row generation (``_solve_by_rows``) grows an optimized tableau instead of
 solving each larger LP anew: appended inequality rows are written in the
 current basis, each with a new basic slack that is negative where the
-vertex violates the row, and the dual simplex (Lemke 1954) pivots them
-feasible while the objective row stays optimal, with the same fallback to
-Bland's rule.  The lex phases then run again, so the vertex is the one a
-cold solve of the grown LP returns.  ``solve_lp`` is that loop with no row
-to add; the mechanism LP and the DSIC/BIC LPs each add their IC rows.
+vertex violates the row, and the dual simplex pivots them feasible while
+the objective row stays optimal.  The lex phases then run again, so the
+vertex is the one a cold solve of the grown LP returns.  ``solve_lp`` is
+that loop with no row to add; the mechanism LP and the DSIC/BIC LPs each
+add their IC rows.
 """
 
 from __future__ import annotations
@@ -176,19 +181,20 @@ class _Tableau:
 
     Row ``i`` is a ``{column: int}`` map of its nonzero entries plus
     ``rhs[i]``; rows ``0 .. m-1`` are the constraints, row ``m`` the
-    objective and row ``m + 1`` (present only during phase 1 and the lex
-    phases) the phase-1 objective or the lex phases' scratch objective.
+    objective and row ``m + 1`` (present only during the feasibility and
+    lex phases) the objective while the feasibility phase's zero row sits
+    at ``m``, or the lex phases' scratch objective.
     Constraint row ``i`` is ``denom`` times the true tableau row, times the
     lcm of its canonical row's denominators until the row first serves as
     pivot row; ``denom`` is the previous pivot element and stays positive.
     Only a pivoted row can hold a structural basic variable, so its value
-    is ``rhs / denom``.  Columns are the structural variables, one slack per
-    inequality, then one artificial per ``>=`` or ``==`` row, then one slack
-    per row that ``add_rows`` appends; after phase 1 the artificial columns
-    are deleted from every row.  A pivot on (r, c) edits the rows in place:
-    a row with a nonzero in column c changes in row r's columns only, and
-    every other entry and rhs changes only when the pivot element p differs
-    from ``denom``, by p / denom.
+    is ``rhs / denom``.  Columns are the n structural variables, then the
+    slack of each constraint row i, column n + i: a row per inequality and
+    upper bound, two per ``==`` row, then the rows ``add_rows`` appends.
+    A pivot on (r, c) edits the rows in place: a row with a nonzero in
+    column c changes in row r's columns only, and every other entry and rhs
+    changes only when the pivot element p differs from ``denom``, by
+    p / denom.
 
     A column enters when its objective entry is positive; an objective row
     has one scale, so its raw integers compare exactly.  ``banned`` holds
@@ -209,20 +215,13 @@ class _Tableau:
         n = len(lp.variables)
         self.lo = [v.lo for v in lp.variables]
         self.shift = any(self.lo)
-        n_slack = (sum(rel != EQ for _, rel, _, _ in lp._rows)
-                   + sum(v.hi is not None for v in lp.variables))
-        slack_at, art_at = n, n + n_slack
         self.rows: List[Dict[int, int]] = []
         self.rhs: List[int] = []
-        self.basis: List[int] = []
         self.banned: Set[int] = set()
-        obj1: Dict[int, Fraction] = {}
-        value1 = Fraction(0)
 
-        # Upper bounds become rows.  After _int_row, an inequality with
-        # rhs >= 0 takes a slack basis; one with rhs < 0 is negated into a
-        # ">=" row with surplus + artificial; "==" takes an artificial.  The
-        # slack and artificial entries are +-1 times the row's scale mult.
+        # Upper bounds become rows, and "==" a "<=" and a ">=" row.  Each
+        # row, as ``_int_row`` writes it, takes a basic slack whose entry is
+        # the row's scale mult; a negative rhs is a violated row.
         constraints = itertools.chain(
             ((coefs, rel, rhs) for coefs, rel, rhs, _ in lp._rows),
             ((((idx, 1),), LE, v.hi)
@@ -230,34 +229,19 @@ class _Tableau:
         )
         for coefs, rel, rhs in constraints:
             ints, b, mult = self._int_row(coefs, rel, rhs)
-            if rel != EQ and b >= 0:
-                ints[slack_at] = mult
-                self.basis.append(slack_at)
-                slack_at += 1
-            else:
-                if b < 0:
-                    ints, b = {j: -a for j, a in ints.items()}, -b
-                # Phase-1 objective: maximize -sum(artificials), priced out
-                # over this row so its basic artificial has zero cost.
-                for j, a in ints.items():
-                    obj1[j] = obj1.get(j, 0) + Fraction(a, mult)
-                if rel != EQ:
-                    ints[slack_at] = -mult
-                    obj1[slack_at] = Fraction(-1)
-                    slack_at += 1
-                ints[art_at] = mult
-                self.basis.append(art_at)
-                art_at += 1
-                value1 += Fraction(b, mult)
-            self.rows.append(ints)
-            self.rhs.append(b)
+            halves = [(ints, b)]
+            if rel == EQ:
+                halves.append(({j: -a for j, a in ints.items()}, -b))
+            for row, b in halves:
+                row[n + len(self.rows)] = mult
+                self.rows.append(row)
+                self.rhs.append(b)
 
         self.m = len(self.rows)
-        self.art_cols = set(range(n + n_slack, art_at))
-        self.next_col = art_at
-        self._add_objective(lp._objective, Fraction(0))
-        if self.art_cols:
-            self._add_objective(obj1, value1)
+        self.basis: List[int] = list(range(n, n + self.m))
+        ints, _, _ = self._int_row([(j, c) for j, c in lp._objective.items() if c], None, 0)
+        self.rows.append(ints)
+        self.rhs.append(0)
         self.denom = 1
 
     def _int_row(self, coefs, rel, rhs) -> Tuple[Dict[int, int], int, int]:
@@ -276,12 +260,6 @@ class _Tableau:
         mult = math.lcm(rhs.denominator, *[c.denominator for _, c in coefs])
         ints = {j: sign * c.numerator * (mult // c.denominator) for j, c in coefs}
         return ints, sign * rhs.numerator * (mult // rhs.denominator), mult
-
-    def _add_objective(self, coefs: Dict[int, Fraction], value: Fraction) -> None:
-        """Append an objective row, scaled by the lcm of its denominators."""
-        ints, b, _ = self._int_row([(j, c) for j, c in coefs.items() if c], None, value)
-        self.rows.append(ints)
-        self.rhs.append(b)
 
     # -- pivoting ----------------------------------------------------------
 
@@ -335,7 +313,7 @@ class _Tableau:
                 best, best_b, best_a = i, b, a
         return best
 
-    def _run(self, obj: int, phase_one: bool) -> None:
+    def _run(self, obj: int) -> None:
         """Pivot on objective row ``obj`` until no column improves it."""
         banned, degenerate = self.banned, 0
         while True:
@@ -352,15 +330,15 @@ class _Tableau:
             hit = [i for i, row in enumerate(self.rows) if enter in row]
             leave = self._ratio_leave(enter, hit)
             if leave is None:
-                if phase_one:
-                    raise AssertionError("phase-1 objective cannot be unbounded")
                 raise LPUnboundedError("objective is unbounded above")
             degenerate = degenerate + 1 if self.rhs[leave] == 0 else 0
             self._pivot(leave, enter, hit)
 
     def _dual_run(self) -> None:
         """Dual simplex from a basis whose objective row ``m`` prices no
-        column positive, until no constraint row has a negative rhs.
+        column positive, until no constraint row has a negative rhs: after
+        ``add_rows`` with the objective, in the feasibility phase with a
+        zero row, which prices every column at 0.
 
         The leaving row is the one whose violated bound lies farthest from
         the vertex in the space of the nonbasic variables: the largest
@@ -436,38 +414,22 @@ class _Tableau:
             obj = dict(rows[r])
             del obj[k]
             rows[m + 1], rhs[m + 1] = obj, rhs[r]
-            self._run(m + 1, phase_one=False)
+            self._run(m + 1)
             banned.update(j for j, x in rows[m + 1].items() if x < 0)
         del rows[m + 1], rhs[m + 1]
 
-    def _drive_out_artificials(self) -> None:
-        for i in range(self.m):
-            if self.basis[i] not in self.art_cols:
-                continue
-            pivot_col = min(
-                (j for j in self.rows[i] if j not in self.art_cols), default=None
-            )
-            if pivot_col is None:
-                continue  # redundant row; its artificial stays basic at 0
-            # The row's basic value is 0 here, so this degenerate pivot
-            # preserves feasibility regardless of the entry's sign.
-            self._pivot(i, pivot_col,
-                        [k for k, row in enumerate(self.rows) if pivot_col in row])
-
     def optimize(self) -> None:
-        """Phases 1 and 2, then the lex phases; call once, on a new tableau."""
+        """The feasibility phase if a start rhs is negative, then phase 2
+        and the lex phases; call once, on a new tableau.  The feasibility
+        phase is ``_dual_run`` under a zero row at ``m``, which prices no
+        column; its pivots keep the objective, at ``m + 1``, up to date."""
         m = self.m
-        if self.art_cols:
-            self._run(m + 1, phase_one=True)
-            if self.rhs[m + 1] != 0:
-                raise LPInfeasibleError("no feasible point exists")
-            self._drive_out_artificials()
-            del self.rows[m + 1], self.rhs[m + 1]
-            # A redundant row keeps its artificial basic and becomes empty.
-            first_art = min(self.art_cols)
-            self.rows = [{j: x for j, x in row.items() if j < first_art}
-                         for row in self.rows]
-        self._run(m, phase_one=False)
+        if min(self.rhs[:m], default=0) < 0:
+            self.rows.insert(m, {})
+            self.rhs.insert(m, 0)
+            self._dual_run()
+            del self.rows[m], self.rhs[m]
+        self._run(m)
         self._lex_min()
 
     def add_rows(self, rows: Sequence[Tuple[Mapping[int, Fraction], str, Fraction]]) -> None:
@@ -492,7 +454,8 @@ class _Tableau:
             if rel not in (LE, GE):
                 raise ValueError(f"an added row must be an inequality, not {rel!r}")
             ints, b, mult = self._int_row(coefs.items(), rel, rhs)
-            row = {self.next_col: d * mult}
+            slack = n + len(self.basis)
+            row = {slack: d * mult}
             b *= d
             for j, a in ints.items():
                 row[j] = row.get(j, 0) + d * a
@@ -503,8 +466,7 @@ class _Tableau:
                     b -= a * self.rhs[i]
             new_rows.append({j: x for j, x in row.items() if x})
             new_rhs.append(b)
-            self.basis.append(self.next_col)
-            self.next_col += 1
+            self.basis.append(slack)
         # Constraint rows stay before the objective row m.
         self.rows[self.m:self.m] = new_rows
         self.rhs[self.m:self.m] = new_rhs

@@ -1,4 +1,6 @@
 import hashlib
+import json
+import os
 import random
 from fractions import Fraction
 
@@ -9,10 +11,14 @@ from fixedprice import (
     build_bm_lp,
     build_mechanism_lp,
     build_set_function_lp,
+    load_instance,
+    robust_revenue,
     solve_lp,
+    solve_mechanism_lp,
+    solve_multibuyer_lp,
 )
 from fixedprice import lp as lp_module
-from fixedprice.extensions import build_multibuyer_lp
+from fixedprice.extensions import build_multibuyer_lp, menu_from_json
 from fixedprice.errors import LPInfeasibleError, LPUnboundedError
 from fixedprice.lp import _DEGENERATE_LIMIT, EQ, GE, LE, _Tableau
 from fixedprice.rational import format_rational, parse_rational, round_to_rational
@@ -27,7 +33,7 @@ from .helpers import (
     robust_menu_instance,
     two_buyer_two_item,
 )
-from .test_golden_vertices import golden_instances
+from .test_golden_vertices import FIXTURES, golden_instances
 
 
 class TestRationalParsing:
@@ -218,16 +224,17 @@ class TestSimplex:
             _assert_exactly_feasible(lp, sol)
 
     def test_phase_one_problems_match_float_solver(self):
-        # ">=" and "==" rows and negative right-hand sides need artificials
-        # (phase 1, row negation, driving artificials out); redundant
-        # equalities leave an artificial basic at zero; unplanted rows are
+        # ">=" and "==" rows and negative right-hand sides start at a
+        # violated slack basis, which the feasibility phase repairs;
+        # redundant equalities leave degenerate rows; unplanted rows are
         # often infeasible, which HiGHS must report too.
         opt = pytest.importorskip("scipy.optimize")
         rng = random.Random(202)
-        outcomes = {"optimal": 0, "infeasible": 0, "phase_one": 0}
+        outcomes = {"optimal": 0, "infeasible": 0, "infeasible_start": 0}
         for k in range(120):
             lp = _mixed_problem(rng, planted=k % 2 == 0)
-            outcomes["phase_one"] += bool(_Tableau(lp).art_cols)
+            tab = _Tableau(lp)
+            outcomes["infeasible_start"] += any(b < 0 for b in tab.rhs[:tab.m])
             ref = _highs(opt, lp)
             try:
                 sol = solve_lp(lp)
@@ -372,7 +379,11 @@ class TestPivotPath:
 
 
 class TestLexMin:
-    def test_feasible_mixed_problems(self):
+    @pytest.mark.parametrize("limit", [_DEGENERATE_LIMIT, 0])
+    def test_feasible_mixed_problems(self, monkeypatch, limit):
+        # With the limit at 0 the feasibility phase and phase 2 take
+        # Bland's rule throughout.
+        monkeypatch.setattr(lp_module, "_DEGENERATE_LIMIT", limit)
         rng = random.Random(202)
         solved = 0
         for k in range(120):
@@ -384,6 +395,67 @@ class TestLexMin:
             assert sol.assignment == reference_lexmin(lp), (k, lp.to_text())
             solved += 1
         assert solved >= 20
+
+    @pytest.mark.parametrize("limit", [_DEGENERATE_LIMIT, 0])
+    def test_feasibility_phase_cases(self, monkeypatch, limit):
+        # Each LP starts with a negative rhs, so the feasibility phase runs:
+        # beside "x >= 1", an "==" row with rhs 0; an "==" row twice; an
+        # "==" row that two others imply; and a ">=" row no point of the
+        # box meets.
+        monkeypatch.setattr(lp_module, "_DEGENERATE_LIMIT", limit)
+        cases = [
+            ([({"x": 1}, GE, 1), ({"x": 1, "y": 1, "z": -1}, EQ, 0)],
+             {"y": 1}, {"x": 1, "y": 2, "z": 3}),
+            ([({"x": 1, "y": 2}, EQ, 3)] * 2, {"y": 1},
+             {"x": 0, "y": Fraction(3, 2), "z": 0}),
+            ([({"x": 1, "y": 1}, EQ, 2), ({"y": 1, "z": 1}, EQ, 3),
+              ({"x": 1, "y": 2, "z": 1}, EQ, 5)], {"z": 1}, {"x": 2, "y": 0, "z": 3}),
+            ([({"x": 1, "y": 1}, GE, 5)], {"x": 1}, LPInfeasibleError),
+        ]
+        for rows, objective, expected in cases:
+            lp = RationalLP()
+            for name in "xyz":
+                lp.add_variable(name, hi=2 if name != "z" else None)
+            for coefs, rel, rhs in rows:
+                lp.add_row(coefs, rel, rhs)
+            lp.set_objective(objective)
+            tab = _Tableau(lp)
+            assert min(tab.rhs[:tab.m]) < 0, rows
+            if expected is LPInfeasibleError:
+                with pytest.raises(LPInfeasibleError):
+                    solve_lp(lp)
+                continue
+            assert solve_lp(lp).assignment == reference_lexmin(lp) == expected, rows
+
+    def test_package_lps_start_feasible(self, monkeypatch):
+        # The package's LPs start at a feasible slack basis: the allocation
+        # LPs at the mechanism that never sells, which is IC, and the
+        # exposability LPs of robust menus too.  So the feasibility phase
+        # never runs on them, and the benchmark's LPs do not take it.
+        starts = []
+        optimize = _Tableau.optimize
+
+        def recorded(tab):
+            starts.append((key, min(tab.rhs[:tab.m], default=0)))
+            optimize(tab)
+
+        monkeypatch.setattr(_Tableau, "optimize", recorded)
+        for key, inst, multibuyer in golden_instances():
+            if multibuyer:
+                for mode in ("dsic", "bic"):
+                    solve_lp(build_multibuyer_lp(inst, mode)[0])
+                    solve_multibuyer_lp(inst, mode)
+            else:
+                for build in (build_mechanism_lp, build_bm_lp, build_set_function_lp):
+                    solve_lp(build(inst))
+                solve_mechanism_lp(inst)
+        key = "robust_menu"
+        with open(os.path.join(FIXTURES, "robust_menu_instance.json")) as fh:
+            inst = load_instance(fh.read())
+        with open(os.path.join(FIXTURES, "robust_menu.json")) as fh:
+            robust_revenue(inst, menu_from_json(json.load(fh), inst.items))
+        assert sum(k == "robust_menu" for k, _ in starts) >= 10
+        assert [(k, b) for k, b in starts if b < 0] == []
 
     def test_golden_lps(self):
         for key, inst, multibuyer in golden_instances():
@@ -461,18 +533,28 @@ def _tight_rows(lp, x):
 
 
 def _record_dual_pivots(monkeypatch):
-    """Record each pivot on a row with a negative rhs, which only the dual
-    simplex takes, as whether row m prices its column at 0: a degenerate
-    dual pivot, which leaves the objective value where it was."""
+    """Record each pivot that ``reoptimize`` takes on a row with a negative
+    rhs, which only the dual simplex takes, as whether row m prices its
+    column at 0: a degenerate dual pivot, which leaves the objective value
+    where it was.  The feasibility phase of a cold solve is not recorded."""
     kinds = []
-    pivot = _Tableau._pivot
+    pivot, reoptimize = _Tableau._pivot, _Tableau.reoptimize
+    warm = []
 
     def recording(tab, r, c, hit):
-        if tab.rhs[r] < 0:
+        if warm and tab.rhs[r] < 0:
             kinds.append(tab.rows[tab.m].get(c, 0) == 0)
         pivot(tab, r, c, hit)
 
+    def recorded(tab):
+        warm.append(True)
+        try:
+            reoptimize(tab)
+        finally:
+            warm.pop()
+
     monkeypatch.setattr(_Tableau, "_pivot", recording)
+    monkeypatch.setattr(_Tableau, "reoptimize", recorded)
     return kinds
 
 
@@ -547,9 +629,9 @@ class TestWarmRestart:
         assert True in kinds and False in kinds
 
     def test_mixed_problems(self):
-        # Nonzero lower bounds, ">=" and "==" rows (phase 1, and artificials
-        # left basic in redundant rows); a cut may empty the LP, and then
-        # both solves must say so.
+        # Nonzero lower bounds, ">=" and "==" rows (the feasibility phase,
+        # and redundant rows); a cut may empty the LP, and then both solves
+        # must say so.
         rng = random.Random(505)
         outcomes = {"optimal": 0, "infeasible": 0}
         for _ in range(60):
