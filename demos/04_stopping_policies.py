@@ -45,8 +45,9 @@ const = MonotoneStoppingPolicy.from_assortment(mix.items, {"C"})
 print("constant policy for {C} earns:", policy_revenue(mix, const),
       "= assortment revenue:", assortment_revenue(mix, {"C"}))
 
-# On chain-generated lists the stop set can be found by policy iteration on
-# the chain itself, and it recovers the enumerated assortment optimum.
+# On chain-generated lists the stop set can be found on the chain itself, by
+# one exact LP for the least value function above the prices, and it
+# recovers the enumerated assortment optimum.
 third = Fraction(1, 3)
 params = MarkovChainParams(
     {j: Fraction(1, 4) for j in "ABC"},

@@ -114,7 +114,7 @@ class MarkovChainParams:
         return 1 - sum(self.transitions.get(j, {}).values())
 
 
-def solve_transient(
+def _solve_transient(
     params: MarkovChainParams, states: Sequence[Item], rhs_cols: List[List[Fraction]]
 ) -> List[List[Fraction]]:
     """Solve (I - Q) x = b exactly for each column b of ``rhs_cols``, where Q
@@ -291,7 +291,7 @@ def _first_passage_table(
         else:
             col = [params.transitions.get(v, {}).get(t, Fraction(0)) for v in vs]
         rhs_cols.append(col)
-    sols = solve_transient(params, vs, rhs_cols)
+    sols = _solve_transient(params, vs, rhs_cols)
     return {
         v: {targets[c]: sols[c][index[v]] for c in range(len(targets))} for v in vs
     }
@@ -301,7 +301,7 @@ def verify_absorbing(params: MarkovChainParams, items: Sequence[Item]) -> None:
     """Exact check that the chain reaches the terminal state almost surely."""
     items = tuple(items)
     exits = [[params.exit_probability(j) for j in items]]
-    sols = solve_transient(params, items, exits)
+    sols = _solve_transient(params, items, exits)
     if any(v != 1 for v in sols[0]):
         raise NonAbsorbingChainError("some state reaches the terminal state w.p. < 1")
 

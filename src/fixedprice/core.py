@@ -284,6 +284,15 @@ class ListDistribution:
         return f"ListDistribution({{{inner}}})"
 
 
+def _distinct_ids(items: Iterable[Item]) -> Tuple[Item, ...]:
+    """``items`` as a tuple; raises unless no two ids have the same ``str``,
+    which names an item in LP variables and JSON reports."""
+    items = tuple(items)
+    if len({str(j) for j in items}) != len(items):
+        raise InvalidInstanceError("duplicate item ids (ids with the same text count as one)")
+    return items
+
+
 @dataclass(frozen=True)
 class Instance:
     """An item universe with fixed prices plus a distribution over rankings."""
@@ -293,9 +302,7 @@ class Instance:
     dist: ListDistribution
 
     def __init__(self, items, prices, dist):
-        items = tuple(items)
-        if len(set(items)) != len(items):
-            raise InvalidInstanceError("duplicate item ids")
+        items = _distinct_ids(items)
         prices = {j: parse_rational(p) for j, p in dict(prices).items()}
         for j in items:
             if j not in prices:

@@ -29,6 +29,7 @@ from .core import (
     ListDistribution,
     RankedList,
     _check_objects,
+    _distinct_ids,
     _items_to_json,
     _lists_to_json,
     _parse_items,
@@ -58,7 +59,7 @@ class MultiBuyerInstance:
     buyers: Tuple[ListDistribution, ...]
 
     def __init__(self, items, prices, buyers):
-        items = tuple(items)
+        items = _distinct_ids(items)
         prices = {j: parse_rational(p) for j, p in dict(prices).items()}
         buyers = tuple(
             b if isinstance(b, ListDistribution) else ListDistribution(b)

@@ -693,6 +693,8 @@ def containment_witness(inst: Instance, mech: Mechanism) -> Dict[Item, Fraction]
     """
     z = {j: _best_over_reports(inst, mech, (j,)) for j in inst.items}
     for lst in inst.dist.support:
+        if any(mech.probability(lst, j) < 0 for j in lst.entries):
+            raise ContainmentError(f"negative allocation on list {lst.entries}")
         for x_items, z_item, z_coef, rhs, failure in _inclusion_rows(lst):
             lhs = sum((mech.probability(lst, j) for j in x_items), Fraction(0))
             if z_item is not None:

@@ -75,9 +75,12 @@ def coerce_rational(value) -> Fraction:
 
     A Python float is a dyadic rational; this conversion is exact and is
     appropriate for caller-supplied numeric parameters (not for JSON data,
-    where decimals must round-trip through strings).
+    where decimals must round-trip through strings).  An infinite or NaN
+    float raises ``ValueError``.
     """
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"not a finite number: {value!r}")
         return Fraction(value)
     return parse_rational(value)
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
-from .choice_models import MarkovChainParams, solve_transient
+from .choice_models import MarkovChainParams
 from .core import (
     Instance,
     Item,
@@ -38,6 +38,7 @@ from .errors import (
     MonotonicityViolationError,
     PrefixOverlapError,
 )
+from .lp import GE, RationalLP, solve_lp
 from .rational import coerce_rational, parse_rational
 
 POLICY_ITEM_CAP = 4
@@ -231,55 +232,26 @@ def markov_stopping_assortment(
 ) -> Tuple[frozenset, Dict[Item, Fraction]]:
     """Stop set of the repeat-visit stopping problem on a transition chain.
 
-    Solves V[j] = max(r_j, sum_j' sigma[j][j'] V[j']) by policy iteration
-    over stop sets with exact linear solves, and returns the set where
-    stopping is (weakly) preferred along with the value function.
+    The value V[j] = max(r_j, sum_k sigma[j][k] V[k]) is the least excessive
+    majorant of the prices (Dynkin 1963), the unique optimum of the LP
+    min sum_j V[j] subject to V >= r and V >= sigma V (Manne 1960), which one
+    exact ``solve_lp`` solves.  Returns V and the items where stopping is
+    weakly preferred, r_j >= sum_k sigma[j][k] V[k] (that is, r_j = V[j]),
+    and earns a positive price.
     """
     items = tuple(sorted(params.arrivals.keys(), key=str))
     prices = {j: parse_rational(prices[j]) for j in items}
-
-    def continue_values(V: Dict[Item, Fraction]) -> Dict[Item, Fraction]:
-        return {
-            j: sum(
-                (params.transitions.get(j, {}).get(k, Fraction(0)) * V[k]
-                 for k in items),
-                Fraction(0),
-            )
-            for j in items
-        }
-
-    def solve_for(stop: frozenset) -> Dict[Item, Fraction]:
-        go = [j for j in items if j not in stop]
-        V = {j: prices[j] for j in stop}
-        if go:
-            rhs = [
-                sum(
-                    (params.transitions.get(g, {}).get(s, Fraction(0)) * prices[s]
-                     for s in stop),
-                    Fraction(0),
-                )
-                for g in go
-            ]
-            sol = solve_transient(params, go, [rhs])[0]
-            V.update(zip(go, sol))
-        return V
-
-    stop = frozenset(items)
-    seen = set()
-    while True:
-        if stop in seen:
-            raise MonotonicityViolationError(
-                "policy iteration cycled; the chain is not absorbing (bug signal)"
-            )
-        seen.add(stop)
-        V = solve_for(stop)
-        cont = continue_values(V)
-        new_stop = frozenset(j for j in items if prices[j] >= cont[j])
-        if new_stop == stop:
-            V = {j: max(prices[j], cont[j]) for j in items}
-            # A zero-price stop earns nothing, so drop such ties from the set.
-            return frozenset(j for j in stop if prices[j] > 0), V
-        stop = new_stop
+    lp = RationalLP()
+    col = {j: lp.add_variable(f"V[{i}]", lo=prices[j]) for i, j in enumerate(items)}
+    for j in items:
+        row = {col[j]: 1}
+        for k, p in params.transitions.get(j, {}).items():
+            row[col[k]] = row.get(col[k], 0) - p
+        lp.add_index_row(row, GE, 0)
+    lp.set_index_objective(dict.fromkeys(col.values(), -1))
+    solution = solve_lp(lp)
+    V = {j: solution[f"V[{i}]"] for i, j in enumerate(items)}
+    return frozenset(j for j in items if 0 < prices[j] == V[j]), V
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +366,18 @@ def _reversal(dist, cache, prefix: Prefix, other: Prefix, tol: Fraction):
     return None
 
 
+def _tolerance(tol) -> Fraction:
+    """A comparison tolerance as an exact Fraction; it must be finite and
+    at least 0."""
+    try:
+        value = coerce_rational(tol)
+    except ValueError as exc:
+        raise InvalidInstanceError(f"bad tolerance: {exc}") from None
+    if value < 0:
+        raise InvalidInstanceError(f"tolerance {tol!r} is negative")
+    return value
+
+
 def check_domination(
     dist: ListDistribution, prefix, other, tol=0
 ) -> DominationResult:
@@ -405,7 +389,7 @@ def check_domination(
     an unrealizable prefix raises ``UnrealizablePrefixError`` at S = {}.
     """
     prefix, other = Prefix(prefix), Prefix(other)
-    witness = _reversal(dist, {}, prefix, other, coerce_rational(tol))
+    witness = _reversal(dist, {}, prefix, other, _tolerance(tol))
     return DominationResult(witness is None, witness)
 
 
@@ -459,7 +443,7 @@ def check_history_monotone(dist: ListDistribution, tol=0) -> ConditionReport:
     """
     prefixes = sorted(dist.realizable_prefixes(), key=lambda p: _list_key(p.entries))
     classes = _future_classes(dist)
-    tol_f = coerce_rational(tol)
+    tol_f = _tolerance(tol)
     cache: Dict = {}
     by_endpoint: Dict[Item, Dict[tuple, Prefix]] = {}
     for prefix in prefixes:
@@ -522,7 +506,7 @@ def tier_decomposition(
         raise InvalidInstanceError(
             "distribution lacks history-monotone futures; no tier structure"
         )
-    tol_f = coerce_rational(tol)
+    tol_f = _tolerance(tol)
 
     prefixes = [
         p.entries
@@ -593,7 +577,7 @@ def tier_adjusted_prices(
     the tier and agree within distinct-set tiers up to the tolerance."""
     S = frozenset(S)
     decomposition = tier_decomposition(inst.dist, S, j, tol=tol)
-    tol_f = coerce_rational(tol)
+    tol_f = _tolerance(tol)
     rows: List[List[Fraction]] = []
     for tier in decomposition.tiers:
         rows.append([s_adjusted_price(inst, S, p) for p in tier.prefixes])

@@ -27,7 +27,9 @@ from fixedprice import (
     mix_with_singletons,
     policy_revenue,
 )
+from fixedprice.choice_models import _solve_transient
 from fixedprice.core import Prefix, _list_key, _preorder
+from fixedprice.errors import MonotonicityViolationError
 from fixedprice.lp import EQ, RationalLP, solve_lp
 from fixedprice.mechanism_lp import (
     ICReport,
@@ -37,7 +39,7 @@ from fixedprice.mechanism_lp import (
     _revenue_lp,
     _var,
 )
-from fixedprice.rational import coerce_rational, format_rational
+from fixedprice.rational import coerce_rational, format_rational, parse_rational
 from fixedprice.stopping import (
     ConditionReport,
     ConditionWitness,
@@ -277,6 +279,26 @@ def random_sparse_chain(
             if all(p == 0 for p in prices.values()):
                 prices[items[0]] = Fraction(2)
             return Instance(items, prices, dist), params
+
+
+def random_cyclic_chain(
+    rng: random.Random, n: int
+) -> Tuple[MarkovChainParams, Dict[str, Fraction]]:
+    """A chain on ``n`` items with transitions in any direction, self-loops
+    included, and prices in 0..5.  About a third of the rows sum to 1, so
+    the chain may hold closed classes that it never leaves.
+    """
+    items = ITEM_POOL[:n]
+    transitions: Dict[str, Dict[str, Fraction]] = {}
+    for j in items:
+        targets = rng.sample(items, rng.randint(0, n))
+        weights = [rng.randint(1, 4) for _ in targets]
+        total = sum(weights) + (0 if rng.random() < 0.35 else rng.randint(1, 4))
+        if total:
+            transitions[j] = {k: Fraction(w, total) for k, w in zip(targets, weights)}
+    arrivals = {j: Fraction(rng.randint(0, 2), 2 * n) for j in items}
+    prices = {j: Fraction(rng.randint(0, 5)) for j in items}
+    return MarkovChainParams(arrivals, transitions), prices
 
 
 def random_history_monotone_instance(rng: random.Random, n_max: int = 6) -> Instance:
@@ -590,6 +612,62 @@ def tensor_policy_bruteforce(inst: Instance) -> Tuple[MonotoneStoppingPolicy, Fr
         generators[j] = [frozenset(others[p] for p in range(n - 1) if h >> p & 1)
                          for h in range(1 << (n - 1)) if mask >> h & 1]
     return MonotoneStoppingPolicy(generators), best_value
+
+
+def reference_markov_stopping(
+    params: MarkovChainParams, prices
+) -> Tuple[frozenset, Dict[str, Fraction]]:
+    """Policy iteration over stop sets with exact linear solves, as
+    ``markov_stopping_assortment`` once did: start by stopping everywhere,
+    solve V on the continue set, and stop where the price meets the
+    continuation value, until the stop set repeats.  Returns the stop set
+    (zero prices dropped) and V = max(r, sigma V).
+    """
+    items = tuple(sorted(params.arrivals.keys(), key=str))
+    prices = {j: parse_rational(prices[j]) for j in items}
+
+    def continue_values(V: Dict[str, Fraction]) -> Dict[str, Fraction]:
+        return {
+            j: sum(
+                (params.transitions.get(j, {}).get(k, Fraction(0)) * V[k]
+                 for k in items),
+                Fraction(0),
+            )
+            for j in items
+        }
+
+    def solve_for(stop: frozenset) -> Dict[str, Fraction]:
+        go = [j for j in items if j not in stop]
+        V = {j: prices[j] for j in stop}
+        if go:
+            rhs = [
+                sum(
+                    (params.transitions.get(g, {}).get(s, Fraction(0)) * prices[s]
+                     for s in stop),
+                    Fraction(0),
+                )
+                for g in go
+            ]
+            sol = _solve_transient(params, go, [rhs])[0]
+            V.update(zip(go, sol))
+        return V
+
+    stop = frozenset(items)
+    seen = set()
+    while True:
+        if stop in seen:
+            raise MonotonicityViolationError(
+                "policy iteration cycled; the chain is not absorbing (bug signal)"
+            )
+        seen.add(stop)
+        V = solve_for(stop)
+        cont = continue_values(V)
+        new_stop = frozenset(j for j in items if prices[j] >= cont[j])
+        if new_stop == stop:
+            V = {j: max(prices[j], cont[j]) for j in items}
+            # A zero-price stop earns nothing, so drop such ties from the set.
+            return frozenset(j for j in stop if prices[j] > 0), V
+        stop = new_stop
 
 
 def reference_pivot(tab, r: int, c: int, hit=None) -> None:

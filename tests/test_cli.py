@@ -167,6 +167,19 @@ class TestCheck:
         assert code == 2 and out["holds"] is False
         assert "exclusion cap" in out["detail"]
 
+    def test_negative_allocation_fails_containment(self, capsys, tmp_path):
+        # x = -1/2 meets every inclusion row; the bound x >= 0 does not hold.
+        mech = {"alloc": [{"list": ["B", "A"], "probs": {"A": "-1/2"}}]
+                + [{"list": list(lst), "probs": {}} for lst in ("CA", "CB", "DA", "DB", "DC")]}
+        path = tmp_path / "mech.json"
+        path.write_text(json.dumps(mech))
+        code, out = run(
+            capsys, "check", "--what", "containment",
+            "--instance", fixture("four_item_clash.json"), "--mechanism", str(path),
+        )
+        assert code == 2 and out["holds"] is False
+        assert out["detail"] == "negative allocation on list ('B', 'A')"
+
 
 # An IC mechanism on a three-list instance whose induced set function is not
 # submodular.
@@ -521,6 +534,11 @@ MALFORMED = {
                           "lists": [{"items": [["A"]], "prob": "1"}]},
     "string_as_list": {"items": [{"id": "A", "price": "1"}, {"id": "B", "price": "2"}],
                        "lists": [{"items": "BA", "prob": "1"}]},
+    "duplicate_id": {"items": [{"id": "A", "price": "1"}, {"id": "A", "price": "3"}],
+                     "lists": [{"items": ["A"], "prob": "1"}]},
+    "ids_with_the_same_text": {"items": [{"id": 1, "price": "1"}, {"id": "1", "price": "3"}],
+                               "lists": [{"items": [1], "prob": "1/2"},
+                                         {"items": ["1"], "prob": "1/2"}]},
 }
 
 # The path each shape error must name.
@@ -533,6 +551,8 @@ MALFORMED_PATH = {
     "lists_not_a_list": "lists: expected a list",
     "nested_list_entry": "lists[0].items",
     "string_as_list": "lists[0].items",
+    "duplicate_id": "duplicate item ids",
+    "ids_with_the_same_text": "duplicate item ids",
 }
 
 
@@ -543,6 +563,10 @@ DEEP = "[" * 100_000
 # the file, option naming the file, document or raw JSON text, path the error
 # must name).
 MALFORMED_OTHER = {
+    "multibuyer_duplicate_id": (["multibuyer", "--what", "dsic"], "--instance",
+                                {"items": [{"id": "A", "price": "1"}, {"id": "A", "price": "3"}],
+                                 "buyers": [[{"items": ["A"], "prob": "1"}]]},
+                                "duplicate item ids"),
     "mechanism_nested_too_deep": (["check", "--what", "ic", "--instance",
                                    fixture("four_item_clash.json")], "--mechanism",
                                   DEEP, "--mechanism: malformed JSON"),
@@ -654,6 +678,11 @@ MALFORMED_ARGS = {
     "tolerance_not_read_by_robust": (["robust", "--instance", fixture("four_item_clash.json"),
                                       "--tolerance", "1e-9"],
                                      "unrecognized arguments: --tolerance 1e-9"),
+    **{f"tolerance_{name}": (["check", "--what", "history-monotone", "--instance",
+                              fixture("four_item_clash.json"), "--tolerance", value], message)
+       for name, value, message in [("inf", "inf", "not a finite number: inf"),
+                                    ("nan", "nan", "not a finite number: nan"),
+                                    ("negative", "-1", "tolerance -1.0 is negative")]},
     "unknown_verb": (["frob"], "argument verb: invalid choice: 'frob'"),
     "no_verb": ([], "required: verb"),
     # --cap 0 is a cap of 0, not the default cap.

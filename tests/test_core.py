@@ -24,6 +24,8 @@ from fixedprice.errors import (
     UnrealizablePrefixError,
 )
 
+from fixedprice.rational import coerce_rational
+
 from .helpers import (
     four_item_clash,
     history_monotone_tree,
@@ -54,6 +56,17 @@ class TestValidation:
     def test_unknown_item_flagged(self):
         report = validate_distribution([(("Z",), 1)], items="AB")
         assert any(i.code == "unknown-item" for i in report.issues)
+
+    @pytest.mark.parametrize("items", [("A", "A"), (1, "1"), ("B", 2, "2")])
+    def test_ids_with_the_same_text_rejected(self, items):
+        dist = ListDistribution({(items[0],): 1})
+        with pytest.raises(InvalidInstanceError, match="duplicate item ids"):
+            Instance(items, dict.fromkeys(items, 1), dist)
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_coerce_rational_rejects_non_finite_floats(self, value):
+        with pytest.raises(ValueError, match="not a finite number"):
+            coerce_rational(value)
 
     def test_bad_sum_names_the_total(self):
         report = validate_distribution([(("A",), Fraction(5, 6))])

@@ -20,7 +20,7 @@ from fixedprice import (
     solve_mechanism_lp,
     solve_multibuyer_lp,
 )
-from fixedprice.errors import InvalidMechanismError, UnsupportedShapeError
+from fixedprice.errors import InvalidInstanceError, InvalidMechanismError, UnsupportedShapeError
 from fixedprice.extensions import (
     build_multibuyer_lp,
     menu_from_json,
@@ -276,3 +276,12 @@ class TestJson:
         again = multibuyer_from_json(multibuyer_to_json(inst))
         assert again.items == inst.items
         assert again.buyers == inst.buyers
+
+    @pytest.mark.parametrize("first, second", [("A", "A"), (1, "1")])
+    def test_multibuyer_ids_with_the_same_text_rejected(self, first, second):
+        doc = {"items": [{"id": first, "price": "1"}, {"id": second, "price": "3"}],
+               "buyers": [[{"items": [first], "prob": "1"}]]}
+        with pytest.raises(InvalidInstanceError, match="duplicate item ids"):
+            multibuyer_from_json(doc)
+        with pytest.raises(InvalidInstanceError, match="duplicate item ids"):
+            MultiBuyerInstance((first, second), {first: 1, second: 3}, [{(first,): 1}])

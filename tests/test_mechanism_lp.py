@@ -635,6 +635,16 @@ class TestInclusionLp:
         with pytest.raises(ContainmentError, match="exclusion cap fails at position 1"):
             containment_witness(inst, mech)
 
+    def test_containment_fails_for_a_negative_allocation(self):
+        # Every inclusion row holds at x = -1/2, so only the bound x >= 0
+        # catches it.
+        inst = four_item_clash()
+        alloc = {lst.entries: {} for lst in inst.dist.support}
+        alloc[("B", "A")] = {"A": Fraction(-1, 2)}
+        mech = Mechanism(alloc, validate=False)
+        with pytest.raises(ContainmentError, match=r"negative allocation on list \('B', 'A'\)"):
+            containment_witness(inst, mech)
+
     def test_containment_certificate_for_zero_mechanism(self):
         inst = four_item_clash()
         mech = Mechanism({lst: {} for lst in inst.dist.support})

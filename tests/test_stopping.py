@@ -27,10 +27,13 @@ from fixedprice import (
     tier_adjusted_prices,
     tier_decomposition,
 )
+from fixedprice import choice_models, stopping
+from fixedprice.choice_models import verify_absorbing
 from fixedprice.errors import (
     CapExceededError,
     InvalidInstanceError,
     MonotonicityViolationError,
+    NonAbsorbingChainError,
     PrefixOverlapError,
     UnrealizablePrefixError,
 )
@@ -46,11 +49,13 @@ from .helpers import (
     prefix_graph_tiers,
     random_history_monotone_instance,
     random_instance,
+    random_cyclic_chain,
     random_monotone_generators,
     random_search_instance,
     random_sparse_chain,
     random_tied_instance,
     reference_history_monotone,
+    reference_markov_stopping,
     reference_policy_bruteforce,
     singleton_mixture,
     tensor_policy_bruteforce,
@@ -259,16 +264,19 @@ class TestMarkovStopping:
         S, V = markov_stopping_assortment(params, {"1": 1, "2": 0})
         assert S == {"1"}
         assert V == {"1": 1, "2": 0}
+        assert (S, V) == reference_markov_stopping(params, {"1": 1, "2": 0})
 
     def test_single_state(self):
         params = MarkovChainParams({"1": Fraction(1)}, {"1": {}})
         S, V = markov_stopping_assortment(params, {"1": 1})
         assert S == {"1"} and V["1"] == 1
+        assert (S, V) == reference_markov_stopping(params, {"1": 1})
 
     def test_uniform_chain_stop_set_matches_enumeration(self):
         params = equal_weight_chain_params()
         prices = {"A": 2, "B": 1, "C": 1}
-        S, _ = markov_stopping_assortment(params, prices)
+        S, V = markov_stopping_assortment(params, prices)
+        assert (S, V) == reference_markov_stopping(params, prices)
         inst = Instance("ABC", prices, gen_markov_chain("ABC", params))
         _, best = optimal_assortment(inst)
         assert assortment_revenue(inst, S) == best
@@ -277,9 +285,48 @@ class TestMarkovStopping:
         rng = random.Random(44)
         for _ in range(15):
             inst, params = random_sparse_chain(rng, rng.randint(2, 5))
-            S, _ = markov_stopping_assortment(params, inst.prices)
+            S, V = markov_stopping_assortment(params, inst.prices)
+            assert (S, V) == reference_markov_stopping(params, inst.prices)
             _, best = optimal_assortment(inst)
             assert assortment_revenue(inst, S) == best
+
+    def test_two_state_closed_class(self):
+        # Each state moves to the other with chance 1: the chain never ends,
+        # and both values are the best price on the cycle.
+        params = MarkovChainParams({"A": Fraction(1, 2), "B": Fraction(1, 2)},
+                                   {"A": {"B": 1}, "B": {"A": 1}})
+        result = markov_stopping_assortment(params, {"A": 1, "B": 0})
+        assert result == ({"A"}, {"A": 1, "B": 1})
+        assert result == reference_markov_stopping(params, {"A": 1, "B": 0})
+
+    def test_equals_policy_iteration_on_cyclic_chains(self):
+        rng = random.Random(23)
+        closed = 0
+        for _ in range(600):
+            params, prices = random_cyclic_chain(rng, rng.randint(1, 6))
+            try:
+                verify_absorbing(params, tuple(params.arrivals))
+            except NonAbsorbingChainError:
+                closed += 1
+            assert (markov_stopping_assortment(params, prices)
+                    == reference_markov_stopping(params, prices))
+        assert closed >= 30
+
+    def test_one_lp_solve_and_no_linear_solve(self, monkeypatch):
+        calls = []
+        solve_lp = stopping.solve_lp
+
+        def counting_solve_lp(lp):
+            calls.append(lp)
+            return solve_lp(lp)
+
+        def no_solve(*args):
+            raise AssertionError("_solve_transient called")
+
+        monkeypatch.setattr(stopping, "solve_lp", counting_solve_lp)
+        monkeypatch.setattr(choice_models, "_solve_transient", no_solve)
+        markov_stopping_assortment(equal_weight_chain_params(), {"A": 2, "B": 1, "C": 1})
+        assert len(calls) == 1
 
 
 class TestAdjustedPrices:
@@ -472,6 +519,19 @@ class TestTiers:
         dist = ListDistribution({("C", "B"): Fraction(1, 2), ("A",): Fraction(1, 2)})
         td = tier_decomposition(dist, set(), "B")
         assert td.to_json() == [[["C", "B"]]]
+
+    @pytest.mark.parametrize("tol", [float("inf"), float("-inf"), float("nan"), -1,
+                                     Fraction(-1, 10**9), "x", None])
+    def test_bad_tolerance_rejected(self, tol):
+        checks = [
+            lambda: check_history_monotone(four_item_clash().dist, tol=tol),
+            lambda: check_domination(four_item_clash().dist, ("B",), ("C",), tol=tol),
+            lambda: tier_decomposition(history_monotone_tree().dist, set(), "A", tol=tol),
+            lambda: tier_adjusted_prices(history_monotone_tree(), set(), "A", tol=tol),
+        ]
+        for check in checks:
+            with pytest.raises(InvalidInstanceError, match="tolerance"):
+                check()
 
     def test_requires_condition(self):
         with pytest.raises(InvalidInstanceError):
