@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .core import Item, ListDistribution
+from .core import Item, ListDistribution, _distinct_ids
 from .errors import (
     CapExceededError,
     InfeasibleTreeError,
@@ -211,9 +211,7 @@ def _check_cap(what: str, items: Sequence[Item]) -> Tuple[Item, ...]:
     if len(items) > GENERATOR_ITEM_CAP:
         raise CapExceededError(what, len(items), GENERATOR_ITEM_CAP,
                                "explicit support enumeration")
-    if len(set(items)) != len(items):
-        raise InvalidInstanceError("duplicate item ids")
-    return items
+    return _distinct_ids(items)
 
 
 def _expand(root, step) -> ListDistribution:

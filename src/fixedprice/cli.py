@@ -232,8 +232,10 @@ def _cmd_solve(args) -> dict:
 
 
 def _cmd_check(args) -> dict:
-    inst = parse_instance(args.instance)
     what = args.what
+    if what != "history-monotone" and args.tolerance is not None:
+        raise FixedPriceError(f"check --what {what} does not take --tolerance")
+    inst = parse_instance(args.instance)
     if what == "history-monotone":
         report = stopping.check_history_monotone(inst.dist, tol=args.tolerance or 0)
         return report.to_json()

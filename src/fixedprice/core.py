@@ -11,10 +11,10 @@ representation: every prefix walk here and in ``stopping`` reads it.  The
 first-hit walk ``_first_hits`` serves choice probabilities, assortment
 revenue and the top-k lottery value.  ``_preorder`` scales the trie to
 integers in pre-order for the two exact searches: ``_best_subsets``
-serves ``optimal_assortment`` and ``lotteries.best_topk_lottery``, every k
-from one trie walk per subset, and ``stopping.optimal_policy_bruteforce``
-folds a revenue bound up the same nodes at each step of its branch and
-bound.
+serves ``optimal_assortment`` and ``lotteries.best_topk_lottery``, every
+subset and every k from one bit-parallel trie walk per block of 4096
+subsets, and ``stopping.optimal_policy_bruteforce`` folds a revenue bound
+up the same nodes at each step of its branch and bound.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .rational import format_rational, lcm_of_denominators, parse_rational
 Item = Union[str, int]
 Assortment = frozenset
 SUBSET_SEARCH_CAP = 20  # items, for optimal_assortment and best_topk_lottery
+_BLOCK_ITEMS = 12  # _best_subsets scores 2^12 subsets per block
 
 
 @dataclass(frozen=True)
@@ -439,11 +440,18 @@ def _best_subsets(
     then ``InvalidInstanceError`` for a k below 1.
 
     A subset's value for k is the sum of the ``_preorder`` weights of the
-    first k hits on each path over the scale times k.  Each subset, in
-    ``_subsets`` order, gets one pre-order walk that adds a hit's weight to
-    the slot of the number of hits before it on its path and skips a
-    subtree once its path holds as many hits as the largest k can use;
-    prefix sums of the slots give the numerator of every k at once.
+    first k hits on each path over the scale times k.  Subsets are scored
+    bit-parallel: mask m (bit i for the i-th item in ``str`` order) is lane
+    m of one int, B bits wide with the top bit spare above the weight total,
+    and ``bit[i]`` has a 1 in each lane whose mask holds item i.  One
+    pre-order walk carries per node, for each h below the largest k, the
+    lanes ``A[h]`` that hit h of the node's ancestors: the node adds its
+    weight to slot h of ``A[h] & bit[item]`` and passes the lanes, moved up
+    by its hit, to its children.  Prefix sums of the slots score every k, a
+    halving SWAR compare finds the top lane value, and the tied lanes are
+    narrowed item by item to the smallest index tuple.  Lanes come in
+    blocks of 2^_BLOCK_ITEMS masks that share the items above the block,
+    whose ``bit`` is all lanes or none, so memory stays flat as n grows.
     """
     ordered = sorted(inst.items, key=str)
     n = len(ordered)
@@ -452,36 +460,59 @@ def _best_subsets(
     for k in ks:
         if k < 1:
             raise InvalidInstanceError(f"k must be at least 1, got {k}")
-    depth_cap = min(max(ks), n)
     positions, weights, depths, ends, scale = _preorder(inst, ordered)
-    bits = [1 << p for p in positions]
-
-    names = [str(j) for j in ordered]
-    best: List[Optional[Tuple[int, Tuple[int, ...]]]] = [None] * len(ks)
-    hits_at = [0] * (n + 1)  # hits_at[d]: hits among the first d items of the path
-    for combo in _subsets(range(n)):
-        mask = sum(1 << i for i in combo)
+    depth_cap = min(max(ks), n, max(depths, default=0))
+    low = min(n, _BLOCK_ITEMS)
+    lanes = 1 << low
+    size = (sum(weights).bit_length() + 8) // 8  # bytes per lane, top bit spare
+    B = 8 * size
+    one, zero = (1).to_bytes(size, "little"), bytes(size)
+    ones = int.from_bytes(one * lanes, "little")
+    tops = ones << B - 1
+    low_bits = [int.from_bytes((zero * (1 << i) + one * (1 << i)) * (lanes >> i + 1), "little")
+                for i in range(low)]
+    best: Dict[int, Tuple[int, List[int]]] = {}  # hits -> (-top value, its item indices)
+    for block in range(1 << n - low):
+        bit = low_bits + [ones if block >> i & 1 else 0 for i in range(n - low)]
         slots = [0] * depth_cap
+        states = {0: [ones] + [0] * (depth_cap - 1)}
         i = 0
-        while i < len(bits):
-            hits = hits_at[depths[i] - 1]
-            if bits[i] & mask:
-                slots[hits] += weights[i]
-                hits += 1
-                if hits == depth_cap:
-                    i = ends[i]
-                    continue
-            hits_at[depths[i]] = hits
-            i += 1
+        while i < len(positions):
+            x, w, carry, passed = bit[positions[i]], weights[i], 0, []
+            for h, a in enumerate(states[depths[i] - 1]):
+                hit = a & x
+                slots[h] += w * hit
+                passed.append(a ^ hit | carry)
+                carry = hit
+            if any(passed):
+                states[depths[i]] = passed
+                i += 1
+            else:
+                i = ends[i]
         totals = [0, *accumulate(slots)]
-        for x, k in enumerate(ks):
-            num = totals[min(k, depth_cap)]
-            cur = best[x]
-            if cur is None or num > cur[0] or (num == cur[0] and [names[i] for i in combo]
-                                               < [names[i] for i in cur[1]]):
-                best[x] = (num, combo)
-    return [(frozenset(ordered[i] for i in combo), Fraction(num, scale * k))
-            for k, (num, combo) in zip(ks, best)]
+        for j in {min(k, depth_cap) for k in ks}:
+            top, width = totals[j], lanes * B
+            while width > B:
+                width >>= 1
+                lo, hi = top & (1 << width) - 1, top >> width
+                ge = (hi | tops & (1 << width) - 1) - lo & tops  # top bits: hi >= lo
+                top = lo ^ (lo ^ hi) & (ge << 1) - (ge >> B - 1)
+            if j in best and -top > best[j][0]:
+                continue
+            # 1 in each lane equal to top: only a lane that xors to 0 keeps its top
+            # bit clear when tops - ones is added
+            tied = (tops ^ (totals[j] ^ top * ones) + tops - ones & tops) >> B - 1
+            mask, chosen = 0, []
+            for p in range(n):
+                if mask >> low == block and tied >> (mask % lanes) * B & 1:
+                    break
+                if tied & bit[p]:
+                    tied &= bit[p]
+                    mask |= 1 << p
+                    chosen.append(p)
+            best[j] = min(best.get(j, (-top, chosen)), (-top, chosen))
+    return [(frozenset(ordered[i] for i in best[min(k, depth_cap)][1]),
+             Fraction(-best[min(k, depth_cap)][0], scale * k)) for k in ks]
 
 
 def optimal_assortment(

@@ -6,7 +6,7 @@ import math
 import random
 import string
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -28,8 +28,8 @@ from fixedprice import (
     policy_revenue,
 )
 from fixedprice.choice_models import _solve_transient
-from fixedprice.core import Prefix, _list_key, _preorder
-from fixedprice.errors import MonotonicityViolationError
+from fixedprice.core import Assortment, Prefix, _list_key, _preorder, _subsets
+from fixedprice.errors import CapExceededError, InvalidInstanceError, MonotonicityViolationError
 from fixedprice.lp import EQ, RationalLP, solve_lp
 from fixedprice.mechanism_lp import (
     ICReport,
@@ -481,6 +481,56 @@ def reference_history_monotone(dist: ListDistribution, tol=0) -> ConditionReport
                         False, ConditionWitness(rho.entries, rho_p.entries, *witness)
                     )
     return ConditionReport(True)
+
+
+def reference_best_subsets(
+    inst: Instance, ks, cap: int, what: str, detail: str
+) -> List[Tuple[Assortment, Fraction]]:
+    """Reference subset search, one subset at a time, with the signature,
+    errors, results and tie rule of ``core._best_subsets``.
+
+    Each subset, in ``_subsets`` order, gets one pre-order walk that adds a
+    hit's weight to the slot of the number of hits before it on its path
+    and skips a subtree once its path holds as many hits as the largest k
+    can use; prefix sums of the slots give the numerator of every k at once.
+    """
+    ordered = sorted(inst.items, key=str)
+    n = len(ordered)
+    if n > cap:
+        raise CapExceededError(what, n, cap, detail)
+    for k in ks:
+        if k < 1:
+            raise InvalidInstanceError(f"k must be at least 1, got {k}")
+    depth_cap = min(max(ks), n)
+    positions, weights, depths, ends, scale = _preorder(inst, ordered)
+    bits = [1 << p for p in positions]
+
+    names = [str(j) for j in ordered]
+    best: List[Optional[Tuple[int, Tuple[int, ...]]]] = [None] * len(ks)
+    hits_at = [0] * (n + 1)  # hits_at[d]: hits among the first d items of the path
+    for combo in _subsets(range(n)):
+        mask = sum(1 << i for i in combo)
+        slots = [0] * depth_cap
+        i = 0
+        while i < len(bits):
+            hits = hits_at[depths[i] - 1]
+            if bits[i] & mask:
+                slots[hits] += weights[i]
+                hits += 1
+                if hits == depth_cap:
+                    i = ends[i]
+                    continue
+            hits_at[depths[i]] = hits
+            i += 1
+        totals = [0, *accumulate(slots)]
+        for x, k in enumerate(ks):
+            num = totals[min(k, depth_cap)]
+            cur = best[x]
+            if cur is None or num > cur[0] or (num == cur[0] and [names[i] for i in combo]
+                                               < [names[i] for i in cur[1]]):
+                best[x] = (num, combo)
+    return [(frozenset(ordered[i] for i in combo), Fraction(num, scale * k))
+            for k, (num, combo) in zip(ks, best)]
 
 
 def monotone_masks(k: int) -> List[int]:

@@ -24,6 +24,7 @@ from fixedprice import (
     nl_markov_fit_gap,
     validate_distribution,
 )
+from fixedprice import choice_models
 from fixedprice.choice_models import _expand
 from fixedprice.core import _list_key
 from fixedprice.errors import (
@@ -78,6 +79,14 @@ class TestMnl:
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(InvalidInstanceError):
             gen_mnl("AB", MnlParams({"A": 0, "B": 1}, 1))
+
+    def test_ids_with_the_same_text_rejected_before_expansion(self, monkeypatch):
+        def expand(*args):
+            raise AssertionError("the support was expanded")
+
+        monkeypatch.setattr(choice_models, "_expand", expand)
+        with pytest.raises(InvalidInstanceError, match="same text"):
+            gen_mnl([1, "1"], MnlParams({1: 1, "1": 2}, 1))
 
     def test_closed_form_choice_probabilities(self):
         rng = random.Random(5)

@@ -683,6 +683,13 @@ MALFORMED_ARGS = {
        for name, value, message in [("inf", "inf", "not a finite number: inf"),
                                     ("nan", "nan", "not a finite number: nan"),
                                     ("negative", "-1", "tolerance -1.0 is negative")]},
+    # Only history-monotone compares with a tolerance; the other checks are
+    # exact and refuse one rather than ignore it.
+    **{f"tolerance_not_read_by_{what}": (
+        ["check", "--what", what, "--instance", fixture("four_item_clash.json"),
+         "--mechanism", "-", "--tolerance", "0.1"],
+        f"check --what {what} does not take --tolerance")
+       for what in ("ic", "submodular", "containment")},
     "unknown_verb": (["frob"], "argument verb: invalid choice: 'frob'"),
     "no_verb": ([], "required: verb"),
     # --cap 0 is a cap of 0, not the default cap.

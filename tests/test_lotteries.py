@@ -24,6 +24,7 @@ from fixedprice import (
     topk_lottery_value,
     verify_ic,
 )
+from fixedprice.core import _BLOCK_ITEMS, SUBSET_SEARCH_CAP, _best_subsets, _preorder
 from fixedprice.errors import CapExceededError, InvalidInstanceError
 
 from .helpers import (
@@ -31,6 +32,7 @@ from .helpers import (
     random_bounded_length_instance,
     random_instance,
     random_search_instance,
+    reference_best_subsets,
     robust_menu_instance,
 )
 
@@ -207,6 +209,73 @@ class TestSubsetSearchBruteForce:
                 best_topk_lottery(inst, k=0, cap=n - 1)
             with pytest.raises(InvalidInstanceError, match="k must be at least 1, got 0"):
                 best_topk_lottery(inst, k=0, cap=n)
+
+
+LANE_KINDS = ("small", "ties", "wide")
+
+
+def _lane_instance(rng: random.Random, n: int, kind: str) -> Instance:
+    """A random instance on the int ids 0..n-1 (so ``str`` order is not
+    numeric order) for the bit-parallel search: some items on no list, up
+    to 12 lists of length 0–4, sometimes the empty list.  ``kind`` sets the
+    numbers: "small" has prices 1–9 and weights 1–6, "ties" has prices 0 or
+    1 and equal chances, and "wide" has prices and chances over large
+    coprime denominators, so that each lane is wider than 64 bits."""
+    items = list(range(n))
+    listed = rng.sample(items, rng.randint(0, n))
+    lists = {tuple(rng.sample(listed, rng.randint(0, min(4, len(listed)))))
+             for _ in range(rng.randint(1, 12))}
+    if rng.random() < 0.3:
+        lists.add(())
+    lists = sorted(lists)
+    if kind == "ties":
+        weights = [1] * len(lists)
+        prices = {j: rng.randint(0, 1) for j in items}
+    elif kind == "wide":
+        weights = [rng.randint(1, 10**9) for _ in lists]
+        primes = (999983, 1000003, 1000033, 1000037)
+        prices = {j: Fraction(rng.randint(1, 10**7), rng.choice(primes)) for j in items}
+    else:
+        weights = [rng.randint(1, 6) for _ in lists]
+        prices = {j: rng.randint(1, 9) for j in items}
+    dist = ListDistribution([(l, Fraction(w, sum(weights))) for l, w in zip(lists, weights)])
+    return Instance(items, prices, dist)
+
+
+class TestBitParallelSearch:
+    """``_best_subsets`` against the one-subset-at-a-time reference: the
+    same set and value for every k, and the same k chosen by the lottery."""
+
+    # Four of each kind at 14 items (four blocks): a tie between blocks, won
+    # by the later block's smaller tuple, needs a few instances to show up.
+    INSTANCES = {n: [_lane_instance(random.Random(100 * n + i), n, kind)
+                     for i, kind in enumerate(LANE_KINDS * (4 if n == 14 else 1))]
+                 for n in range(15)}
+
+    def test_instances_cover_the_corners(self):
+        insts = [inst for group in self.INSTANCES.values() for inst in group]
+        assert max(self.INSTANCES) > _BLOCK_ITEMS  # some searches take several blocks
+        assert sum(bool(set(inst.items) - set(inst.dist.items)) for inst in insts) >= 10
+        assert sum(() in {l.entries for l in inst.dist.support} for inst in insts) >= 5
+        for n, group in self.INSTANCES.items():
+            for kind, inst in zip(LANE_KINDS * 4, group):
+                total = sum(_preorder(inst, sorted(inst.items, key=str))[1])
+                assert (total.bit_length() >= 64) == (kind == "wide" and bool(inst.dist.items))
+
+    @pytest.mark.parametrize("n", range(15))
+    def test_equals_the_reference(self, n):
+        for inst in self.INSTANCES[n]:
+            ks = range(1, n + 3)
+            ref = reference_best_subsets(inst, ks, SUBSET_SEARCH_CAP, "what", "detail")
+            assert _best_subsets(inst, ks, SUBSET_SEARCH_CAP, "what", "detail") == ref
+            assert optimal_assortment(inst) == ref[0]
+            for k in (1, 2, n, n + 2):
+                if k >= 1:
+                    assert best_topk_lottery(inst, k=k) == (k, *ref[k - 1])
+            all_k = range(1, max(n, 1) + 1)
+            top = max(ref[k - 1][1] for k in all_k)
+            k_ref = min(k for k in all_k if ref[k - 1][1] == top)
+            assert best_topk_lottery(inst) == (k_ref, *ref[k_ref - 1])
 
 
 class TestGapFamily:
