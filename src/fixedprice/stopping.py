@@ -13,7 +13,6 @@ here exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from fractions import Fraction
 from math import gcd
 from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
@@ -39,7 +38,7 @@ from .errors import (
     PrefixOverlapError,
 )
 from .lp import GE, RationalLP, solve_lp
-from .rational import coerce_rational, parse_rational
+from .rational import coerce_rational, lcm_of_denominators, parse_rational
 
 POLICY_ITEM_CAP = 4
 
@@ -340,32 +339,6 @@ class ConditionReport:
         }
 
 
-def _choices(dist, cache, S: frozenset, entries: Tuple[Item, ...]) -> List[Fraction]:
-    """Chance of selling each member of ``S``, in ``str`` order, after the
-    prefix ``entries``: one trie walk per (prefix, S), kept in ``cache``."""
-    key = (entries, S)
-    if key not in cache:
-        hits = _first_hits(dist.node(entries), S)
-        cache[key] = [hits.get(j, Fraction(0)) for j in sorted(S, key=str)]
-    return cache[key]
-
-
-def _reversal(dist, cache, prefix: Prefix, other: Prefix, tol: Fraction):
-    """The first ``(S, j)``, by the size and order of S and then by j, where
-    selling j from S is less likely after ``prefix`` than after ``other`` by
-    more than ``tol``; S ranges over the sets avoiding both prefixes.  None
-    when there is no such pair."""
-    banned = prefix.as_set() | other.as_set()
-    pool = sorted((j for j in dist.items if j not in banned), key=str)
-    for S in map(frozenset, _subsets(pool)):
-        lhs = _choices(dist, cache, S, prefix.entries)
-        rhs = _choices(dist, cache, S, other.entries)
-        for j, a, b in zip(sorted(S, key=str), lhs, rhs):
-            if a < b - tol:
-                return S, j
-    return None
-
-
 def _tolerance(tol) -> Fraction:
     """A comparison tolerance as an exact Fraction; it must be finite and
     at least 0."""
@@ -378,6 +351,107 @@ def _tolerance(tol) -> Fraction:
     return value
 
 
+def _integer_trie(dist: ListDistribution, roots=((),)):
+    """The subtrees of the prefixes ``roots`` (the whole trie by default) in
+    pre-order, one after another, with children in ``str`` order.  Per node:
+    its entries, their bits (bit i for ``dist.items[i]``), its mass times D
+    (an integer, with D the lcm of the list probabilities' denominators),
+    the index just past its subtree and its parent's index (-1 at a root)."""
+    D = lcm_of_denominators(dist.support.values())
+    rank = {j: i for i, j in enumerate(dist.items)}
+    entries, masks, masses, parents = [], [], [], []
+    stack = [(dist.node(p), p, sum(1 << rank[j] for j in p), -1) for p in roots][::-1]
+    while stack:
+        node, prefix, mask, parent = stack.pop()
+        k = len(entries)
+        entries.append(prefix)
+        masks.append(mask)
+        masses.append(node.mass.numerator * (D // node.mass.denominator))
+        parents.append(parent)
+        for j in sorted(node.children, key=rank.__getitem__, reverse=True):
+            stack.append((node.children[j], prefix + (j,), mask | 1 << rank[j], k))
+    ends = list(range(1, len(entries) + 1))
+    for k in reversed(range(len(entries))):
+        if parents[k] >= 0:
+            ends[parents[k]] = max(ends[parents[k]], ends[k])
+    return entries, masks, masses, ends, parents
+
+
+def _classes(trie) -> List[int]:
+    """The future class of each node of an ``_integer_trie``.
+
+    One post-order pass: a node's class is the id of its signature, the set
+    of ``(item, child mass/mass, class of child)`` over its children, and
+    equal signatures share one id.  Each ratio is kept as its reduced
+    numerator and denominator, so signatures compare exactly.  The stop
+    chance needs no place: stop/mass is 1 minus the sum of the ratios.  By
+    induction on depth, prefixes of one class have equal ``_first_hits`` for
+    every S (but may differ in mass).
+    """
+    entries, _, masses, _, parents = trie
+    classes = [0] * len(entries)
+    signatures: List[List[tuple]] = [[] for _ in entries]
+    ids: Dict[FrozenSet[tuple], int] = {}
+    for k in reversed(range(len(entries))):
+        mass = masses[k]
+        signature = frozenset((j, m // (g := gcd(m, mass)), mass // g, c)
+                              for j, m, c in signatures[k])
+        classes[k] = ids.setdefault(signature, len(ids))
+        if parents[k] >= 0:
+            signatures[parents[k]].append((entries[k][-1], mass, classes[k]))
+    return classes
+
+
+def _future_classes(dist: ListDistribution) -> Dict[Tuple[Item, ...], int]:
+    """The future class (``_classes``) of every prefix, the empty one included."""
+    trie = _integer_trie(dist)
+    return dict(zip(trie[0], _classes(trie)))
+
+
+def _first_reversal(dist: ListDistribution, trie, pairs, tol: Fraction):
+    """The first ``(a, b, S, j)`` over the node pairs ``(a, b)`` of ``pairs``,
+    then by the size and ``combinations`` order of S, then by j, where
+    selling j from S is less likely after node a than after node b by more
+    than ``tol``; S avoids both prefixes.  None when there is no such pair.
+    Each (node, S) gets one first-hit row when first needed: a walk of the
+    node's integer subtree that stops at the first member of S gives each
+    member's mass, kept as a reduced fraction of the node's mass.  With
+    tol = tn/td, a/ad < b/bd - tn/td is (a·td + tn·ad)·bd < b·ad·td."""
+    _, masks, masses, ends, _ = trie
+    full = (1 << len(dist.items)) - 1
+    tn, td = tol.numerator, tol.denominator
+    subsets: Dict[int, List[Tuple[int, Tuple[int, ...]]]] = {}  # pool -> (S, members)
+    rows: Dict[int, Dict[int, List[Tuple[int, int]]]] = {}  # node -> S -> row
+
+    def row(k: int, S: int, members: Tuple[int, ...]) -> List[Tuple[int, int]]:
+        hits = dict.fromkeys(members, 0)
+        i, end, mass = k + 1, ends[k], masses[k]
+        while i < end:  # S avoids node k's prefix, so a hit is the node's own item
+            if S & masks[i]:
+                hits[S & masks[i]] += masses[i]
+                i = ends[i]
+            else:
+                i += 1
+        rows[k][S] = out = [(h // (g := gcd(h, mass)), mass // g) for h in hits.values()]
+        return out
+
+    for a, b in pairs:
+        pool = full & ~(masks[a] | masks[b])
+        if pool not in subsets:
+            members = [1 << i for i in range(pool.bit_length()) if pool >> i & 1]
+            subsets[pool] = [(sum(c), c) for c in _subsets(members) if c]
+        rows_a, rows_b = rows.setdefault(a, {}), rows.setdefault(b, {})
+        for S, members in subsets[pool]:
+            lhs = rows_a.get(S) or row(a, S, members)
+            rhs = rows_b.get(S) or row(b, S, members)
+            for j, (x, xd), (y, yd) in zip(members, lhs, rhs):
+                if (x * td + tn * xd) * yd < y * xd * td:
+                    item = dist.items.__getitem__
+                    S = frozenset(item(m.bit_length() - 1) for m in members)
+                    return a, b, S, item(j.bit_length() - 1)
+    return None
+
+
 def check_domination(
     dist: ListDistribution, prefix, other, tol=0
 ) -> DominationResult:
@@ -385,39 +459,14 @@ def check_domination(
 
     Domination: for every assortment S avoiding both prefixes and every j in
     S, the conditional probability of selling j is at least as high from
-    ``prefix``.  Returns the first reversal (smallest S, then item) found;
-    an unrealizable prefix raises ``UnrealizablePrefixError`` at S = {}.
+    ``prefix``.  Returns the first reversal (smallest S, then item), found
+    by the scan of ``check_history_monotone``; an unrealizable prefix raises
+    ``UnrealizablePrefixError`` at S = {}.
     """
-    prefix, other = Prefix(prefix), Prefix(other)
-    witness = _reversal(dist, {}, prefix, other, _tolerance(tol))
-    return DominationResult(witness is None, witness)
-
-
-def _future_classes(dist: ListDistribution) -> Dict[Tuple[Item, ...], int]:
-    """The future class of every prefix, the empty one included.
-
-    One post-order pass over the trie: a node's class is the id of its
-    signature, the set of ``(item, child.mass/mass, class of child)`` over
-    its children, and equal signatures share one id.  Each ratio is kept
-    as its reduced numerator and denominator, so signatures compare
-    exactly.  The stop chance needs no place: stop/mass is 1 minus the sum
-    of the ratios.  By induction on depth, prefixes of one class have
-    equal ``_first_hits`` for every S.
-    """
-    order = [((), dist.node(()))]
-    for entries, node in order:
-        order.extend((entries + (item,), child) for item, child in node.children.items())
-    ids: Dict[FrozenSet[tuple], int] = {}
-    classes: Dict[Tuple[Item, ...], int] = {}
-    for entries, node in reversed(order):
-        num, den = node.mass.numerator, node.mass.denominator
-        signature = []
-        for item, child in node.children.items():
-            a, b = child.mass.numerator * den, child.mass.denominator * num
-            g = gcd(a, b)
-            signature.append((item, a // g, b // g, classes[entries + (item,)]))
-        classes[entries] = ids.setdefault(frozenset(signature), len(ids))
-    return classes
+    prefix, other, tol = Prefix(prefix), Prefix(other), _tolerance(tol)
+    trie = _integer_trie(dist, (prefix.entries, other.entries))
+    found = _first_reversal(dist, trie, [(0, trie[3][0])], tol)  # the two roots
+    return DominationResult(found is None, found[2:] if found else None)
 
 
 def check_history_monotone(dist: ListDistribution, tol=0) -> ConditionReport:
@@ -430,38 +479,32 @@ def check_history_monotone(dist: ListDistribution, tol=0) -> ConditionReport:
     deterministic (prefix, prefix, assortment, item) order.
 
     A reversal between two prefixes depends only on each one's future class
-    (``_future_classes``) and entry set: the class fixes its choice
+    (``_classes``) and entry set: the class fixes its choice
     probabilities, and the two entry sets fix the assortments searched and,
     under a common endpoint, whether the bodies are nested.  So each
     endpoint's prefixes are keyed by (class, entry set), and only the first
-    prefix of each key, in the sorted prefix order, is compared.  Two
-    prefixes with one key have equal bodies and are never compared.  The
-    first violating pair in the full (prefix, prefix) order is the smallest
-    pair of first prefixes over the reversing key pairs, which is the first
-    reversal the loop over the representatives meets, with the same
-    (assortment, item).
+    prefix of each key, in the sorted prefix order (``_integer_trie``'s
+    pre-order, sorted stably by length), is compared.  Two prefixes with one
+    key have equal bodies and are never compared.  The first violating pair
+    in the full (prefix, prefix) order is the smallest pair of first
+    prefixes over the reversing key pairs, which is the first reversal the
+    integer loop over the representatives (``_first_reversal``) meets, with
+    the same (assortment, item).  Its rows are keyed by prefix, not class.
     """
-    prefixes = sorted(dist.realizable_prefixes(), key=lambda p: _list_key(p.entries))
-    classes = _future_classes(dist)
-    tol_f = _tolerance(tol)
-    cache: Dict = {}
-    by_endpoint: Dict[Item, Dict[tuple, Prefix]] = {}
-    for prefix in prefixes:
-        key = (classes[prefix.entries], prefix.as_set())
-        by_endpoint.setdefault(prefix.endpoint, {}).setdefault(key, prefix)
-    for endpoint in sorted(by_endpoint, key=str):
-        group = list(by_endpoint[endpoint].values())
-        for rho in group:
-            body_rho = frozenset(rho.entries[:-1])
-            for rho_p in group:
-                if body_rho <= frozenset(rho_p.entries[:-1]):
-                    continue  # only non-contained bodies must dominate
-                witness = _reversal(dist, cache, rho, rho_p, tol_f)
-                if witness is not None:
-                    return ConditionReport(
-                        False, ConditionWitness(rho.entries, rho_p.entries, *witness)
-                    )
-    return ConditionReport(True)
+    tol = _tolerance(tol)
+    trie = entries, masks, *_ = _integer_trie(dist)
+    classes = _classes(trie)
+    by_endpoint: Dict[Item, Dict[Tuple[int, int], int]] = {}
+    for k in sorted(range(1, len(entries)), key=lambda k: len(entries[k])):
+        by_endpoint.setdefault(entries[k][-1], {}).setdefault((classes[k], masks[k]), k)
+    groups = [by_endpoint[endpoint].values() for endpoint in sorted(by_endpoint, key=str)]
+    pairs = ((a, b) for group in groups for a in group for b in group
+             if masks[a] & ~masks[b])  # only non-contained bodies must dominate
+    found = _first_reversal(dist, trie, pairs, tol)
+    if found is None:
+        return ConditionReport(True)
+    a, b, S, j = found
+    return ConditionReport(False, ConditionWitness(entries[a], entries[b], S, j))
 
 
 # ---------------------------------------------------------------------------
@@ -543,14 +586,15 @@ def tier_decomposition(
     # and contained bodies when a chain of equal futures links them; the
     # distinct-set equality below is the property downstream arguments rely
     # on, so containment inside a tier is tolerated.)
-    choices = partial(_choices, dist, {}, S)
+    hits = {p: _first_hits(dist.node(p), S) for p in prefixes}
+    choices = {p: [hits[p].get(m, Fraction(0)) for m in sorted(S, key=str)] for p in prefixes}
     for tier in tiers:
         for a_i in range(len(tier.prefixes)):
             for b_i in range(a_i + 1, len(tier.prefixes)):
                 pa, pb = tier.prefixes[a_i], tier.prefixes[b_i]
                 if frozenset(pa) == frozenset(pb):
                     continue
-                if any(abs(a - b) > tol_f for a, b in zip(choices(pa), choices(pb))):
+                if any(abs(a - b) > tol_f for a, b in zip(choices[pa], choices[pb])):
                     raise IdentityCheckError(
                         f"unequal choice probabilities for distinct-set "
                         f"prefixes {pa} and {pb} in one tier (bug signal)"
@@ -565,7 +609,7 @@ def tier_decomposition(
                         raise IdentityCheckError(
                             f"tier order broken: {hi} does not contain {lo} (bug signal)"
                         )
-                    if any(a < b - tol_f for a, b in zip(choices(hi), choices(lo))):
+                    if any(a < b - tol_f for a, b in zip(choices[hi], choices[lo])):
                         raise IdentityCheckError("higher tier fails to dominate (bug signal)")
     return TierDecomposition(tuple(tiers))
 

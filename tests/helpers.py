@@ -28,7 +28,7 @@ from fixedprice import (
     policy_revenue,
 )
 from fixedprice.choice_models import _solve_transient
-from fixedprice.core import Assortment, Prefix, _list_key, _preorder, _subsets
+from fixedprice.core import Assortment, Item, Prefix, _first_hits, _list_key, _preorder, _subsets
 from fixedprice.errors import CapExceededError, InvalidInstanceError, MonotonicityViolationError
 from fixedprice.lp import EQ, RationalLP, solve_lp
 from fixedprice.mechanism_lp import (
@@ -40,11 +40,7 @@ from fixedprice.mechanism_lp import (
     _var,
 )
 from fixedprice.rational import coerce_rational, format_rational, parse_rational
-from fixedprice.stopping import (
-    ConditionReport,
-    ConditionWitness,
-    _reversal,
-)
+from fixedprice.stopping import ConditionReport, ConditionWitness
 
 ITEM_POOL = list(string.ascii_uppercase)
 
@@ -454,6 +450,32 @@ def prefix_graph_tiers(dist: ListDistribution, S, j) -> List[Tuple[Tuple[tuple, 
         kind = "setwise-identical" if len({sets[i] for i in idxs}) == 1 else "incomparable-equal"
         out.append((tuple(prefixes[i] for i in idxs), kind))
     return out
+
+
+def _choices(dist, cache, S: frozenset, entries: Tuple[Item, ...]) -> List[Fraction]:
+    """Chance of selling each member of ``S``, in ``str`` order, after the
+    prefix ``entries``: one trie walk per (prefix, S), kept in ``cache``."""
+    key = (entries, S)
+    if key not in cache:
+        hits = _first_hits(dist.node(entries), S)
+        cache[key] = [hits.get(j, Fraction(0)) for j in sorted(S, key=str)]
+    return cache[key]
+
+
+def _reversal(dist, cache, prefix: Prefix, other: Prefix, tol: Fraction):
+    """The first ``(S, j)``, by the size and order of S and then by j, where
+    selling j from S is less likely after ``prefix`` than after ``other`` by
+    more than ``tol``; S ranges over the sets avoiding both prefixes.  None
+    when there is no such pair."""
+    banned = prefix.as_set() | other.as_set()
+    pool = sorted((j for j in dist.items if j not in banned), key=str)
+    for S in map(frozenset, _subsets(pool)):
+        lhs = _choices(dist, cache, S, prefix.entries)
+        rhs = _choices(dist, cache, S, other.entries)
+        for j, a, b in zip(sorted(S, key=str), lhs, rhs):
+            if a < b - tol:
+                return S, j
+    return None
 
 
 def reference_history_monotone(dist: ListDistribution, tol=0) -> ConditionReport:

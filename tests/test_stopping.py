@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,13 +11,20 @@ from fixedprice import (
     MarkovChainParams,
     MnlParams,
     MonotoneStoppingPolicy,
+    NestStructure,
+    SymmetricNlParams,
     adjusted_revenue_identity,
     assortment_revenue,
     check_domination,
     check_history_monotone,
+    gen_elimination_by_aspects,
     gen_markov_chain,
     gen_mnl,
+    gen_nested_logit_3item,
+    gen_nested_logit_4item_symmetric,
+    gen_topk_gap_instance,
     markov_stopping_assortment,
+    mix_with_singletons,
     optimal_assortment,
     optimal_policy_bruteforce,
     policy_revenue,
@@ -37,9 +45,12 @@ from fixedprice.errors import (
     PrefixOverlapError,
     UnrealizablePrefixError,
 )
+from fixedprice.core import Prefix
+from fixedprice.rational import coerce_rational
 from fixedprice.stopping import _future_classes
 
 from .helpers import (
+    _reversal,
     condition_violation_minimal,
     equal_weight_chain_params,
     four_item_clash,
@@ -501,6 +512,136 @@ class TestConditionChecker:
     def test_minimal_violation_witness_pair_has_different_classes(self):
         classes = _future_classes(condition_violation_minimal().dist)
         assert classes[("C", "B")] != classes[("B",)]
+
+
+    @pytest.mark.parametrize("tol", [0, Fraction(1, 100), Fraction(1, 7), 1e-9])
+    def test_matches_reference_on_wide_numbers(self, tol):
+        rng = random.Random(26)
+        for n in (3, 4, 5):
+            items = "ABCDE"[:n]
+            weights = {j: Fraction(rng.randint(1, 10**6)) for j in items}
+            dist = gen_mnl(items, MnlParams(weights, Fraction(rng.randint(1, 10**6))))
+            got = self._report_tuple(check_history_monotone(dist, tol))
+            assert got == self._report_tuple(reference_history_monotone(dist, tol))
+        holds = 0
+        for _ in range(30):
+            n = rng.randint(6, 8)
+            items = "ABCDEFGH"[:n]
+            lists = sorted({tuple(rng.sample(items, rng.randint(1, n)))
+                            for _ in range(rng.choice([1, 2, 3, 6, 12, 40]))})
+            weights = [rng.randint(1, 10**9) for _ in lists]
+            dist = ListDistribution(
+                [(lst, Fraction(w, sum(weights))) for lst, w in zip(lists, weights)]
+            )
+            got = self._report_tuple(check_history_monotone(dist, tol))
+            assert got == self._report_tuple(reference_history_monotone(dist, tol))
+            holds += got[0]
+        assert 0 < holds < 30
+
+    # (X, E) and (Y, E) have one future, A half the time, but masses 2/3 and
+    # 1/3.  First-hit rows hold integer masses, so a row table keyed by class
+    # would give (Y, E) the hit mass of (X, E) and report a false reversal.
+    def test_one_class_with_two_masses(self):
+        dist = ListDistribution({("X", "E", "A"): Fraction(1, 3), ("X", "E"): Fraction(1, 3),
+                                 ("Y", "E", "A"): Fraction(1, 6), ("Y", "E"): Fraction(1, 6)})
+        classes = _future_classes(dist)
+        assert classes[("X", "E")] == classes[("Y", "E")]
+        assert dist.node(("X", "E")).mass != dist.node(("Y", "E")).mass
+        assert self._report_tuple(check_history_monotone(dist)) == (True, None)
+        assert self._report_tuple(reference_history_monotone(dist)) == (True, None)
+
+    def test_six_item_urn_holds(self):
+        items = "ABCDEF"
+        weights = {j: Fraction(i + 1) for i, j in enumerate(items)}
+        dist = gen_mnl(items, MnlParams(weights, Fraction(1)))
+        assert self._report_tuple(check_history_monotone(dist)) == (True, None)
+
+
+class TestDominationScan:
+    """``check_domination`` runs the integer scan of the condition checker;
+    ``tests/helpers._reversal`` is the Fraction loop it replaced."""
+
+    def test_matches_fraction_scan_on_random_pairs(self):
+        rng = random.Random(27)
+        unrealizable = reversals = 0
+        for _ in range(200):
+            dist = random_instance(rng, n_max=5, max_lists=8).dist
+            prefixes = [()] + sorted({lst.entries[:k] for lst in dist.support
+                                      for k in range(1, len(lst) + 1)})
+            for _ in range(5):
+                a = rng.choice(prefixes)
+                if rng.random() < 0.15:
+                    a = tuple(rng.sample(dist.items, min(2, len(dist.items))))
+                b = rng.choice(prefixes)
+                tol = rng.choice([0, Fraction(1, 100), Fraction(1, 7), 1e-9])
+                try:
+                    expected = _reversal(dist, {}, Prefix(a), Prefix(b), coerce_rational(tol))
+                except UnrealizablePrefixError as exc:
+                    with pytest.raises(UnrealizablePrefixError, match=re.escape(str(exc))):
+                        check_domination(dist, a, b, tol)
+                    unrealizable += 1
+                    continue
+                result = check_domination(dist, a, b, tol)
+                assert (result.holds, result.witness) == (expected is None, expected)
+                reversals += expected is not None
+        assert unrealizable > 0 and reversals > 0
+
+
+def _family_instance(family: str, rng: random.Random) -> Instance:
+    """A seeded instance of one of the paper's named families, n <= 4."""
+    items = "ABCD"
+    weights = {j: Fraction(rng.randint(1, 6)) for j in items}
+    params = MnlParams(weights, Fraction(rng.randint(1, 4)))
+    if family == "mnl":
+        n = rng.randint(2, 4)
+        dist = gen_mnl(items[:n], MnlParams({j: weights[j] for j in items[:n]}, params.w0))
+    elif family == "markov_chain":
+        dist = random_sparse_chain(rng, rng.randint(2, 4))[0].dist
+    elif family == "elimination_by_aspects":
+        dist = gen_elimination_by_aspects(items, params, NestStructure(["AB", "CD"]))
+    elif family == "singleton_mixture":
+        mnl = gen_mnl("ABC", MnlParams({j: weights[j] for j in "ABC"}, params.w0))
+        dist = mix_with_singletons(mnl, {"A": Fraction(rng.randint(0, 2), 10),
+                                         "C": Fraction(rng.randint(0, 2), 10)})
+    elif family == "nested_logit_3":
+        three = MnlParams({j: weights[j] for j in "ABC"}, params.w0)
+        dist = gen_nested_logit_3item("ABC", three, rng.choice([0.3, 0.5, 0.7, 1.0]))
+    else:
+        sym = SymmetricNlParams(rng.choice([0.5, 1.0, 2.0]), rng.choice([0.3, 0.5, 0.8]), 4)
+        dist = gen_nested_logit_4item_symmetric(items, sym)
+    return Instance(dist.items, {j: Fraction(rng.randint(1, 9)) for j in dist.items}, dist)
+
+
+class TestNamedFamilies:
+    """The paper's families have history-monotone futures, so an assortment
+    is optimal among all IC mechanisms; on its counterexamples a lottery
+    wins.  The nested-logit supports are rationalised floats and hold at
+    tolerance 0."""
+
+    @pytest.mark.parametrize("family", [
+        "mnl", "markov_chain", "elimination_by_aspects", "singleton_mixture",
+        "nested_logit_3", "nested_logit_4_symmetric",
+    ])
+    def test_condition_holds_and_an_assortment_is_optimal(self, family):
+        rng = random.Random(f"family-{family}")
+        for _ in range(4):
+            inst = _family_instance(family, rng)
+            assert check_history_monotone(inst.dist, tol=0).holds
+            _, opt_s = optimal_assortment(inst)
+            opt_x, _ = solve_mechanism_lp(inst)
+            opt_f, _ = solve_set_function_lp(inst)
+            assert opt_s == opt_x <= opt_f
+
+    @pytest.mark.parametrize("build", [
+        four_item_clash, lambda: gen_topk_gap_instance(4, 4), lambda: gen_topk_gap_instance(5, 10),
+    ])
+    def test_a_lottery_wins_on_the_counterexamples(self, build):
+        inst = build()
+        assert not check_history_monotone(inst.dist).holds
+        _, opt_s = optimal_assortment(inst)
+        opt_x, _ = solve_mechanism_lp(inst)
+        opt_f, _ = solve_set_function_lp(inst)
+        assert opt_s < opt_x <= opt_f
 
 
 class TestTiers:
