@@ -7,14 +7,17 @@ input to every solver in this package.  All probabilities and prices are
 exact rationals.
 
 A distribution's prefix trie (``PrefixNode``) is its one prefix
-representation: every prefix walk here and in ``stopping`` reads it.  The
+representation, its masses integers over one denominator summed once at
+construction; its Fraction views divide only where they return.  The
 first-hit walk ``_first_hits`` serves choice probabilities, assortment
-revenue and the top-k lottery value.  ``_preorder`` scales the trie to
-integers in pre-order for the two exact searches: ``_best_subsets``
-serves ``optimal_assortment`` and ``lotteries.best_topk_lottery``, every
-subset and every k from one bit-parallel trie walk per block of 4096
-subsets, and ``stopping.optimal_policy_bruteforce`` folds a revenue bound
-up the same nodes at each step of its branch and bound.
+revenue and the top-k lottery value.  ``_flatten`` is the one pre-order copy
+of the trie: the condition checker in ``stopping`` reads its masses, and
+``_price_weights`` weighs its nodes by endpoint price for the two exact
+searches.  ``_best_subsets`` serves ``optimal_assortment`` and
+``lotteries.best_topk_lottery``, every subset and every k from one
+bit-parallel trie walk per block of 4096 subsets, and
+``stopping.optimal_policy_bruteforce`` folds a revenue bound up the same
+nodes at each step of its branch and bound.
 """
 
 from __future__ import annotations
@@ -193,12 +196,14 @@ def validate_distribution(
 
 @dataclass(slots=True)
 class PrefixNode:
-    """A realizable prefix: ``mass`` is the chance the list begins with it,
-    ``stop`` the chance it ends there, and ``children`` maps each next item
-    to the node one item longer, in the order the lists first reach it."""
+    """A realizable prefix in integer weights: ``mass`` is D times the chance
+    the list begins with it, ``stop`` D times the chance it ends there, with
+    D the lcm of the list probabilities' denominators, the root's mass.
+    ``children`` maps each next item to the node one item longer, in the
+    order the lists first reach it."""
 
-    mass: Fraction
-    stop: Fraction = Fraction(0)
+    mass: int
+    stop: int = 0
     children: Dict[Item, "PrefixNode"] = field(default_factory=dict)
 
 
@@ -224,17 +229,18 @@ class ListDistribution:
         self._support = support
         items = sorted({j for lst in support for j in lst.entries}, key=str)
         self._items = tuple(items)
-        root = self._root = PrefixNode(Fraction(1))
+        root = self._root = PrefixNode(lcm_of_denominators(support.values()))
         for lst, prob in support.items():
+            weight = prob.numerator * (root.mass // prob.denominator)
             node = root
             for j in lst.entries:
                 child = node.children.get(j)
                 if child is None:
-                    child = node.children[j] = PrefixNode(prob)
+                    child = node.children[j] = PrefixNode(weight)
                 else:
-                    child.mass += prob
+                    child.mass += weight
                 node = child
-            node.stop += prob
+            node.stop += weight
 
     @property
     def support(self) -> Dict[RankedList, Fraction]:
@@ -266,7 +272,7 @@ class ListDistribution:
         while stack:
             entries, node = stack.pop()
             for j, child in node.children.items():
-                out[Prefix(entries + (j,))] = child.mass
+                out[Prefix(entries + (j,))] = Fraction(child.mass, self._root.mass)
                 stack.append((entries + (j,), child))
         return out
 
@@ -368,7 +374,7 @@ def _first_hits(node: PrefixNode, S: frozenset, k: int = 1) -> Dict[Item, Fracti
                 mass[item] = mass.get(item, 0) + child.mass
             if hits + hit < k:
                 stack.append((child, hits + hit))
-    return {item: m / node.mass for item, m in mass.items()}
+    return {item: Fraction(m, node.mass) for item, m in mass.items()}
 
 
 def _first_hits_revenue(inst: Instance, S: Iterable[Item], k: int, prefix=()) -> Fraction:
@@ -393,39 +399,48 @@ def _subsets(items: Sequence[Item]) -> Iterable[Tuple[Item, ...]]:
         yield from combinations(items, size)
 
 
-def _preorder(
-    inst: Instance, ordered: Sequence[Item]
-) -> Tuple[List[int], List[int], List[int], List[int], int]:
-    """The trie scaled to integers, in pre-order: for each node the position
+def _flatten(dist: ListDistribution, roots=((),)):
+    """The subtrees of the prefixes ``roots`` (the whole trie by default) in
+    pre-order, one after another, with children in ``str`` order.  Per node:
+    its entries, their bits (bit i for ``dist.items[i]``), its integer mass,
+    the index just past its subtree and its parent's index (-1 at a root)."""
+    rank = {j: i for i, j in enumerate(dist.items)}
+    entries, masks, masses, parents = [], [], [], []
+    stack = [(dist.node(p), p, sum(1 << rank[j] for j in p), -1) for p in roots][::-1]
+    while stack:
+        node, prefix, mask, parent = stack.pop()
+        k = len(entries)
+        entries.append(prefix)
+        masks.append(mask)
+        masses.append(node.mass)
+        parents.append(parent)
+        for j in sorted(node.children, key=rank.__getitem__, reverse=True):
+            stack.append((node.children[j], prefix + (j,), mask | 1 << rank[j], k))
+    ends = list(range(1, len(entries) + 1))
+    for k in reversed(range(len(entries))):
+        if parents[k] >= 0:
+            ends[parents[k]] = max(ends[parents[k]], ends[k])
+    return entries, masks, masses, ends, parents
+
+
+def _price_weights(inst: Instance, ordered: Sequence[Item]):
+    """The nonempty nodes of the ``_flatten``ed trie: for each the position
     of its endpoint in ``ordered``, its weight, its depth and the index just
     past its subtree; then the scale D·P.
 
-    With D the lcm of the list probabilities' denominators and P that of the
-    prices', a node's weight mass·D·price·P is an integer, and any revenue
-    that adds node masses times endpoint prices is an integer over D·P.
+    With D the root's mass and P the lcm of the prices' denominators, a
+    node's weight mass·price·P is an integer, and any revenue that adds node
+    masses times endpoint prices is an integer over D·P.
     """
-    D = lcm_of_denominators(inst.dist.support.values())
+    entries, _, masses, ends, _ = _flatten(inst.dist)
     P = lcm_of_denominators(inst.prices[j] for j in ordered)
     position = {j: i for i, j in enumerate(ordered)}
-    positions: List[int] = []
-    weights: List[int] = []
-    depths: List[int] = []
-    stack = [(j, child, 1) for j, child in reversed(inst.dist.node(()).children.items())]
-    while stack:
-        j, node, depth = stack.pop()
-        price = inst.prices[j]
-        positions.append(position[j])
-        weights.append(node.mass.numerator * (D // node.mass.denominator)
-                       * price.numerator * (P // price.denominator))
-        depths.append(depth)
-        stack.extend((c, child, depth + 1) for c, child in reversed(node.children.items()))
-    ends = [len(positions)] * len(positions)
-    open_nodes: List[int] = []
-    for i, depth in enumerate(depths):
-        while open_nodes and depths[open_nodes[-1]] >= depth:
-            ends[open_nodes.pop()] = i
-        open_nodes.append(i)
-    return positions, weights, depths, ends, D * P
+    price = {j: inst.prices[j].numerator * (P // inst.prices[j].denominator) for j in ordered}
+    endpoints = [prefix[-1] for prefix in entries[1:]]
+    return ([position[j] for j in endpoints],
+            [m * price[j] for j, m in zip(endpoints, masses[1:])],
+            [len(prefix) for prefix in entries[1:]],
+            [end - 1 for end in ends[1:]], masses[0] * P)
 
 
 def _best_subsets(
@@ -439,7 +454,7 @@ def _best_subsets(
     Raises ``CapExceededError(what, n, cap, detail)`` beyond ``cap`` items,
     then ``InvalidInstanceError`` for a k below 1.
 
-    A subset's value for k is the sum of the ``_preorder`` weights of the
+    A subset's value for k is the sum of the ``_price_weights`` of the
     first k hits on each path over the scale times k.  Subsets are scored
     bit-parallel: mask m (bit i for the i-th item in ``str`` order) is lane
     m of one int, B bits wide with the top bit spare above the weight total,
@@ -460,7 +475,7 @@ def _best_subsets(
     for k in ks:
         if k < 1:
             raise InvalidInstanceError(f"k must be at least 1, got {k}")
-    positions, weights, depths, ends, scale = _preorder(inst, ordered)
+    positions, weights, depths, ends, scale = _price_weights(inst, ordered)
     depth_cap = min(max(ks), n, max(depths, default=0))
     low = min(n, _BLOCK_ITEMS)
     lanes = 1 << low
@@ -547,10 +562,10 @@ class TreeDiagram:
 
     def q(self, prefix) -> Fraction:
         prefix = Prefix(prefix)
-        return self.dist.node(prefix).mass / self.dist.node(prefix.body).mass
+        return Fraction(self.dist.node(prefix).mass, self.dist.node(prefix.body).mass)
 
     def probability(self, prefix) -> Fraction:
-        return self.dist.node(prefix).mass
+        return Fraction(self.dist.node(prefix).mass, self.dist.node(()).mass)
 
     def children(self, prefix) -> List[Prefix]:
         prefix = Prefix(prefix)
@@ -562,7 +577,7 @@ class TreeDiagram:
     def stop_mass(self, prefix) -> Fraction:
         """Conditional probability that the list terminates at this node."""
         node = self.dist.node(prefix)
-        return node.stop / node.mass
+        return Fraction(node.stop, node.mass)
 
 
 def build_tree_diagram(dist: ListDistribution) -> TreeDiagram:

@@ -25,8 +25,9 @@ from .core import (
     Prefix,
     _first_hits,
     _first_hits_revenue,
+    _flatten,
     _list_key,
-    _preorder,
+    _price_weights,
     _subsets,
     assortment_revenue,
 )
@@ -38,7 +39,7 @@ from .errors import (
     PrefixOverlapError,
 )
 from .lp import GE, RationalLP, solve_lp
-from .rational import coerce_rational, lcm_of_denominators, parse_rational
+from .rational import coerce_rational, parse_rational
 
 POLICY_ITEM_CAP = 4
 
@@ -101,12 +102,13 @@ class MonotoneStoppingPolicy:
 def _first_stops(inst: Instance, rule: Callable[[Item, FrozenSet[Item]], bool]):
     """Each realizable prefix (entries, probability) where ``rule`` stops at
     the endpoint and at no earlier entry: a trie walk that ends at stops."""
-    stack = [((), inst.dist.node(()))]
+    root = inst.dist.node(())
+    stack = [((), root)]
     while stack:
         entries, node = stack.pop()
         for item, child in node.children.items():
             if rule(item, frozenset(entries)):
-                yield entries + (item,), child.mass
+                yield entries + (item,), Fraction(child.mass, root.mass)
             else:
                 stack.append((entries + (item,), child))
 
@@ -149,7 +151,8 @@ def optimal_policy_bruteforce(
     item at n = 4 but 168 per item at n = 5.
 
     A depth-first integer branch and bound (Land and Doig 1960) on one stop
-    bit per (item, history) that the trie of ``core._preorder`` realizes.
+    bit per (item, history) that the trie realizes, read through
+    ``core._price_weights``.
     Setting a bit sets it on the item's realized supersets, clearing it
     clears the subsets.  The bound folds the trie once in reverse pre-order:
     a node gives its weight if its bit is set, its children's sum if clear,
@@ -168,7 +171,7 @@ def optimal_policy_bruteforce(
         )
     if not items:
         return MonotoneStoppingPolicy({}), Fraction(0)
-    positions, weights, depths, _, scale = _preorder(inst, items)
+    positions, weights, depths, _, scale = _price_weights(inst, items)
     above = [0] * (n + 1)  # above[d]: item bits of the first d entries of the path
     bit_of: Dict[Tuple[int, int], int] = {}  # (position, history), in pre-order -> bit
     nodes = []  # (depth, bit, weight) of each node, in pre-order
@@ -351,34 +354,8 @@ def _tolerance(tol) -> Fraction:
     return value
 
 
-def _integer_trie(dist: ListDistribution, roots=((),)):
-    """The subtrees of the prefixes ``roots`` (the whole trie by default) in
-    pre-order, one after another, with children in ``str`` order.  Per node:
-    its entries, their bits (bit i for ``dist.items[i]``), its mass times D
-    (an integer, with D the lcm of the list probabilities' denominators),
-    the index just past its subtree and its parent's index (-1 at a root)."""
-    D = lcm_of_denominators(dist.support.values())
-    rank = {j: i for i, j in enumerate(dist.items)}
-    entries, masks, masses, parents = [], [], [], []
-    stack = [(dist.node(p), p, sum(1 << rank[j] for j in p), -1) for p in roots][::-1]
-    while stack:
-        node, prefix, mask, parent = stack.pop()
-        k = len(entries)
-        entries.append(prefix)
-        masks.append(mask)
-        masses.append(node.mass.numerator * (D // node.mass.denominator))
-        parents.append(parent)
-        for j in sorted(node.children, key=rank.__getitem__, reverse=True):
-            stack.append((node.children[j], prefix + (j,), mask | 1 << rank[j], k))
-    ends = list(range(1, len(entries) + 1))
-    for k in reversed(range(len(entries))):
-        if parents[k] >= 0:
-            ends[parents[k]] = max(ends[parents[k]], ends[k])
-    return entries, masks, masses, ends, parents
-
-
 def _classes(trie) -> List[int]:
-    """The future class of each node of an ``_integer_trie``.
+    """The future class of each node of a ``core._flatten``ed trie.
 
     One post-order pass: a node's class is the id of its signature, the set
     of ``(item, child mass/mass, class of child)`` over its children, and
@@ -404,7 +381,7 @@ def _classes(trie) -> List[int]:
 
 def _future_classes(dist: ListDistribution) -> Dict[Tuple[Item, ...], int]:
     """The future class (``_classes``) of every prefix, the empty one included."""
-    trie = _integer_trie(dist)
+    trie = _flatten(dist)
     return dict(zip(trie[0], _classes(trie)))
 
 
@@ -464,7 +441,7 @@ def check_domination(
     ``UnrealizablePrefixError`` at S = {}.
     """
     prefix, other, tol = Prefix(prefix), Prefix(other), _tolerance(tol)
-    trie = _integer_trie(dist, (prefix.entries, other.entries))
+    trie = _flatten(dist, (prefix.entries, other.entries))
     found = _first_reversal(dist, trie, [(0, trie[3][0])], tol)  # the two roots
     return DominationResult(found is None, found[2:] if found else None)
 
@@ -483,16 +460,17 @@ def check_history_monotone(dist: ListDistribution, tol=0) -> ConditionReport:
     probabilities, and the two entry sets fix the assortments searched and,
     under a common endpoint, whether the bodies are nested.  So each
     endpoint's prefixes are keyed by (class, entry set), and only the first
-    prefix of each key, in the sorted prefix order (``_integer_trie``'s
-    pre-order, sorted stably by length), is compared.  Two prefixes with one
-    key have equal bodies and are never compared.  The first violating pair
+    prefix of each key, in the sorted prefix order (``core._flatten``'s
+    pre-order, children in ``str`` order, sorted stably by length), is
+    compared.  Two prefixes with one key have equal bodies and are never
+    compared.  The first violating pair
     in the full (prefix, prefix) order is the smallest pair of first
     prefixes over the reversing key pairs, which is the first reversal the
     integer loop over the representatives (``_first_reversal``) meets, with
     the same (assortment, item).  Its rows are keyed by prefix, not class.
     """
     tol = _tolerance(tol)
-    trie = entries, masks, *_ = _integer_trie(dist)
+    trie = entries, masks, *_ = _flatten(dist)
     classes = _classes(trie)
     by_endpoint: Dict[Item, Dict[Tuple[int, int], int]] = {}
     for k in sorted(range(1, len(entries)), key=lambda k: len(entries[k])):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import string
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, product
 from typing import Dict, List, Optional, Tuple
@@ -21,14 +22,25 @@ from fixedprice import (
     MonotoneStoppingPolicy,
     MultiBuyerInstance,
     NestStructure,
+    SymmetricNlParams,
     gen_elimination_by_aspects,
     gen_markov_chain,
     gen_mnl,
+    gen_nested_logit_3item,
+    gen_nested_logit_4item_symmetric,
     mix_with_singletons,
     policy_revenue,
 )
 from fixedprice.choice_models import _solve_transient
-from fixedprice.core import Assortment, Item, Prefix, _first_hits, _list_key, _preorder, _subsets
+from fixedprice.core import (
+    Assortment,
+    Item,
+    Prefix,
+    _first_hits,
+    _list_key,
+    _price_weights,
+    _subsets,
+)
 from fixedprice.errors import CapExceededError, InvalidInstanceError, MonotonicityViolationError
 from fixedprice.lp import EQ, RationalLP, solve_lp
 from fixedprice.mechanism_lp import (
@@ -383,6 +395,77 @@ def random_monotone_generators(
     return gens
 
 
+FAMILIES = ("mnl", "markov_chain", "elimination_by_aspects", "singleton_mixture",
+            "nested_logit_3", "nested_logit_4_symmetric")
+
+
+def _family_instance(family: str, rng: random.Random) -> Instance:
+    """A seeded instance of one of the paper's named families, n <= 4."""
+    items = "ABCD"
+    weights = {j: Fraction(rng.randint(1, 6)) for j in items}
+    params = MnlParams(weights, Fraction(rng.randint(1, 4)))
+    if family == "mnl":
+        n = rng.randint(2, 4)
+        dist = gen_mnl(items[:n], MnlParams({j: weights[j] for j in items[:n]}, params.w0))
+    elif family == "markov_chain":
+        dist = random_sparse_chain(rng, rng.randint(2, 4))[0].dist
+    elif family == "elimination_by_aspects":
+        dist = gen_elimination_by_aspects(items, params, NestStructure(["AB", "CD"]))
+    elif family == "singleton_mixture":
+        mnl = gen_mnl("ABC", MnlParams({j: weights[j] for j in "ABC"}, params.w0))
+        dist = mix_with_singletons(mnl, {"A": Fraction(rng.randint(0, 2), 10),
+                                         "C": Fraction(rng.randint(0, 2), 10)})
+    elif family == "nested_logit_3":
+        three = MnlParams({j: weights[j] for j in "ABC"}, params.w0)
+        dist = gen_nested_logit_3item("ABC", three, rng.choice([0.3, 0.5, 0.7, 1.0]))
+    else:
+        sym = SymmetricNlParams(rng.choice([0.5, 1.0, 2.0]), rng.choice([0.3, 0.5, 0.8]), 4)
+        dist = gen_nested_logit_4item_symmetric(items, sym)
+    return Instance(dist.items, {j: Fraction(rng.randint(1, 9)) for j in dist.items}, dist)
+
+
+@dataclass(slots=True)
+class FractionNode:
+    """A prefix trie node with Fraction masses, as ``core.PrefixNode`` once
+    was: ``mass`` is the chance the list begins with it, ``stop`` the chance
+    it ends there, and ``children`` maps each next item to the node one item
+    longer, in the order the lists first reach it."""
+
+    mass: Fraction
+    stop: Fraction = Fraction(0)
+    children: Dict[Item, "FractionNode"] = field(default_factory=dict)
+
+
+def reference_trie(dist: ListDistribution) -> FractionNode:
+    """The root of ``dist``'s prefix trie in Fractions, built as
+    ``ListDistribution`` once built it: one Fraction addition per entry."""
+    root = FractionNode(Fraction(1))
+    for lst, prob in dist.support.items():
+        node = root
+        for j in lst.entries:
+            child = node.children.get(j)
+            if child is None:
+                child = node.children[j] = FractionNode(prob)
+            else:
+                child.mass += prob
+            node = child
+        node.stop += prob
+    return root
+
+
+def reference_prefixes(root: FractionNode) -> List[Tuple[Prefix, FractionNode]]:
+    """Every nonempty node of a ``reference_trie`` with its prefix, in the
+    order ``ListDistribution.realizable_prefixes`` once returned them."""
+    out = []
+    stack = [((), root)]
+    while stack:
+        entries, node = stack.pop()
+        for j, child in node.children.items():
+            out.append((Prefix(entries + (j,)), child))
+            stack.append((entries + (j,), child))
+    return out
+
+
 def list_scan_choice_probability(dist: ListDistribution, S, j, given=()) -> Fraction:
     """Reference conditional choice probability by a scan of every list: the
     chance that ``j`` is the first member of ``S`` after ``given`` among the
@@ -524,7 +607,7 @@ def reference_best_subsets(
         if k < 1:
             raise InvalidInstanceError(f"k must be at least 1, got {k}")
     depth_cap = min(max(ks), n)
-    positions, weights, depths, ends, scale = _preorder(inst, ordered)
+    positions, weights, depths, ends, scale = _price_weights(inst, ordered)
     bits = [1 << p for p in positions]
 
     names = [str(j) for j in ordered]
@@ -631,12 +714,13 @@ def tensor_policy_bruteforce(inst: Instance) -> Tuple[MonotoneStoppingPolicy, Fr
     of monotone masks (20^4 at 4 items), as ``optimal_policy_bruteforce``
     once did, with the same tie rule.
 
-    The revenue of every tuple comes from one walk of the trie scaled to
-    integers (``core._preorder``), in reverse pre-order.  A node's value is
-    ``b·w + (1 − b)·(sum of its children's values)``: ``w`` is its weight and
-    ``b`` the stop bits of its item's rules on its history, the entries
-    above it, laid along that item's axis.  One running sum per depth holds
-    the values of the nodes seen there whose parent is not yet reached.
+    The revenue of every tuple comes from one walk of the trie's price
+    weights (``core._price_weights``), in reverse pre-order.  A node's
+    value is ``b·w + (1 − b)·(sum of its children's values)``: ``w`` is its
+    weight and ``b`` the stop bits of its item's rules on its history, the
+    entries above it, laid along that item's axis.  One running sum per
+    depth holds the values of the nodes seen there whose parent is not yet
+    reached.
     """
     items = tuple(sorted(inst.items, key=str))
     n = len(items)
@@ -644,7 +728,7 @@ def tensor_policy_bruteforce(inst: Instance) -> Tuple[MonotoneStoppingPolicy, Fr
         return MonotoneStoppingPolicy({}), Fraction(0)
     masks = monotone_masks(n - 1)
     n_masks = len(masks)
-    positions, weights, depths, _, scale = _preorder(inst, items)
+    positions, weights, depths, _, scale = _price_weights(inst, items)
     # No revenue exceeds the scale times the largest price.  Below 2^60 it
     # fits machine integers; beyond, numpy works on Python integers, which
     # is exact but an order of magnitude slower.

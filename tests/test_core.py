@@ -1,4 +1,7 @@
+import glob
 import json
+import math
+import os
 import random
 from fractions import Fraction
 
@@ -17,21 +20,28 @@ from fixedprice import (
     optimal_assortment,
     validate_distribution,
 )
+from fixedprice.core import _flatten
 from fixedprice.errors import (
     CapExceededError,
     InvalidInstanceError,
     PrefixOverlapError,
     UnrealizablePrefixError,
 )
-
+from fixedprice.extensions import multibuyer_from_json
 from fixedprice.rational import coerce_rational
 
 from .helpers import (
+    FAMILIES,
+    _family_instance,
     four_item_clash,
     history_monotone_tree,
     list_scan_choice_probability,
     random_instance,
+    reference_prefixes,
+    reference_trie,
 )
+
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "fixtures")
 
 
 class TestValidation:
@@ -238,6 +248,95 @@ class TestTreeDiagram:
             tree = build_tree_diagram(inst.dist)
             for prefix in list(tree.nodes) + [Prefix(())]:
                 assert tree.stop_mass(prefix) >= 0
+
+
+class TestIntegerTrie:
+    """The trie holds integer masses over one denominator; its Fraction
+    views equal those of the Fraction trie it replaced
+    (``tests/helpers.reference_trie``), values and order."""
+
+    @staticmethod
+    def distributions():
+        for path in sorted(glob.glob(os.path.join(FIXTURES, "*.json"))):
+            with open(path) as fh:
+                obj = json.load(fh)
+            if "lists" in obj:
+                yield load_instance(json.dumps(obj)).dist
+            elif "buyers" in obj:
+                yield from multibuyer_from_json(obj).buyers
+        for family in FAMILIES:
+            rng = random.Random(f"family-{family}")
+            for _ in range(4):
+                yield _family_instance(family, rng).dist
+        rng = random.Random(5)
+        for _ in range(200):
+            yield random_instance(rng).dist
+
+    def test_views_equal_the_fraction_trie(self):
+        count = 0
+        for dist in self.distributions():
+            tree = build_tree_diagram(dist)
+            root = reference_trie(dist)
+            reference = reference_prefixes(root)
+            assert list(dist.realizable_prefixes().items()) == [
+                (prefix, node.mass) for prefix, node in reference]
+            nodes = {Prefix(()): root, **dict(reference)}
+            for prefix, node in nodes.items():
+                assert tree.probability(prefix) == node.mass
+                assert tree.stop_mass(prefix) == node.stop / node.mass
+                if prefix.entries:
+                    assert tree.q(prefix) == node.mass / nodes[prefix.body].mass
+            count += 1
+        assert count == 9 + 4 * len(FAMILIES) + 200  # 7 instance fixtures, 2 buyers
+
+    def test_masses_are_integers_over_the_denominator(self):
+        for dist in self.distributions():
+            root = dist.node(())
+            assert root.mass == math.lcm(*(p.denominator for p in dist.support.values()))
+            stack = [root]
+            while stack:
+                node = stack.pop()
+                assert type(node.mass) is int and type(node.stop) is int
+                assert node.stop + sum(c.mass for c in node.children.values()) == node.mass
+                stack.extend(node.children.values())
+
+
+class TestFlatten:
+    """``_flatten`` on the subtrees of given roots is, root by root, the
+    slice of the whole trie's pre-order that the root's subtree spans."""
+
+    def test_subtrees_are_slices_of_the_whole_trie(self):
+        rng = random.Random(41)
+        for _ in range(150):
+            dist = random_instance(rng, n_max=5, max_lists=8).dist
+            entries, masks, masses, ends, parents = whole = _flatten(dist)
+            assert parents[0] == -1 and ends[0] == len(entries)
+            index = {prefix: k for k, prefix in enumerate(entries)}
+            for _ in range(4):
+                roots = (rng.choice(entries), rng.choice(entries))
+                sub = _flatten(dist, roots)
+                offset = 0
+                for root in roots:
+                    k = index[root]
+                    size = ends[k] - k
+                    for field, got in zip(whole[:3], sub[:3]):
+                        assert got[offset:offset + size] == field[k:ends[k]]
+                    assert sub[3][offset:offset + size] == [
+                        end - k + offset for end in ends[k:ends[k]]]
+                    assert sub[4][offset:offset + size] == [-1] + [
+                        parent - k + offset for parent in parents[k + 1:ends[k]]]
+                    offset += size
+                assert offset == len(sub[0])
+
+    def test_children_in_str_order(self):
+        dist = ListDistribution({("B",): Fraction(1, 3), ("A", "C"): Fraction(1, 3),
+                                 ("A", "B"): Fraction(1, 3)})
+        entries, masks, masses, ends, parents = _flatten(dist)
+        assert entries == [(), ("A",), ("A", "B"), ("A", "C"), ("B",)]
+        assert masks == [0, 0b001, 0b011, 0b101, 0b010]
+        assert masses == [3, 2, 1, 1, 1]
+        assert ends == [5, 4, 3, 4, 5]
+        assert parents == [-1, 0, 1, 1, 0]
 
 
 class TestInstanceJson:

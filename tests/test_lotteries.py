@@ -24,7 +24,7 @@ from fixedprice import (
     topk_lottery_value,
     verify_ic,
 )
-from fixedprice.core import _BLOCK_ITEMS, SUBSET_SEARCH_CAP, _best_subsets, _preorder
+from fixedprice.core import _BLOCK_ITEMS, SUBSET_SEARCH_CAP, _best_subsets, _price_weights
 from fixedprice.errors import CapExceededError, InvalidInstanceError
 
 from .helpers import (
@@ -259,7 +259,7 @@ class TestBitParallelSearch:
         assert sum(() in {l.entries for l in inst.dist.support} for inst in insts) >= 5
         for n, group in self.INSTANCES.items():
             for kind, inst in zip(LANE_KINDS * 4, group):
-                total = sum(_preorder(inst, sorted(inst.items, key=str))[1])
+                total = sum(_price_weights(inst, sorted(inst.items, key=str))[1])
                 assert (total.bit_length() >= 64) == (kind == "wide" and bool(inst.dist.items))
 
     @pytest.mark.parametrize("n", range(15))

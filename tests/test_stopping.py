@@ -11,20 +11,14 @@ from fixedprice import (
     MarkovChainParams,
     MnlParams,
     MonotoneStoppingPolicy,
-    NestStructure,
-    SymmetricNlParams,
     adjusted_revenue_identity,
     assortment_revenue,
     check_domination,
     check_history_monotone,
-    gen_elimination_by_aspects,
     gen_markov_chain,
     gen_mnl,
-    gen_nested_logit_3item,
-    gen_nested_logit_4item_symmetric,
     gen_topk_gap_instance,
     markov_stopping_assortment,
-    mix_with_singletons,
     optimal_assortment,
     optimal_policy_bruteforce,
     policy_revenue,
@@ -50,6 +44,8 @@ from fixedprice.rational import coerce_rational
 from fixedprice.stopping import _future_classes
 
 from .helpers import (
+    FAMILIES,
+    _family_instance,
     _reversal,
     condition_violation_minimal,
     equal_weight_chain_params,
@@ -587,41 +583,13 @@ class TestDominationScan:
         assert unrealizable > 0 and reversals > 0
 
 
-def _family_instance(family: str, rng: random.Random) -> Instance:
-    """A seeded instance of one of the paper's named families, n <= 4."""
-    items = "ABCD"
-    weights = {j: Fraction(rng.randint(1, 6)) for j in items}
-    params = MnlParams(weights, Fraction(rng.randint(1, 4)))
-    if family == "mnl":
-        n = rng.randint(2, 4)
-        dist = gen_mnl(items[:n], MnlParams({j: weights[j] for j in items[:n]}, params.w0))
-    elif family == "markov_chain":
-        dist = random_sparse_chain(rng, rng.randint(2, 4))[0].dist
-    elif family == "elimination_by_aspects":
-        dist = gen_elimination_by_aspects(items, params, NestStructure(["AB", "CD"]))
-    elif family == "singleton_mixture":
-        mnl = gen_mnl("ABC", MnlParams({j: weights[j] for j in "ABC"}, params.w0))
-        dist = mix_with_singletons(mnl, {"A": Fraction(rng.randint(0, 2), 10),
-                                         "C": Fraction(rng.randint(0, 2), 10)})
-    elif family == "nested_logit_3":
-        three = MnlParams({j: weights[j] for j in "ABC"}, params.w0)
-        dist = gen_nested_logit_3item("ABC", three, rng.choice([0.3, 0.5, 0.7, 1.0]))
-    else:
-        sym = SymmetricNlParams(rng.choice([0.5, 1.0, 2.0]), rng.choice([0.3, 0.5, 0.8]), 4)
-        dist = gen_nested_logit_4item_symmetric(items, sym)
-    return Instance(dist.items, {j: Fraction(rng.randint(1, 9)) for j in dist.items}, dist)
-
-
 class TestNamedFamilies:
     """The paper's families have history-monotone futures, so an assortment
     is optimal among all IC mechanisms; on its counterexamples a lottery
     wins.  The nested-logit supports are rationalised floats and hold at
     tolerance 0."""
 
-    @pytest.mark.parametrize("family", [
-        "mnl", "markov_chain", "elimination_by_aspects", "singleton_mixture",
-        "nested_logit_3", "nested_logit_4_symmetric",
-    ])
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_condition_holds_and_an_assortment_is_optimal(self, family):
         rng = random.Random(f"family-{family}")
         for _ in range(4):
