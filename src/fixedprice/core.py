@@ -6,6 +6,11 @@ distribution over such lists, together with fixed item prices, is the whole
 input to every solver in this package.  All probabilities and prices are
 exact rationals.
 
+One pass, ``_read_support``, reads every distribution: each list and
+probability once, the sum in integers over D, the lcm of the denominators.
+``validate_distribution`` reports its issues; ``ListDistribution`` raises on
+them, or else builds its trie from the pass's support and D.
+
 A distribution's prefix trie (``PrefixNode``) is its one prefix
 representation, its masses integers over one denominator summed once at
 construction; its Fraction views divide only where they return.  The
@@ -23,6 +28,7 @@ nodes at each step of its branch and bound.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, combinations
@@ -139,19 +145,15 @@ def _as_pairs(pairs) -> list:
     return list(pairs.items() if isinstance(pairs, Mapping) else pairs)
 
 
-def validate_distribution(
-    pairs, items: Optional[Sequence[Item]] = None
-) -> ValidationReport:
-    """Validate raw (list, probability) data without raising.
-
-    Checks: probabilities positive and summing to exactly 1, no duplicate
-    lists, no repeated item within a list, and (when ``items`` is given)
-    membership of every listed item in the universe.  Returns every
-    violation found.
-    """
+def _read_support(pairs, items: Optional[Sequence[Item]] = None):
+    """The one pass over ``(list, probability)`` pairs: it builds each
+    ``RankedList`` and parses each probability once.  Returns the support in
+    input order, D (the lcm of the denominators) and the ``ValidationIssue``s
+    in input order, ``bad-sum`` last.  The sum is checked in integers, as
+    Σ numerator·(D // denominator) == D."""
     issues: List[ValidationIssue] = []
-    seen = {}
-    total = Fraction(0)
+    support: Dict[RankedList, Fraction] = {}
+    D, total = 1, 0  # the probabilities so far sum to total / D
     universe = set(items) if items is not None else None
     for raw_list, raw_prob in _as_pairs(pairs):
         try:
@@ -165,33 +167,36 @@ def validate_distribution(
             issues.append(ValidationIssue("bad-probability", str(exc)))
             continue
         if prob <= 0:
-            issues.append(
-                ValidationIssue(
-                    "nonpositive-probability",
-                    f"list {lst.entries} has probability {prob} <= 0",
-                )
-            )
-        if lst.entries in seen:
-            issues.append(
-                ValidationIssue("duplicate-list", f"duplicate list {lst.entries}")
-            )
-        seen[lst.entries] = prob
-        total += prob
+            issues.append(ValidationIssue(
+                "nonpositive-probability", f"list {lst.entries} has probability {prob} <= 0"))
+        if lst in support:
+            issues.append(ValidationIssue("duplicate-list", f"duplicate list {lst.entries}"))
+        support[lst] = prob
+        d = prob.denominator
+        if D % d:
+            scale = d // math.gcd(D, d)
+            D, total = D * scale, total * scale
+        total += prob.numerator * (D // d)
         if universe is not None:
-            for j in lst.entries:
-                if j not in universe:
-                    issues.append(
-                        ValidationIssue(
-                            "unknown-item", f"item {j!r} not in the item universe"
-                        )
-                    )
-    if total != 1:
-        issues.append(
-            ValidationIssue(
-                "bad-sum", f"probabilities sum to {format_rational(total)}, not 1"
-            )
-        )
-    return ValidationReport(tuple(issues))
+            issues.extend(ValidationIssue("unknown-item", f"item {j!r} not in the item universe")
+                          for j in lst.entries if j not in universe)
+    if total != D:
+        issues.append(ValidationIssue(
+            "bad-sum", f"probabilities sum to {format_rational(Fraction(total, D))}, not 1"))
+    return support, D, issues
+
+
+def validate_distribution(
+    pairs, items: Optional[Sequence[Item]] = None
+) -> ValidationReport:
+    """Validate raw (list, probability) data without raising.
+
+    Checks: probabilities positive and summing to exactly 1, no duplicate
+    lists, no repeated item within a list, and (when ``items`` is given)
+    membership of every listed item in the universe.  Returns every
+    violation found by the pass ``ListDistribution`` is built from.
+    """
+    return ValidationReport(tuple(_read_support(pairs, items)[2]))
 
 
 @dataclass(slots=True)
@@ -210,26 +215,22 @@ class PrefixNode:
 class ListDistribution:
     """A finite-support distribution over ranked lists with exact probabilities.
 
-    Construction validates the data and raises ``InvalidDistributionError``
-    on any violation; use :func:`validate_distribution` for a non-raising
-    report.  Instances are immutable; treat ``support`` and the trie as
-    read-only.
+    Construction reads each pair once, in the pass that
+    :func:`validate_distribution` reports from, and raises
+    ``InvalidDistributionError`` on any violation.  Instances are immutable;
+    treat ``support`` and the trie as read-only.
     """
 
     __slots__ = ("_support", "_root", "_items")
 
     def __init__(self, pairs):
-        pairs = _as_pairs(pairs)
-        report = validate_distribution(pairs)
-        if not report.ok:
-            raise InvalidDistributionError("; ".join(report.messages()))
-        support: Dict[RankedList, Fraction] = {}
-        for raw_list, raw_prob in pairs:
-            support[_as_ranked_list(raw_list)] = parse_rational(raw_prob)
+        support, D, issues = _read_support(pairs)
+        if issues:
+            raise InvalidDistributionError("; ".join(issue.message for issue in issues))
         self._support = support
         items = sorted({j for lst in support for j in lst.entries}, key=str)
         self._items = tuple(items)
-        root = self._root = PrefixNode(lcm_of_denominators(support.values()))
+        root = self._root = PrefixNode(D)
         for lst, prob in support.items():
             weight = prob.numerator * (root.mass // prob.denominator)
             node = root
@@ -300,6 +301,26 @@ def _distinct_ids(items: Iterable[Item]) -> Tuple[Item, ...]:
     return items
 
 
+def _market(items, prices, dists):
+    """``(items, prices, dists)`` checked for an instance with one
+    distribution per buyer: the ids distinct (``_distinct_ids``), every item
+    priced at least 0, the prices parsed, each distribution a
+    ``ListDistribution``, and every listed item in the universe."""
+    items = _distinct_ids(items)
+    prices = {j: parse_rational(p) for j, p in dict(prices).items()}
+    for j in items:
+        if j not in prices:
+            raise InvalidInstanceError(f"missing price for item {j!r}")
+        if prices[j] < 0:
+            raise InvalidInstanceError(f"negative price for item {j!r}")
+    dists = tuple(d if isinstance(d, ListDistribution) else ListDistribution(d) for d in dists)
+    unknown = set().union(*(d.items for d in dists)) - set(items)
+    if unknown:
+        raise InvalidInstanceError(
+            f"listed items missing from universe: {sorted(unknown, key=str)}")
+    return items, prices, dists
+
+
 @dataclass(frozen=True)
 class Instance:
     """An item universe with fixed prices plus a distribution over rankings."""
@@ -309,19 +330,7 @@ class Instance:
     dist: ListDistribution
 
     def __init__(self, items, prices, dist):
-        items = _distinct_ids(items)
-        prices = {j: parse_rational(p) for j, p in dict(prices).items()}
-        for j in items:
-            if j not in prices:
-                raise InvalidInstanceError(f"missing price for item {j!r}")
-            if prices[j] < 0:
-                raise InvalidInstanceError(f"negative price for item {j!r}")
-        if not isinstance(dist, ListDistribution):
-            dist = ListDistribution(dist)
-        unknown = set(dist.items) - set(items)
-        if unknown:
-            raise InvalidInstanceError(
-                f"listed items missing from universe: {sorted(unknown, key=str)}")
+        items, prices, (dist,) = _market(items, prices, (dist,))
         object.__setattr__(self, "items", items)
         object.__setattr__(self, "prices", prices)
         object.__setattr__(self, "dist", dist)

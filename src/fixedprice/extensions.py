@@ -29,9 +29,9 @@ from .core import (
     ListDistribution,
     RankedList,
     _check_objects,
-    _distinct_ids,
     _items_to_json,
     _lists_to_json,
+    _market,
     _parse_items,
     _parse_lists,
     _parse_rationals,
@@ -59,20 +59,9 @@ class MultiBuyerInstance:
     buyers: Tuple[ListDistribution, ...]
 
     def __init__(self, items, prices, buyers):
-        items = _distinct_ids(items)
-        prices = {j: parse_rational(p) for j, p in dict(prices).items()}
-        buyers = tuple(
-            b if isinstance(b, ListDistribution) else ListDistribution(b)
-            for b in buyers
-        )
+        items, prices, buyers = _market(items, prices, buyers)
         if not buyers:
             raise InvalidInstanceError("need at least one buyer")
-        for j in items:
-            if j not in prices or prices[j] < 0:
-                raise InvalidInstanceError(f"bad price for item {j!r}")
-        for b in buyers:
-            if set(b.items) - set(items):
-                raise InvalidInstanceError("buyer lists mention unknown items")
         object.__setattr__(self, "items", items)
         object.__setattr__(self, "prices", prices)
         object.__setattr__(self, "buyers", buyers)
@@ -322,13 +311,9 @@ class MenuEntry:
     alloc: Tuple[Tuple[Item, Fraction], ...]
 
     def __init__(self, alloc: Mapping[Item, object]):
-        pairs = tuple(
-            sorted(
-                ((j, parse_rational(p)) for j, p in dict(alloc).items()
-                 if parse_rational(p) != 0),
-                key=lambda jp: str(jp[0]),
-            )
-        )
+        parsed = {j: parse_rational(p) for j, p in dict(alloc).items()}
+        pairs = tuple(sorted(((j, p) for j, p in parsed.items() if p != 0),
+                             key=lambda jp: str(jp[0])))
         total = sum((p for _, p in pairs), Fraction(0))
         if any(p < 0 for _, p in pairs) or total > 1:
             raise InvalidMechanismError("entry components must be a subprobability")

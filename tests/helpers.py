@@ -8,7 +8,7 @@ import string
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, product
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,12 +36,21 @@ from fixedprice.core import (
     Assortment,
     Item,
     Prefix,
+    ValidationIssue,
+    ValidationReport,
+    _as_pairs,
+    _as_ranked_list,
     _first_hits,
     _list_key,
     _price_weights,
     _subsets,
 )
-from fixedprice.errors import CapExceededError, InvalidInstanceError, MonotonicityViolationError
+from fixedprice.errors import (
+    CapExceededError,
+    InvalidDistributionError,
+    InvalidInstanceError,
+    MonotonicityViolationError,
+)
 from fixedprice.lp import EQ, RationalLP, solve_lp
 from fixedprice.mechanism_lp import (
     ICReport,
@@ -422,6 +431,62 @@ def _family_instance(family: str, rng: random.Random) -> Instance:
         sym = SymmetricNlParams(rng.choice([0.5, 1.0, 2.0]), rng.choice([0.3, 0.5, 0.8]), 4)
         dist = gen_nested_logit_4item_symmetric(items, sym)
     return Instance(dist.items, {j: Fraction(rng.randint(1, 9)) for j in dist.items}, dist)
+
+
+def reference_validate_distribution(
+    pairs, items: Optional[Sequence[Item]] = None
+) -> ValidationReport:
+    """``validate_distribution`` as it was before its one pass: a Fraction
+    sum and a ``seen`` dict of its own, the reference for that pass.
+
+    Checks: probabilities positive and summing to exactly 1, no duplicate
+    lists, no repeated item within a list, and (when ``items`` is given)
+    membership of every listed item in the universe.  Returns every
+    violation found.
+    """
+    issues: List[ValidationIssue] = []
+    seen = {}
+    total = Fraction(0)
+    universe = set(items) if items is not None else None
+    for raw_list, raw_prob in _as_pairs(pairs):
+        try:
+            lst = _as_ranked_list(raw_list)
+        except InvalidDistributionError as exc:
+            issues.append(ValidationIssue("repeated-item", str(exc)))
+            continue
+        try:
+            prob = parse_rational(raw_prob)
+        except ValueError as exc:
+            issues.append(ValidationIssue("bad-probability", str(exc)))
+            continue
+        if prob <= 0:
+            issues.append(
+                ValidationIssue(
+                    "nonpositive-probability",
+                    f"list {lst.entries} has probability {prob} <= 0",
+                )
+            )
+        if lst.entries in seen:
+            issues.append(
+                ValidationIssue("duplicate-list", f"duplicate list {lst.entries}")
+            )
+        seen[lst.entries] = prob
+        total += prob
+        if universe is not None:
+            for j in lst.entries:
+                if j not in universe:
+                    issues.append(
+                        ValidationIssue(
+                            "unknown-item", f"item {j!r} not in the item universe"
+                        )
+                    )
+    if total != 1:
+        issues.append(
+            ValidationIssue(
+                "bad-sum", f"probabilities sum to {format_rational(total)}, not 1"
+            )
+        )
+    return ValidationReport(tuple(issues))
 
 
 @dataclass(slots=True)

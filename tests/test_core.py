@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from fixedprice import (
     Instance,
     ListDistribution,
     Prefix,
+    RankedList,
     assortment_revenue,
     build_tree_diagram,
     choice_probability,
@@ -23,12 +25,13 @@ from fixedprice import (
 from fixedprice.core import _flatten
 from fixedprice.errors import (
     CapExceededError,
+    InvalidDistributionError,
     InvalidInstanceError,
     PrefixOverlapError,
     UnrealizablePrefixError,
 )
 from fixedprice.extensions import multibuyer_from_json
-from fixedprice.rational import coerce_rational
+from fixedprice.rational import coerce_rational, format_rational, parse_rational
 
 from .helpers import (
     FAMILIES,
@@ -39,6 +42,7 @@ from .helpers import (
     random_instance,
     reference_prefixes,
     reference_trie,
+    reference_validate_distribution,
 )
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "fixtures")
@@ -81,6 +85,93 @@ class TestValidation:
     def test_bad_sum_names_the_total(self):
         report = validate_distribution([(("A",), Fraction(5, 6))])
         assert any("5/6" in m for m in report.messages())
+
+
+def malformed_pairs(rng: random.Random) -> list:
+    """Seeded (list, probability) pairs: a valid distribution over items
+    A-D, then up to three faults, each a repeated item, an unparsable or
+    nonpositive probability, a duplicate list, an item outside A-D or a
+    changed probability."""
+    lists, size = [], rng.randint(1, 6)
+    while len(lists) < size:
+        lst = tuple(rng.sample("ABCD", rng.randint(0, 3)))
+        if lst not in lists:
+            lists.append(lst)
+    weights = [rng.randint(1, 9) for _ in lists]
+    probs = [Fraction(w, sum(weights)) for w in weights]
+    pairs = [(list(lst) if rng.random() < 0.3 else lst, rng.choice([p, format_rational(p)]))
+             for lst, p in zip(lists, probs)]
+    for _ in range(rng.randint(0, 3)):
+        k = rng.randrange(len(pairs))
+        lst, prob = pairs[k]
+        fault = rng.randrange(6)
+        if fault == 0 and lst:
+            pairs[k] = (tuple(lst) + (lst[0],), prob)
+        elif fault == 1:
+            pairs[k] = (lst, rng.choice(["x", 0.5, True, "1/0", "1e9999", None]))
+        elif fault == 2:
+            pairs[k] = (lst, rng.choice([0, "0", "-1/3", Fraction(-2, 7)]))
+        elif fault == 3:
+            pairs.insert(rng.randrange(len(pairs) + 1), (tuple(lst), prob))
+        elif fault == 4:
+            pairs[k] = (tuple(lst) + ("Z",), prob)
+        else:
+            pairs[k] = (lst, Fraction(rng.randint(1, 9), rng.randint(1, 12)))
+    return pairs
+
+
+class TestOnePass:
+    """``validate_distribution`` and ``ListDistribution`` read the pairs in
+    one pass; its issues, error texts and support equal those of the
+    two-pass validator it replaced (``tests/helpers``)."""
+
+    def test_issues_equal_the_two_pass_validator(self):
+        rng = random.Random(28)
+        codes = Counter()
+        for _ in range(600):
+            pairs = malformed_pairs(rng)
+            for items in (None, "ABCD"):
+                report = validate_distribution(pairs, items)
+                assert report.issues == reference_validate_distribution(pairs, items).issues
+                codes.update(issue.code for issue in report.issues)
+                codes["ok"] += report.ok
+            reference = reference_validate_distribution(pairs)
+            if reference.ok:
+                dist = ListDistribution(pairs)
+                assert list(dist.support.items()) == [
+                    (RankedList(lst), parse_rational(p)) for lst, p in pairs]
+            else:
+                with pytest.raises(InvalidDistributionError) as exc:
+                    ListDistribution(pairs)
+                assert str(exc.value) == "; ".join(reference.messages())
+        assert set(codes) == {"ok", "repeated-item", "bad-probability", "duplicate-list",
+                              "nonpositive-probability", "unknown-item", "bad-sum"}
+
+    def test_distributions_equal_the_two_pass_validator(self):
+        for dist in TestIntegerTrie.distributions():
+            for items in (None, dist.items[1:]):
+                assert validate_distribution(dist, items) == reference_validate_distribution(
+                    dist, items)
+            assert validate_distribution(dist).ok
+
+    def test_fixtures_load_to_equal_distributions(self):
+        for path in sorted(glob.glob(os.path.join(FIXTURES, "*.json"))):
+            with open(path) as fh:
+                obj = json.load(fh)
+            if "lists" in obj:
+                pairs = [[(tuple(e["items"]), e["prob"]) for e in obj["lists"]]]
+                dists = [load_instance(json.dumps(obj)).dist]
+            elif "buyers" in obj:
+                pairs = [[(tuple(e["items"]), e["prob"]) for e in b] for b in obj["buyers"]]
+                dists = multibuyer_from_json(obj).buyers
+            else:
+                continue
+            for raw, dist in zip(pairs, dists, strict=True):
+                assert reference_validate_distribution(raw).ok
+                support = {RankedList(lst): parse_rational(p) for lst, p in raw}
+                assert dist == ListDistribution(support)
+                assert list(dist.support.items()) == list(support.items())
+                assert dist.node(()).mass == math.lcm(*(p.denominator for p in support.values()))
 
 
 class TestChoiceProbability:
@@ -372,12 +463,35 @@ class TestInstanceJson:
         inst = four_item_clash()
         text = dump_instance(inst)
         calls = []
-        validate = core.validate_distribution
-        monkeypatch.setattr(core, "validate_distribution",
-                            lambda *a, **kw: calls.append(1) or validate(*a, **kw))
+        read = core._read_support
+        monkeypatch.setattr(core, "_read_support",
+                            lambda *a, **kw: calls.append(1) or read(*a, **kw))
         loaded = load_instance(text)
         assert len(calls) == 1
         assert loaded.dist == inst.dist
+
+    def test_one_load_reads_each_list_once(self, monkeypatch):
+        built, parsed = [], []
+        init, parse = core.RankedList.__init__, core.parse_rational
+
+        def counting_init(self, entries=()):
+            init(self, entries)
+            built.append(self.entries)
+
+        monkeypatch.setattr(core.RankedList, "__init__", counting_init)
+        monkeypatch.setattr(core, "parse_rational", lambda v: parsed.append(v) or parse(v))
+        for path in sorted(glob.glob(os.path.join(FIXTURES, "*.json"))):
+            with open(path) as fh:
+                obj = json.load(fh)
+            if "lists" not in obj:
+                continue
+            built.clear()
+            parsed.clear()
+            load_instance(json.dumps(obj))
+            assert Counter(built) == Counter(tuple(e["items"]) for e in obj["lists"])
+            # prices are parsed from the file once, then passed on as Fractions
+            assert Counter(v for v in parsed if type(v) is not Fraction) == Counter(
+                [e["price"] for e in obj["items"]] + [e["prob"] for e in obj["lists"]])
 
     def test_unknown_item_rejected(self):
         obj = {

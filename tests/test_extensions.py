@@ -13,6 +13,7 @@ from fixedprice import (
     eval_fixed_multibuyer_mechanism,
     eval_serial_dictatorship,
     exposable_entries,
+    instance_from_json,
     mechanism_revenue,
     mechanism_to_menu,
     robust_revenue,
@@ -285,3 +286,16 @@ class TestJson:
             multibuyer_from_json(doc)
         with pytest.raises(InvalidInstanceError, match="duplicate item ids"):
             MultiBuyerInstance((first, second), {first: 1, second: 3}, [{(first,): 1}])
+
+    @pytest.mark.parametrize("price, entries, message", [
+        ("-1", ["A"], "negative price for item 'A'"),
+        ("1", ["Z", "A", "Y"], "listed items missing from universe: ['Y', 'Z']"),
+    ])
+    def test_multibuyer_checks_word_as_the_instance(self, price, entries, message):
+        items = [{"id": "A", "price": price}]
+        lists = [{"items": entries, "prob": "1"}]
+        for load, doc in ((instance_from_json, {"items": items, "lists": lists}),
+                          (multibuyer_from_json, {"items": items, "buyers": [lists, lists]})):
+            with pytest.raises(InvalidInstanceError) as exc:
+                load(doc)
+            assert str(exc.value) == message
